@@ -6,6 +6,11 @@ which reproduces the published two-group classification, and maximal
 cliques, which surface the chaining artifacts.  Every output is
 deterministically ordered, and each nontransitive triple (a matched to
 b, b matched to c, a unmatched to c) is reported as a witness.
+
+The match graph is computed as one boolean array over the specimens in
+sorted-id order, with the same verdict per pair as ``match_specimens``;
+under a bias table the smaller id of each pair is the corrected side.
+Witnesses are found by walking the neighbours of each middle specimen.
 """
 
 from __future__ import annotations
@@ -13,7 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .matching import match_specimens
+import numpy as np
+
+from .matching import _match_matrix
 from .model import MatchCriterion, Specimen
 
 MODES = ("connected_components", "maximal_cliques")
@@ -42,19 +49,8 @@ class GroupingResult:
         }
 
 
-def _match_adjacency(
-    specimens: list[Specimen], criterion: MatchCriterion
-) -> dict[str, set[str]]:
-    # canonical pair order (smaller id first) keeps biased criteria deterministic
-    adjacency: dict[str, set[str]] = {s.id: set() for s in specimens}
-    by_id = {s.id: s for s in specimens}
-    ids = sorted(by_id)
-    for i, id_a in enumerate(ids):
-        for id_b in ids[i + 1 :]:
-            if match_specimens(by_id[id_a], by_id[id_b], criterion).matched:
-                adjacency[id_a].add(id_b)
-                adjacency[id_b].add(id_a)
-    return adjacency
+def _match_adjacency(ids: list[str], matrix: np.ndarray) -> dict[str, set[str]]:
+    return {sid: {ids[j] for j in row.nonzero()[0].tolist()} for sid, row in zip(ids, matrix)}
 
 
 def _connected_components(adjacency: dict[str, set[str]]) -> list[set[str]]:
@@ -94,17 +90,23 @@ def _maximal_cliques(adjacency: dict[str, set[str]]) -> list[set[str]]:
 
 
 def _nontransitive_triples(
-    adjacency: dict[str, set[str]]
+    ids: list[str], matrix: np.ndarray
 ) -> tuple[tuple[str, str, str], ...]:
-    triples = []
-    ids = sorted(adjacency)
-    for i, a in enumerate(ids):
-        for c in ids[i + 1 :]:
-            if c in adjacency[a]:
-                continue
-            for b in sorted(adjacency[a] & adjacency[c]):
-                triples.append((a, b, c))
-    return tuple(sorted(triples))
+    # wedges a - b - c around each middle b whose ends a < c do not match
+    wedges = []
+    for b, row in enumerate(matrix):
+        around = row.nonzero()[0]
+        ends = np.triu(~matrix[np.ix_(around, around)], 1).nonzero()
+        if len(ends[0]):
+            a, c = around[ends[0]], around[ends[1]]
+            wedges.append((a, np.full_like(a, b), c))
+    if not wedges:
+        return ()
+    a, b, c = (np.concatenate(column) for column in zip(*wedges))
+    # index order is id order, so this is the sorted order of the id triples
+    order = np.lexsort((c, b, a))
+    names = np.array(ids, dtype=object)
+    return tuple(zip(names[a[order]], names[b[order]], names[c[order]]))
 
 
 def group(
@@ -123,7 +125,11 @@ def group(
     ids = [s.id for s in spec_list]
     if len(set(ids)) != len(ids):
         raise ValueError("specimen ids must be unique within a grouping run")
-    adjacency = _match_adjacency(spec_list, criterion)
+    # canonical pair order (smaller id first) keeps biased criteria deterministic
+    ordered = sorted(spec_list, key=lambda s: s.id)
+    sorted_ids = [s.id for s in ordered]
+    matrix = _match_matrix(ordered, criterion)
+    adjacency = _match_adjacency(sorted_ids, matrix)
     if mode == "connected_components":
         raw_groups = _connected_components(adjacency)
     else:
@@ -131,9 +137,9 @@ def group(
     groups = tuple(sorted(tuple(sorted(g)) for g in raw_groups))
     return GroupingResult(
         groups=groups,
-        adjacency={k: tuple(sorted(v)) for k, v in adjacency.items()},
+        adjacency={sid: tuple(sorted(adjacency[sid])) for sid in ids},
         mode=mode,
-        nontransitive_triples=_nontransitive_triples(adjacency),
+        nontransitive_triples=_nontransitive_triples(sorted_ids, matrix),
     )
 
 
@@ -159,13 +165,15 @@ def within_box_match_rate(
     spec_list = sorted(specimens, key=lambda s: s.id)
     if not spec_list:
         raise ValueError("need at least one specimen")
+    # lots in order of their smallest id: the first to hold an incomplete
+    # panel also holds the first failing same-lot pair in id order
+    lots: dict[str, list[Specimen]] = {}
+    for s in spec_list:
+        if s.lot is not None:
+            lots.setdefault(s.lot, []).append(s)
     total = 0
     matched = 0
-    for i, a in enumerate(spec_list):
-        for b in spec_list[i + 1 :]:
-            if a.lot is None or a.lot != b.lot:
-                continue
-            total += 1
-            if match_specimens(a, b, criterion).matched:
-                matched += 1
+    for members in lots.values():
+        total += len(members) * (len(members) - 1) // 2
+        matched += int(np.count_nonzero(_match_matrix(members, criterion))) // 2
     return MatchRate(pairs_total=total, pairs_matched=matched)

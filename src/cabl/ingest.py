@@ -58,9 +58,10 @@ class Dataset:
     provenance: str
 
     def __post_init__(self) -> None:
-        ids = [s.id for s in self.specimens]
-        if len(set(ids)) != len(ids):
+        by_id = {s.id: s for s in self.specimens}
+        if len(by_id) != len(self.specimens):
             raise ConflictError("specimen ids must be unique within a dataset")
+        object.__setattr__(self, "_by_id", by_id)
 
     def __iter__(self):
         return iter(self.specimens)
@@ -72,10 +73,10 @@ class Dataset:
         return tuple(s.id for s in self.specimens)
 
     def get(self, specimen_id: str) -> Specimen:
-        for s in self.specimens:
-            if s.id == specimen_id:
-                return s
-        raise KeyError(f"no specimen {specimen_id!r} in {self.provenance}")
+        try:
+            return self._by_id[specimen_id]
+        except KeyError:
+            raise KeyError(f"no specimen {specimen_id!r} in {self.provenance}") from None
 
     def subset(
         self,
@@ -126,9 +127,12 @@ def _parse_location(text: str, line: int) -> Location:
 
 def _parse_float(text: str, field: str, line: int) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError as exc:
         raise ParseError(f"{field} is not a number: {text!r}", line=line) from exc
+    if not math.isfinite(value):
+        raise DomainError(f"line {line}: {field} must be finite, got {text!r}")
+    return value
 
 
 def parse_rows(text: str) -> list["RawRow"]:

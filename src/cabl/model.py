@@ -8,9 +8,12 @@ between threads.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping, Optional
+
+from .errors import DomainError
 
 
 class Element(enum.Enum):
@@ -123,6 +126,8 @@ class ElementSeries:
     n: int = 1
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.mean) and math.isfinite(self.se)):
+            raise DomainError(f"mean and se must be finite, got {self.mean} and {self.se}")
         if self.mean <= 0:
             raise ValueError(f"mean must be > 0, got {self.mean}")
         if self.se < 0:
@@ -199,6 +204,8 @@ class BiasCorrection:
     c_hi: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.c_lo) and math.isfinite(self.c_hi)):
+            raise DomainError(f"corrections must be finite, got [{self.c_lo}, {self.c_hi}]")
         if self.c_lo > self.c_hi:
             raise ValueError(f"c_lo {self.c_lo} > c_hi {self.c_hi}")
         if self.c_lo <= -1:
@@ -232,6 +239,8 @@ class MatchCriterion:
     boundary: Boundary = Boundary.CLOSED
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.k):
+            raise DomainError(f"k must be finite, got {self.k}")
         if self.k <= 0:
             raise ValueError(f"k must be > 0, got {self.k}")
         if not self.elements:

@@ -287,6 +287,33 @@ class TestExitCodes:
         assert code == 0
 
 
+class TestNonFiniteInputs:
+    ROWS = {
+        "value_inf": "a,bullet,L1,,Sb,inf,1.0,poisson_single",
+        "value_nan": "a,bullet,L1,,Sb,nan,1.0,poisson_single",
+        "sigma_nan": "a,bullet,L1,,Sb,100.0,nan,poisson_single",
+        "sigma_inf": "a,bullet,L1,,Sb,100.0,inf,poisson_single",
+    }
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("k", ["nan", "inf"])
+    def test_non_finite_k_exits_2(self, capsys, fmt, k):
+        code, out, err = run(capsys, "group", "--fixture", "table1", "--k", k, "--format", fmt)
+        assert (code, out) == (2, "")
+        assert "k must be finite" in err
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("row", sorted(ROWS))
+    def test_non_finite_csv_value_exits_2(self, capsys, tmp_path, fmt, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            f"{HEADER}\n{self.ROWS[row]}\nb,bullet,L1,,Sb,100.0,1.0,poisson_single\n"
+        )
+        code, out, err = run(capsys, "group", "--input", str(path), "--format", fmt)
+        assert (code, out) == (2, "")
+        assert "line 2" in err and "must be finite" in err
+
+
 class TestConfigAndDeterminism:
     def test_config_supplies_criterion(self, capsys, tmp_path):
         config = tmp_path / "config.json"

@@ -1,8 +1,13 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cabl.errors import IncompletePanelError
 from cabl.grouping import group, within_box_match_rate
 from cabl.ingest import Dataset, fixture
+from cabl.matching import match_specimens
 from cabl.model import (
+    BiasCorrection,
     Boundary,
     Element,
     ElementSeries,
@@ -161,3 +166,183 @@ class TestWithinBoxMatchRate:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             within_box_match_rate([], GUINN4)
+
+
+# ------------------------------------------------------------------------
+# The array engine against the scalar rule: grouping builds its adjacency
+# as one array, match_specimens decides one pair; both must agree exactly.
+
+
+def scalar_adjacency(specimens, criterion):
+    ordered = sorted(specimens, key=lambda s: s.id)
+    adjacency = {s.id: set() for s in ordered}
+    for i, a in enumerate(ordered):
+        for b in ordered[i + 1 :]:
+            if match_specimens(a, b, criterion).matched:
+                adjacency[a.id].add(b.id)
+                adjacency[b.id].add(a.id)
+    return adjacency
+
+
+def sorted_neighbors(adjacency):
+    return {sid: tuple(sorted(v)) for sid, v in adjacency.items()}
+
+
+def engine_adjacency(specimens, criterion):
+    return dict(group(specimens, criterion).adjacency)
+
+
+def engine_lot_rate(specimens, criterion):
+    rate = within_box_match_rate(specimens, criterion)
+    return rate.pairs_total, rate.pairs_matched
+
+
+def scalar_components(adjacency):
+    parent = {v: v for v in adjacency}
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for a, neighbors in adjacency.items():
+        for b in neighbors:
+            parent[root(a)] = root(b)
+    groups = {}
+    for v in adjacency:
+        groups.setdefault(root(v), []).append(v)
+    return tuple(sorted(tuple(sorted(g)) for g in groups.values()))
+
+
+def scalar_cliques(adjacency):
+    cliques = []
+
+    def extend(r, p, x):
+        if not p and not x:
+            cliques.append(tuple(sorted(r)))
+        for v in sorted(p):
+            extend(r | {v}, p & adjacency[v], x & adjacency[v])
+            p = p - {v}
+            x = x | {v}
+
+    extend(set(), set(adjacency), set())
+    return tuple(sorted(cliques))
+
+
+def scalar_triples(adjacency):
+    ids = sorted(adjacency)
+    return tuple(
+        (a, b, c)
+        for a in ids
+        for b in ids
+        for c in ids
+        if a < c and b in adjacency[a] and c in adjacency[b] and c not in adjacency[a]
+    )
+
+
+def scalar_lot_rate(specimens, criterion):
+    ordered = sorted(specimens, key=lambda s: s.id)
+    total = matched = 0
+    for i, a in enumerate(ordered):
+        for b in ordered[i + 1 :]:
+            if a.lot is not None and a.lot == b.lot:
+                total += 1
+                matched += match_specimens(a, b, criterion).matched
+    return total, matched
+
+
+def outcome(fn, *args):
+    """A result, or the identity of the panel error raised instead."""
+    try:
+        return fn(*args)
+    except IncompletePanelError as exc:
+        return ("IncompletePanelError", exc.specimen_id, exc.element)
+
+
+# small integers make exactly touching intervals common
+_values = st.one_of(st.integers(1, 12).map(float), st.floats(1.0, 1000.0))
+_errors = st.one_of(st.integers(0, 3).map(float), st.floats(0.0, 50.0))
+
+
+@st.composite
+def populations(draw, complete=True):
+    panel = draw(st.lists(st.sampled_from(list(Element)), min_size=1, max_size=7, unique=True))
+    ids = draw(st.lists(st.text("abxyz", min_size=1, max_size=3), min_size=2, max_size=30, unique=True))
+    specimens = []
+    for sid in ids:
+        elements = panel if complete else draw(st.lists(st.sampled_from(panel), unique=True))
+        series = {e: ElementSeries(e, draw(_values), draw(_errors)) for e in elements}
+        lot = draw(st.sampled_from([None, "L1", "L2", "L3"]))
+        specimens.append(Specimen(id=sid, kind=Kind.BULLET, lot=lot, series=series))
+    bias = {}
+    for e in draw(st.lists(st.sampled_from(panel), unique=True)):
+        c_lo = draw(st.one_of(st.sampled_from([-0.5, 0.0, 0.25]), st.floats(-0.5, 0.5)))
+        width = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.3)))
+        bias[e] = BiasCorrection(e, c_lo, c_lo + width)
+    criterion = MatchCriterion(
+        k=draw(st.one_of(st.sampled_from([1.0, 2.0, 4.0]), st.floats(0.01, 20.0))),
+        elements=tuple(panel),
+        bias=draw(st.sampled_from([None, bias])),
+        boundary=draw(st.sampled_from(list(Boundary))),
+    )
+    return specimens, criterion
+
+
+class TestArrayEngineAgainstScalarRule:
+    @settings(max_examples=150, deadline=None)
+    @given(populations())
+    def test_group_matches_brute_force(self, case):
+        specimens, criterion = case
+        adjacency = scalar_adjacency(specimens, criterion)
+        cc = group(specimens, criterion)
+        cliques = group(specimens, criterion, mode="maximal_cliques")
+        expected = sorted_neighbors(adjacency)
+        assert dict(cc.adjacency) == dict(cliques.adjacency) == expected
+        assert cc.groups == scalar_components(adjacency)
+        assert cliques.groups == scalar_cliques(adjacency)
+        triples = scalar_triples(adjacency)
+        assert cc.nontransitive_triples == cliques.nontransitive_triples == triples
+
+    @settings(max_examples=100, deadline=None)
+    @given(populations())
+    def test_lot_rate_matches_brute_force(self, case):
+        specimens, criterion = case
+        assert engine_lot_rate(specimens, criterion) == scalar_lot_rate(specimens, criterion)
+
+    @settings(max_examples=100, deadline=None)
+    @given(populations(complete=False))
+    def test_incomplete_panels_raise_what_the_scalar_rule_raises(self, case):
+        specimens, criterion = case
+        assert outcome(engine_adjacency, specimens, criterion) == outcome(
+            lambda *args: sorted_neighbors(scalar_adjacency(*args)), specimens, criterion
+        )
+        assert outcome(engine_lot_rate, specimens, criterion) == outcome(
+            scalar_lot_rate, specimens, criterion
+        )
+
+
+class TestIncompletePanels:
+    def test_error_names_first_failing_pair(self):
+        full = [specimen(sid, (100.0, 1.0), (10.0, 0.5)) for sid in ("a", "c", "e")]
+        # "d" lacks silver; the scalar rule first meets it in the pair (a, d)
+        lacking = specimen("d", (100.0, 1.0))
+        with pytest.raises(IncompletePanelError) as caught:
+            group(full + [lacking], GUINN4)
+        assert (caught.value.specimen_id, caught.value.element) == ("d", "Ag")
+        with pytest.raises(IncompletePanelError) as caught:
+            match_specimens(full[0], lacking, GUINN4)
+        assert (caught.value.specimen_id, caught.value.element) == ("d", "Ag")
+
+    def test_single_incomplete_specimen_still_groups(self):
+        lone = specimen("solo", (100.0, 1.0))
+        result = group([lone], GUINN4)
+        assert result.groups == (("solo",),)
+        assert result.nontransitive_triples == ()
+
+    def test_lot_rate_only_examines_same_lot_pairs(self):
+        # the incomplete specimen shares no lot, so no examined pair fails
+        a = specimen("a", (100.0, 1.0), (10.0, 0.5), lot="L1")
+        b = specimen("b", (100.0, 1.0), (10.0, 0.5), lot="L1")
+        lacking = specimen("c", (100.0, 1.0), lot="L2")
+        rate = within_box_match_rate([a, b, lacking], GUINN4)
+        assert (rate.pairs_total, rate.pairs_matched) == (1, 1)

@@ -239,8 +239,12 @@ class TestRoundTrip:
 
 class TestDataset:
     def test_get_missing(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="no specimen 'CE 000' in fixture:table1"):
             fixture("table1").get("CE 000")
+
+    def test_get_finds_every_specimen(self):
+        ds = fixture("table3")
+        assert [ds.get(sid) for sid in ds.ids()] == list(ds.specimens)
 
     def test_subset_by_kind_and_ids(self):
         ds = fixture("table3")

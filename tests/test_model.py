@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cabl.errors import DomainError
 from cabl.model import (
     BiasCorrection,
     Boundary,
@@ -86,6 +87,19 @@ class TestValidation:
 
         with pytest.raises(ValueError):
             RawMeasurement("x", Element.AG, 1.0, sigma=0.5, basis=Basis.REPLICATE_MEMBER)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_values_refused(self, bad):
+        with pytest.raises(DomainError):
+            series(bad, 1.0)
+        with pytest.raises(DomainError):
+            series(100.0, bad)
+        with pytest.raises(DomainError):
+            BiasCorrection(Element.SB, bad, 0.1)
+        with pytest.raises(DomainError):
+            BiasCorrection(Element.SB, 0.0, bad)
+        with pytest.raises(DomainError):
+            MatchCriterion(k=bad, elements=(Element.SB,))
 
     def test_bias_range_ordering(self):
         with pytest.raises(ValueError):
