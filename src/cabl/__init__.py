@@ -20,12 +20,10 @@ from .errors import (
 )
 from .evidence import BoxModel, EvidenceResult, likelihood_ratio, p_span_at_least, posterior_odds
 from .grouping import GroupingResult, MatchRate, group, within_box_match_rate
-from .ingest import Dataset, fixture, parse_csv, render_csv
+from .ingest import Dataset, fixture, parse_csv
 from .matching import (
-    EquivalenceResult,
     MatchResult,
     PerElementMatch,
-    equivalence_t_test,
     match_element,
     match_element_biased,
     match_specimens,
@@ -49,10 +47,8 @@ from .uncertainty import (
     DEFAULT_ATTENUATION,
     AttenuationEntry,
     DecaySchedule,
-    apply_bias,
     comparator_concentration,
     decay_factor,
-    poisson_sigma,
     replicate_summary,
     self_absorption_loss,
 )
@@ -81,11 +77,8 @@ __all__ = [
     "Dataset",
     "fixture",
     "parse_csv",
-    "render_csv",
-    "EquivalenceResult",
     "MatchResult",
     "PerElementMatch",
-    "equivalence_t_test",
     "match_element",
     "match_element_biased",
     "match_specimens",
@@ -105,10 +98,8 @@ __all__ = [
     "DEFAULT_ATTENUATION",
     "AttenuationEntry",
     "DecaySchedule",
-    "apply_bias",
     "comparator_concentration",
     "decay_factor",
-    "poisson_sigma",
     "replicate_summary",
     "self_absorption_loss",
     "__version__",

@@ -5,9 +5,14 @@ Every command accepts ``--format json|text`` and ``--config PATH`` (a
 JSON file supplying criterion defaults, a bias table and an attenuation
 table).  Exit codes: 0 success, 1 internal failure, 2 usage/validation.
 
-Reports carry a ``decisions`` block echoing the conventions behind the
-numbers (boundary handling, bias ranges, table semantics), and all
-output is deterministic for fixed inputs.
+Each command builds one payload dict.  ``--format json`` prints it as
+JSON; ``--format text`` renders the same payload through the command's
+text renderer, so both formats report the same values and refuse the
+same inputs (a t-test between two zero-spread samples with different
+means, for one, exits 2 in both).  Reports carry a ``decisions`` block
+echoing the conventions behind the numbers (boundary handling, bias
+ranges, table semantics), and all output is deterministic for fixed
+inputs.
 """
 
 from __future__ import annotations
@@ -16,12 +21,13 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import CablError
-from .evidence import BoxModel, EvidenceResult, likelihood_ratio, posterior_odds
+from .errors import CablError, DegreesOfFreedomError
+from .evidence import BoxModel, likelihood_ratio, posterior_odds
 from .grouping import group, within_box_match_rate
 from .ingest import FIXTURE_NAMES, Dataset, fixture, parse_csv, parse_rows
 from .matching import match_specimens
@@ -32,12 +38,12 @@ from .model import (
     Element,
     Location,
     MatchCriterion,
+    PRESET_NAMES,
     criterion_preset,
 )
 from .stats import (
     FAMILIES,
     FactorialObservation,
-    FitFailure,
     TwoSampleInput,
     manova_two_way,
     pooled_t_test,
@@ -86,26 +92,15 @@ def _parse_elements(text: str) -> tuple[Element, ...]:
     return tuple(Element.from_symbol(part.strip()) for part in text.split(",") if part.strip())
 
 
-def _parse_bias_spec(text: str) -> dict[Element, BiasCorrection]:
-    """Parse 'Sb=0.02:0.054,Ag=0.055' into a bias table."""
-    table: dict[Element, BiasCorrection] = {}
-    for item in text.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        if "=" not in item:
+def _parse_bias_spec(text: str) -> dict[str, list[str]]:
+    """Read 'Sb=0.02:0.054,Ag=0.055' into the config form {symbol: [lo, hi]}."""
+    spec = {}
+    for item in filter(None, (part.strip() for part in text.split(","))):
+        symbol, sep, values = item.partition("=")
+        if not sep:
             raise ValueError(f"bias entry {item!r} must look like Sb=0.02:0.054")
-        symbol, _, spec = item.partition("=")
-        element = Element.from_symbol(symbol.strip())
-        parts = spec.split(":")
-        if len(parts) == 1:
-            lo = hi = float(parts[0])
-        elif len(parts) == 2:
-            lo, hi = float(parts[0]), float(parts[1])
-        else:
-            raise ValueError(f"bias entry {item!r} must have one or two values")
-        table[element] = BiasCorrection(element, lo, hi)
-    return table
+        spec[symbol.strip()] = values.split(":")
+    return spec
 
 
 def _load_config(path: Optional[str]) -> dict:
@@ -117,15 +112,15 @@ def _load_config(path: Optional[str]) -> dict:
     return config
 
 
-def _bias_from_config(spec: dict) -> dict[Element, BiasCorrection]:
+def _bias_table(spec: Mapping[str, object]) -> dict[Element, BiasCorrection]:
+    """Bias table from {symbol: c or [c] or [c_lo, c_hi]}, as config files give it."""
     table = {}
     for symbol, value in spec.items():
         element = Element.from_symbol(symbol)
-        if isinstance(value, (int, float)):
-            lo = hi = float(value)
-        else:
-            lo, hi = (float(v) for v in value)
-        table[element] = BiasCorrection(element, lo, hi)
+        bounds = [value] if isinstance(value, (int, float)) else list(value)
+        if len(bounds) not in (1, 2):
+            raise ValueError(f"bias for {symbol} must have one or two values, got {value!r}")
+        table[element] = BiasCorrection(element, float(bounds[0]), float(bounds[-1]))
     return table
 
 
@@ -133,15 +128,12 @@ def _build_criterion(args: argparse.Namespace, config: dict) -> MatchCriterion:
     conf = config.get("criterion", {})
     preset_name = args.criterion or conf.get("preset")
     elements = None
-    if getattr(args, "elements", None):
+    if args.elements:
         elements = _parse_elements(args.elements)
     elif conf.get("elements"):
         elements = tuple(Element.from_symbol(s) for s in conf["elements"])
-    bias = None
-    if getattr(args, "bias", None):
-        bias = _parse_bias_spec(args.bias)
-    elif conf.get("bias"):
-        bias = _bias_from_config(conf["bias"])
+    bias_spec = _parse_bias_spec(args.bias) if args.bias else conf.get("bias") or None
+    bias = None if bias_spec is None else _bias_table(bias_spec)
     if preset_name:
         criterion = criterion_preset(preset_name, elements=elements, bias=bias)
     else:
@@ -150,14 +142,11 @@ def _build_criterion(args: argparse.Namespace, config: dict) -> MatchCriterion:
         )
     k = args.k if args.k is not None else conf.get("k")
     boundary = args.boundary or conf.get("boundary")
-    if k is not None or boundary is not None:
-        criterion = MatchCriterion(
-            k=float(k) if k is not None else criterion.k,
-            elements=criterion.elements,
-            bias=criterion.bias,
-            boundary=Boundary(boundary) if boundary else criterion.boundary,
-        )
-    return criterion
+    return replace(
+        criterion,
+        k=criterion.k if k is None else float(k),
+        boundary=Boundary(boundary) if boundary else criterion.boundary,
+    )
 
 
 def _criterion_dict(criterion: MatchCriterion) -> dict:
@@ -189,22 +178,13 @@ def _dataset_decisions(dataset: Dataset) -> dict:
     return notes
 
 
-def _series_dict(series) -> dict:
-    return {
-        "mean_ppm": series.mean,
-        "se_ppm": series.se,
-        "df": series.df,
-        "n": series.n,
-    }
-
-
 def _add_input_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--fixture", choices=FIXTURE_NAMES, help="embedded table")
     parser.add_argument("--input", help="measurement CSV path")
 
 
 def _add_criterion_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--criterion", choices=("guinn4", "nrc2"), help="criterion preset")
+    parser.add_argument("--criterion", choices=PRESET_NAMES, help="criterion preset")
     parser.add_argument("--k", type=float, help="standard-error multiplier")
     parser.add_argument("--elements", help="element panel, e.g. Sb,Ag")
     parser.add_argument("--boundary", choices=("closed", "open"), help="interval boundary")
@@ -219,17 +199,15 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
 # ---------------------------------------------------------------- match
 
 
-def cmd_match(args: argparse.Namespace) -> int:
+def cmd_match(args: argparse.Namespace) -> dict:
     config = _load_config(args.config)
     dataset = _load_dataset(args)
     criterion = _build_criterion(args, config)
     ids = sorted(dataset.ids())
     pairs = []
-    matched_count = 0
     for i, id_a in enumerate(ids):
         for id_b in ids[i + 1 :]:
             result = match_specimens(dataset.get(id_a), dataset.get(id_b), criterion)
-            matched_count += result.matched
             pairs.append(
                 {
                     "a": id_a,
@@ -245,40 +223,41 @@ def cmd_match(args: argparse.Namespace) -> int:
                     },
                 }
             )
-    payload = {
+    return {
         "command": "match",
         "dataset": dataset.provenance,
         "criterion": _criterion_dict(criterion),
         "pairs": pairs,
         "pairs_total": len(pairs),
-        "pairs_matched": matched_count,
+        "pairs_matched": sum(pair["matched"] for pair in pairs),
         "decisions": {
             "boundary_note": _BOUNDARY_NOTE,
             "bias_note": _BIAS_SIDE_NOTE,
             **_dataset_decisions(dataset),
         },
     }
-    if args.format == "json":
-        sys.stdout.write(render_json(payload))
-        return 0
-    print(f"pairwise matches under k={criterion.k} "
-          f"panel={{{','.join(e.value for e in criterion.elements)}}} "
-          f"boundary={criterion.boundary.value}")
-    for pair in pairs:
+
+
+def _match_text(p: dict) -> Iterable[str]:
+    criterion = p["criterion"]
+    yield (
+        f"pairwise matches under k={criterion['k']} "
+        f"panel={{{','.join(criterion['elements'])}}} boundary={criterion['boundary']}"
+    )
+    for pair in p["pairs"]:
         verdict = "match   " if pair["matched"] else "no match"
         detail = "; ".join(
             f"{symbol} {'ok' if per['matched'] else 'fails'}"
             for symbol, per in pair["per_element"].items()
         )
-        print(f"  {pair['a']:<16} vs {pair['b']:<16} {verdict} ({detail})")
-    print(f"{matched_count} of {len(pairs)} pairs matched")
-    return 0
+        yield f"  {pair['a']:<16} vs {pair['b']:<16} {verdict} ({detail})"
+    yield f"{p['pairs_matched']} of {p['pairs_total']} pairs matched"
 
 
 # ---------------------------------------------------------------- group
 
 
-def cmd_group(args: argparse.Namespace) -> int:
+def cmd_group(args: argparse.Namespace) -> dict:
     config = _load_config(args.config)
     dataset = _load_dataset(args)
     if not len(dataset):
@@ -286,7 +265,7 @@ def cmd_group(args: argparse.Namespace) -> int:
     criterion = _build_criterion(args, config)
     mode = {"cc": "connected_components", "clique": "maximal_cliques"}[args.mode]
     result = group(dataset, criterion, mode=mode)
-    payload = {
+    return {
         "command": "group",
         "dataset": dataset.provenance,
         "criterion": _criterion_dict(criterion),
@@ -297,23 +276,26 @@ def cmd_group(args: argparse.Namespace) -> int:
             **_dataset_decisions(dataset),
         },
     }
-    if args.format == "json":
-        sys.stdout.write(render_json(payload))
-        return 0
-    print(f"{len(result.groups)} group(s), mode={result.mode}")
-    for i, members in enumerate(result.groups, start=1):
-        print(f"  group {i}: {', '.join(members)}")
-    if result.nontransitive_triples:
-        print("nontransitive triples (a-b and b-c match, a-c does not):")
-        for a, b, c in result.nontransitive_triples:
-            print(f"  {a} - {b} - {c}")
-    return 0
+
+
+def _groups_text(groups: list) -> Iterable[str]:
+    for i, members in enumerate(groups, start=1):
+        yield f"  group {i}: {', '.join(members)}"
+
+
+def _group_text(p: dict) -> Iterable[str]:
+    yield f"{len(p['groups'])} group(s), mode={p['mode']}"
+    yield from _groups_text(p["groups"])
+    if p["nontransitive_triples"]:
+        yield "nontransitive triples (a-b and b-c match, a-c does not):"
+        for a, b, c in p["nontransitive_triples"]:
+            yield f"  {a} - {b} - {c}"
 
 
 # ------------------------------------------------------------- evidence
 
 
-def cmd_evidence(args: argparse.Namespace) -> int:
+def cmd_evidence(args: argparse.Namespace) -> dict:
     sizes = tuple(int(part) for part in args.box.split(",") if part.strip())
     box = BoxModel(sizes)
     result = likelihood_ratio(box, args.groups_observed, args.draws_t, args.draws_not_t)
@@ -322,13 +304,8 @@ def cmd_evidence(args: argparse.Namespace) -> int:
             prior = Fraction(args.prior_odds)
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"cannot parse prior odds {args.prior_odds!r}") from None
-        result = EvidenceResult(
-            p_given_t=result.p_given_t,
-            p_given_not_t=result.p_given_not_t,
-            likelihood_ratio=result.likelihood_ratio,
-            posterior_odds=posterior_odds(result.likelihood_ratio, prior),
-        )
-    payload = {
+        result = replace(result, posterior_odds=posterior_odds(result.likelihood_ratio, prior))
+    return {
         "command": "evidence",
         "box": list(sizes),
         "draws_t": args.draws_t,
@@ -340,16 +317,16 @@ def cmd_evidence(args: argparse.Namespace) -> int:
             "or heterogeneity enters this calculation",
         },
     }
-    if args.format == "json":
-        sys.stdout.write(render_json(payload))
-        return 0
-    print(f"box groups {sizes}, evidence: >= {args.groups_observed} group(s) spanned")
-    print(f"  P(E | {args.draws_t} bullets)  = {result.p_given_t} = {float(result.p_given_t):.6f}")
-    print(f"  P(E | {args.draws_not_t} bullets)  = {result.p_given_not_t} = {float(result.p_given_not_t):.6f}")
-    print(f"  likelihood ratio = {result.likelihood_ratio} = {float(result.likelihood_ratio):.6f}")
-    if result.posterior_odds is not None:
-        print(f"  posterior odds   = {result.posterior_odds} = {float(result.posterior_odds):.6f}")
-    return 0
+
+
+def _evidence_text(p: dict) -> Iterable[str]:
+    # the box prints as a tuple: (6, 4), or (10,) for a single group
+    yield f"box groups {tuple(p['box'])}, evidence: >= {p['groups_observed']} group(s) spanned"
+    yield f"  P(E | {p['draws_t']} bullets)  = {p['p_given_t_exact']} = {p['p_given_t']:.6f}"
+    yield f"  P(E | {p['draws_not_t']} bullets)  = {p['p_given_not_t_exact']} = {p['p_given_not_t']:.6f}"
+    yield f"  likelihood ratio = {p['likelihood_ratio_exact']} = {p['likelihood_ratio']:.6f}"
+    if "posterior_odds" in p:
+        yield f"  posterior odds   = {p['posterior_odds_exact']} = {p['posterior_odds']:.6f}"
 
 
 # --------------------------------------------------------------- hetero
@@ -390,7 +367,7 @@ def _hetero_ttest(args: argparse.Namespace, dataset: Dataset) -> dict:
     for s in specimens:
         series = s.series[element]
         if series.df is None:
-            raise ValueError(
+            raise DegreesOfFreedomError(
                 f"specimen {s.id!r} {element.value} is a single-count series; "
                 "the pooled t-test needs replicate-based sides"
             )
@@ -455,7 +432,7 @@ def _hetero_manova(args: argparse.Namespace) -> dict:
     }
 
 
-def cmd_hetero(args: argparse.Namespace) -> int:
+def cmd_hetero(args: argparse.Namespace) -> dict:
     if args.manova:
         payload = _hetero_manova(args)
     else:
@@ -465,21 +442,21 @@ def cmd_hetero(args: argparse.Namespace) -> int:
         payload = _hetero_ttest(args, dataset)
         payload["dataset"] = dataset.provenance
         payload["decisions"].update(_dataset_decisions(dataset))
-    if args.format == "json":
-        sys.stdout.write(render_json(payload))
-        return 0
-    if payload["test"] == "pooled_t_test":
-        for side in payload["samples"]:
-            print(f"  {side['id']:<18} {side['mean_ppm']} +/- {side['se_ppm']} (n={side['n']})")
-        print(f"t = {payload['t']:.4f}, df = {payload['df']}, two-sided p = {payload['p_two_sided']:.4f}")
-    else:
-        for name, effect in payload["effects"].items():
-            print(
-                f"  {name:<12} Wilks={effect['wilks_lambda']:.4f} "
-                f"F={effect['wilks_f']:.3f} p={effect['wilks_p']:.4f} | "
-                f"Hotelling-Lawley={effect['hotelling_lawley']:.4f} p={effect['hl_p']:.4f}"
-            )
-    return 0
+    return payload
+
+
+def _hetero_text(p: dict) -> Iterable[str]:
+    if p["test"] == "pooled_t_test":
+        for side in p["samples"]:
+            yield f"  {side['id']:<18} {side['mean_ppm']} +/- {side['se_ppm']} (n={side['n']})"
+        yield f"t = {p['t']:.4f}, df = {p['df']}, two-sided p = {p['p_two_sided']:.4f}"
+        return
+    for name, effect in p["effects"].items():
+        yield (
+            f"  {name:<12} Wilks={effect['wilks_lambda']:.4f} "
+            f"F={effect['wilks_f']:.3f} p={effect['wilks_p']:.4f} | "
+            f"Hotelling-Lawley={effect['hotelling_lawley']:.4f} p={effect['hl_p']:.4f}"
+        )
 
 
 # -------------------------------------------------------------- distfit
@@ -499,7 +476,7 @@ def _read_values(path: str) -> list[float]:
     return values
 
 
-def cmd_distfit(args: argparse.Namespace) -> int:
+def cmd_distfit(args: argparse.Namespace) -> dict:
     values = _read_values(args.input)
     if args.families in (None, "all"):
         families: Sequence[str] = FAMILIES
@@ -508,31 +485,29 @@ def cmd_distfit(args: argparse.Namespace) -> int:
         unknown = [f for f in families if f not in FAMILIES]
         if unknown:
             raise ValueError(f"unknown families {unknown}; have {', '.join(FAMILIES)}")
-    entries = rank_families(values, families)
-    payload = {
+    return {
         "command": "distfit",
         "input": args.input,
         "n": len(values),
-        "ranking": [e.as_dict() for e in entries],
+        "ranking": [e.as_dict() for e in rank_families(values, families)],
         "decisions": {
             "gof_note": "chi-squared on max(5, n//5) equal-probability bins; "
             "df = bins - 1 - #params",
         },
     }
-    if args.format == "json":
-        sys.stdout.write(render_json(payload))
-        return 0
-    print(f"{len(values)} values; families ranked by goodness-of-fit p")
-    for entry in entries:
-        if isinstance(entry, FitFailure):
-            print(f"  {entry.family:<12} FAILED: {entry.error}")
-        else:
-            params = ", ".join(f"{k}={v:.6g}" for k, v in sorted(entry.params.items()))
-            print(
-                f"  {entry.family:<12} p={entry.p_value:.4f} "
-                f"stat={entry.gof_stat:.3f} df={entry.gof_df} ({params})"
-            )
-    return 0
+
+
+def _distfit_text(p: dict) -> Iterable[str]:
+    yield f"{p['n']} values; families ranked by goodness-of-fit p"
+    for entry in p["ranking"]:
+        if "error" in entry:
+            yield f"  {entry['family']:<12} FAILED: {entry['error']}"
+            continue
+        params = ", ".join(f"{k}={v:.6g}" for k, v in sorted(entry["params"].items()))
+        yield (
+            f"  {entry['family']:<12} p={entry['p_value']:.4f} "
+            f"stat={entry['gof_stat']:.3f} df={entry['gof_df']} ({params})"
+        )
 
 
 # ------------------------------------------------------------------ naa
@@ -566,11 +541,11 @@ def _attenuation_entries(args: argparse.Namespace, config: dict) -> tuple[Attenu
     return DEFAULT_ATTENUATION
 
 
-def cmd_naa(args: argparse.Namespace) -> int:
+def cmd_naa(args: argparse.Namespace) -> dict:
     config = _load_config(args.config)
     if args.naa_command == "decay":
         schedule = _schedule_from(args)
-        payload = {
+        return {
             "command": "naa decay",
             "schedule": {
                 "half_life_s": schedule.half_life,
@@ -583,8 +558,7 @@ def cmd_naa(args: argparse.Namespace) -> int:
                 "formula": "(1-exp(-lam*Ti)) * exp(-lam*Td) * (1-exp(-lam*Tc)) / lam"
             },
         }
-        text = f"decay factor = {payload['decay_factor_s']:.4f} s"
-    elif args.naa_command == "conc":
+    if args.naa_command == "conc":
         sample_schedule = _schedule_from(args)
         std_schedule = _schedule_from(args, prefix="std_")
         ppm = comparator_concentration(
@@ -595,7 +569,7 @@ def cmd_naa(args: argparse.Namespace) -> int:
             sample_schedule=sample_schedule,
             std_schedule=std_schedule,
         )
-        payload = {
+        return {
             "command": "naa conc",
             "concentration_ppm": ppm,
             "decisions": {
@@ -603,47 +577,40 @@ def cmd_naa(args: argparse.Namespace) -> int:
                 "standard-to-sample mass ratio; shared flux cancels"
             },
         }
-        text = f"concentration = {ppm:.6g} ppm"
-    else:  # selfabs
-        entries = _attenuation_entries(args, config)
-        if args.energies and args.energies != "all":
-            wanted = {float(t) for t in args.energies.split(",") if t.strip()}
-            entries = tuple(e for e in entries if e.energy_kev in wanted)
-            missing = wanted - {e.energy_kev for e in entries}
-            if missing:
-                raise ValueError(f"energies {sorted(missing)} not in the attenuation table")
-        if not entries:
-            raise ValueError("no attenuation entries selected")
-        losses = {
-            e.energy_kev: self_absorption_loss(args.dimension_mm, e) for e in entries
-        }
-        average = sum(losses.values()) / len(losses)
-        payload = {
-            "command": "naa selfabs",
-            "dimension_mm": args.dimension_mm,
-            "losses": {f"{kev:g}": loss for kev, loss in sorted(losses.items())},
-            "average_loss": average,
-            "decisions": {
-                "path_note": "effective absorption path is half the mean maximum dimension",
-                "table_note": "default table: Hubbell & Seltzer lead mass attenuation "
-                "(log-log interpolated) times density 11.35 g/cm^3",
-            },
-        }
-        lines = [
-            f"  {kev:>6g} keV: loss {loss * 100:.3f}%" for kev, loss in sorted(losses.items())
-        ]
-        text = "\n".join(lines + [f"  average: {average * 100:.3f}%"])
-    if args.format == "json":
-        sys.stdout.write(render_json(payload))
-    else:
-        print(text)
-    return 0
+    entries = _attenuation_entries(args, config)
+    if args.energies and args.energies != "all":
+        wanted = {float(t) for t in args.energies.split(",") if t.strip()}
+        entries = tuple(e for e in entries if e.energy_kev in wanted)
+        missing = wanted - {e.energy_kev for e in entries}
+        if missing:
+            raise ValueError(f"energies {sorted(missing)} not in the attenuation table")
+    if not entries:
+        raise ValueError("no attenuation entries selected")
+    losses = {e.energy_kev: self_absorption_loss(args.dimension_mm, e) for e in entries}
+    return {
+        "command": "naa selfabs",
+        "dimension_mm": args.dimension_mm,
+        "losses": {f"{kev:g}": loss for kev, loss in sorted(losses.items())},
+        "average_loss": sum(losses.values()) / len(losses),
+        "decisions": {
+            "path_note": "effective absorption path is half the mean maximum dimension",
+            "table_note": "default table: Hubbell & Seltzer lead mass attenuation "
+            "(log-log interpolated) times density 11.35 g/cm^3",
+        },
+    }
+
+
+def _selfabs_text(p: dict) -> Iterable[str]:
+    # keys are the energies already formatted with :g
+    for kev, loss in p["losses"].items():
+        yield f"  {kev:>6} keV: loss {loss * 100:.3f}%"
+    yield f"  average: {p['average_loss'] * 100:.3f}%"
 
 
 # --------------------------------------------------------------- report
 
 
-def cmd_report(args: argparse.Namespace) -> int:
+def cmd_report(args: argparse.Namespace) -> dict:
     config = _load_config(args.config)
     dataset = _load_dataset(args)
     if not len(dataset):
@@ -657,11 +624,14 @@ def cmd_report(args: argparse.Namespace) -> int:
             "kind": s.kind.value,
             "lot": s.lot,
             "location": s.location.value if s.location else None,
-            "series": {e.value: _series_dict(series) for e, series in s.series.items()},
+            "series": {
+                e.value: {"mean_ppm": x.mean, "se_ppm": x.se, "df": x.df, "n": x.n}
+                for e, x in s.series.items()
+            },
         }
         for s in dataset
     ]
-    payload = {
+    return {
         "command": "report",
         "dataset": dataset.provenance,
         "criterion": _criterion_dict(criterion),
@@ -678,26 +648,25 @@ def cmd_report(args: argparse.Namespace) -> int:
             **_dataset_decisions(dataset),
         },
     }
-    if args.format == "json":
-        sys.stdout.write(render_json(payload))
-        return 0
-    print(f"dataset: {dataset.provenance} ({len(dataset)} specimens)")
-    for s in specimens:
+
+
+def _report_text(p: dict) -> Iterable[str]:
+    yield f"dataset: {p['dataset']} ({len(p['specimens'])} specimens)"
+    for s in p["specimens"]:
         parts = ", ".join(
             f"{symbol} {d['mean_ppm']:g} +/- {d['se_ppm']:g}"
             for symbol, d in s["series"].items()
         )
         lot = f" lot {s['lot']}" if s["lot"] else ""
-        print(f"  {s['id']:<18} {s['kind']}{lot}: {parts}")
-    print(f"groups under k={criterion.k}:")
-    for i, members in enumerate(grouping.groups, start=1):
-        print(f"  group {i}: {', '.join(members)}")
-    if rate.pairs_total:
-        print(
-            f"within-lot pairs matched: {rate.pairs_matched}/{rate.pairs_total} "
-            f"(rate {rate.rate:.3f})"
+        yield f"  {s['id']:<18} {s['kind']}{lot}: {parts}"
+    yield f"groups under k={p['criterion']['k']}:"
+    yield from _groups_text(p["grouping"]["groups"])
+    within = p["within_lot"]
+    if within["pairs_total"]:
+        yield (
+            f"within-lot pairs matched: {within['pairs_matched']}/{within['pairs_total']} "
+            f"(rate {within['rate']:.3f})"
         )
-    return 0
 
 
 # ------------------------------------------------------------------ main
@@ -715,14 +684,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_options(p_match)
     _add_criterion_options(p_match)
     _add_common_options(p_match)
-    p_match.set_defaults(func=cmd_match)
+    p_match.set_defaults(func=cmd_match, text=_match_text)
 
     p_group = sub.add_parser("group", help="compositional grouping")
     _add_input_options(p_group)
     _add_criterion_options(p_group)
     p_group.add_argument("--mode", choices=("cc", "clique"), default="cc")
     _add_common_options(p_group)
-    p_group.set_defaults(func=cmd_group)
+    p_group.set_defaults(func=cmd_group, text=_group_text)
 
     p_ev = sub.add_parser("evidence", help="hypergeometric likelihood ratio")
     p_ev.add_argument("--box", required=True, help="group sizes, e.g. 6,4")
@@ -731,7 +700,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ev.add_argument("--groups-observed", type=int, required=True)
     p_ev.add_argument("--prior-odds", help="prior odds, e.g. 1.0 or 2/3")
     _add_common_options(p_ev)
-    p_ev.set_defaults(func=cmd_evidence)
+    p_ev.set_defaults(func=cmd_evidence, text=_evidence_text)
 
     p_het = sub.add_parser("hetero", help="heterogeneity tests")
     _add_input_options(p_het)
@@ -741,13 +710,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_het.add_argument("--manova", action="store_true", help="two-way MANOVA on raw rows")
     p_het.add_argument("--responses", help="MANOVA response elements, e.g. Ag,As")
     _add_common_options(p_het)
-    p_het.set_defaults(func=cmd_hetero)
+    p_het.set_defaults(func=cmd_hetero, text=_hetero_text)
 
     p_fit = sub.add_parser("distfit", help="distribution fitting and ranking")
     p_fit.add_argument("--input", required=True, help="file with one value per line")
     p_fit.add_argument("--families", help="'all' or a comma list")
     _add_common_options(p_fit)
-    p_fit.set_defaults(func=cmd_distfit)
+    p_fit.set_defaults(func=cmd_distfit, text=_distfit_text)
 
     p_naa = sub.add_parser("naa", help="activation-analysis reduction")
     naa_sub = p_naa.add_subparsers(dest="naa_command", required=True)
@@ -755,6 +724,7 @@ def build_parser() -> argparse.ArgumentParser:
     for flag in ("--half-life", "--ti", "--td", "--tc"):
         p_decay.add_argument(flag, required=True)
     _add_common_options(p_decay)
+    p_decay.set_defaults(text=lambda p: [f"decay factor = {p['decay_factor_s']:.4f} s"])
     p_conc = naa_sub.add_parser("conc", help="comparator-standard concentration")
     p_conc.add_argument("--sample-counts", type=float, required=True)
     p_conc.add_argument("--sample-mass-mg", type=float, required=True)
@@ -765,18 +735,20 @@ def build_parser() -> argparse.ArgumentParser:
     for flag in ("--std-half-life", "--std-ti", "--std-td", "--std-tc"):
         p_conc.add_argument(flag, help="standard's schedule; defaults to the sample's")
     _add_common_options(p_conc)
+    p_conc.set_defaults(text=lambda p: [f"concentration = {p['concentration_ppm']:.6g} ppm"])
     p_self = naa_sub.add_parser("selfabs", help="gamma self-absorption loss")
     p_self.add_argument("--dimension-mm", type=float, required=True)
     p_self.add_argument("--energies", help="'all' or comma list of keV in the table")
     p_self.add_argument("--table", help="attenuation CSV (energy_kev,mu_linear_per_cm)")
     _add_common_options(p_self)
+    p_self.set_defaults(text=_selfabs_text)
     p_naa.set_defaults(func=cmd_naa)
 
     p_rep = sub.add_parser("report", help="full pipeline report")
     _add_input_options(p_rep)
     _add_criterion_options(p_rep)
     _add_common_options(p_rep)
-    p_rep.set_defaults(func=cmd_report)
+    p_rep.set_defaults(func=cmd_report, text=_report_text)
 
     return parser
 
@@ -788,7 +760,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        payload = args.func(args)
+        if args.format == "json":
+            sys.stdout.write(render_json(payload))
+        else:
+            sys.stdout.write("".join(f"{line}\n" for line in args.text(payload)))
+        return 0
     except (CablError, ValueError, KeyError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

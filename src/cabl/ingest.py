@@ -1,4 +1,4 @@
-"""Measurement ingestion: CSV parsing, rendering, and table fixtures.
+"""Measurement ingestion: CSV parsing and table fixtures.
 
 CSV schema (UTF-8, comma separated, header required)::
 
@@ -280,54 +280,6 @@ def parse_csv(text: str, provenance: str = "<csv>") -> Dataset:
             )
         )
     return Dataset(specimens=tuple(specimens), provenance=provenance)
-
-
-def _replicate_values(mean: float, se: float, n: int) -> list[float]:
-    """Deterministic positive values with the given mean, se and n.
-
-    Prefers a symmetric pattern around the mean; falls back to a skewed
-    one (n-1 low points, one high) when symmetry would cross zero.  Any
-    series summarizing real positive replicates satisfies se < mean, so
-    the skewed pattern always stays positive for such data.
-    """
-    sd = se * math.sqrt(n)
-    if n % 2 == 0:
-        c = sd * math.sqrt((n - 1) / n)
-        symmetric = [mean - c] * (n // 2) + [mean + c] * (n // 2)
-    else:
-        symmetric = [mean - sd] * (n // 2) + [mean] + [mean + sd] * (n // 2)
-    if symmetric[0] > 0:
-        return symmetric
-    if mean - se <= 0:
-        raise DomainError(
-            f"series mean {mean} with se {se} cannot be written as positive replicates"
-        )
-    return [mean - se] * (n - 1) + [mean + (n - 1) * se]
-
-
-def render_csv(dataset: Dataset) -> str:
-    """Render a Dataset back to schema CSV.
-
-    Single-count series become one ``poisson_single`` row.  A
-    replicate-based series of n observations is serialized as n
-    synthetic ``replicate_member`` rows chosen symmetrically around the
-    mean so that re-parsing reproduces the same mean and standard error
-    (to float precision); the individual values are an encoding, not
-    recovered originals.
-    """
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for s in dataset:
-        location = (s.location or Location.UNLABELED).value
-        for element, series in s.series.items():
-            base = [s.id, s.kind.value, s.lot or "", location, element.value]
-            if series.df is None:
-                writer.writerow(base + [repr(series.mean), repr(series.se), "poisson_single"])
-            else:
-                for value in _replicate_values(series.mean, series.se, series.n):
-                    writer.writerow(base + [repr(value), "", "replicate_member"])
-    return out.getvalue()
 
 
 def _series(element: Element, mean: float, se: float, n: int) -> ElementSeries:

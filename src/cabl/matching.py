@@ -15,14 +15,13 @@ arithmetic to whole arrays.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import DegreesOfFreedomError, ElementMismatchError, IncompletePanelError
+from .errors import ElementMismatchError, IncompletePanelError
 from .model import (
     BiasCorrection,
     Boundary,
@@ -32,7 +31,6 @@ from .model import (
     Specimen,
     series_interval,
 )
-from .stats.special import t_cdf, t_sf
 
 
 def _intervals_overlap(
@@ -183,61 +181,3 @@ def _match_matrix(specimens: Sequence[Specimen], criterion: MatchCriterion) -> n
         # row i is the corrected side only against j > i
         upper[r0:r1, r0:] = np.triu(block, 1)
     return upper | upper.T
-
-
-@dataclass(frozen=True)
-class EquivalenceResult:
-    """Two one-sided tests outcome for |mean difference| < margin."""
-
-    p: float
-    equivalent: bool
-    t_lower: float
-    t_upper: float
-    df: int
-
-
-def equivalence_t_test(
-    a: ElementSeries,
-    b: ElementSeries,
-    margin: float,
-    alpha: float = 0.05,
-) -> EquivalenceResult:
-    """Equivalence of two replicate-based series within ``margin`` ppm.
-
-    Pooled-variance TOST: one-sided tests against a difference of
-    -margin and +margin; the reported p is the larger of the two.
-    Single-count series carry no degrees of freedom and are refused.
-    """
-    if margin <= 0:
-        raise ValueError(f"margin must be > 0, got {margin}")
-    if a.df is None or b.df is None:
-        raise DegreesOfFreedomError(
-            "equivalence testing needs replicate-based series on both sides"
-        )
-    n_a, n_b = a.n, b.n
-    df = n_a + n_b - 2
-    if df <= 0:
-        raise DegreesOfFreedomError(f"pooled df must be > 0, got {df}")
-    ss_a = (n_a - 1) * (a.se * math.sqrt(n_a)) ** 2
-    ss_b = (n_b - 1) * (b.se * math.sqrt(n_b)) ** 2
-    pooled_var = (ss_a + ss_b) / df
-    se_diff = math.sqrt(pooled_var * (1.0 / n_a + 1.0 / n_b))
-    diff = a.mean - b.mean
-    if se_diff == 0.0:
-        # degenerate zero-spread samples: equivalence is decided by the means
-        inside = abs(diff) < margin
-        return EquivalenceResult(
-            p=0.0 if inside else 1.0,
-            equivalent=inside,
-            t_lower=math.inf if inside else -math.inf,
-            t_upper=-math.inf if inside else math.inf,
-            df=df,
-        )
-    t_lower = (diff + margin) / se_diff
-    t_upper = (diff - margin) / se_diff
-    p_lower = t_sf(t_lower, df)
-    p_upper = t_cdf(t_upper, df)
-    p = max(p_lower, p_upper)
-    return EquivalenceResult(
-        p=p, equivalent=p <= alpha, t_lower=t_lower, t_upper=t_upper, df=df
-    )

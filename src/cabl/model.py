@@ -144,6 +144,8 @@ def series_interval(s: ElementSeries, k: float) -> tuple[float, float]:
     The interval is symmetric about the mean with width exactly
     ``2*k*se``.
     """
+    if not math.isfinite(k):
+        raise DomainError(f"k must be finite, got {k}")
     if k <= 0:
         raise ValueError(f"k must be > 0, got {k}")
     half = k * s.se

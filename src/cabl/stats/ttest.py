@@ -1,11 +1,12 @@
-"""Pooled two-sample t-test from summary statistics or raw values."""
+"""Pooled two-sample t-test from summary statistics."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
+from ..errors import DomainError
 from .special import t_two_sided_p
 
 
@@ -28,15 +29,6 @@ class TwoSampleInput:
         if self.se < 0:
             raise ValueError(f"se must be >= 0, got {self.se}")
 
-    @classmethod
-    def from_values(cls, values: Sequence[float], label: Optional[str] = None) -> "TwoSampleInput":
-        n = len(values)
-        if n < 2:
-            raise ValueError(f"need n >= 2 values, got {n}")
-        mean = sum(values) / n
-        var = sum((v - mean) ** 2 for v in values) / (n - 1)
-        return cls(mean=mean, se=math.sqrt(var / n), n=n, label=label)
-
     @property
     def sd(self) -> float:
         return self.se * math.sqrt(self.n)
@@ -53,6 +45,9 @@ def pooled_t_test(a: TwoSampleInput, b: TwoSampleInput) -> TTestResult:
     """Classic pooled-variance two-sample t-test, two-sided p.
 
     Swapping the samples flips the sign of t and leaves p unchanged.
+    Two zero-spread samples give t = 0, p = 1 when their means agree;
+    when the means differ t would be infinite, and the test is refused
+    with a DomainError.
     """
     df = a.n + b.n - 2
     if df <= 0:
@@ -61,7 +56,11 @@ def pooled_t_test(a: TwoSampleInput, b: TwoSampleInput) -> TTestResult:
     se_diff = math.sqrt(pooled_var * (1.0 / a.n + 1.0 / b.n))
     diff = a.mean - b.mean
     if se_diff == 0.0:
-        t = 0.0 if diff == 0.0 else math.copysign(math.inf, diff)
-        return TTestResult(t=t, df=df, p_two_sided=1.0 if diff == 0.0 else 0.0)
+        if diff != 0.0:
+            raise DomainError(
+                f"samples {a.label or 'a'} and {b.label or 'b'} both have zero spread "
+                "and different means; the t statistic is infinite"
+            )
+        return TTestResult(t=0.0, df=df, p_two_sided=1.0)
     t = diff / se_diff
     return TTestResult(t=t, df=df, p_two_sided=t_two_sided_p(t, df))

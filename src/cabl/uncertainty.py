@@ -1,7 +1,6 @@
 """Measurement uncertainty and activation-analysis reduction.
 
-Counting-statistics sigmas, replicate summaries, relative bias
-application, and the small amount of physics needed to reduce
+Replicate summaries and the small amount of physics needed to reduce
 irradiate-decay-count measurements: decay factors, comparator-standard
 concentrations and gamma self-absorption losses.
 
@@ -15,16 +14,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .errors import ParseError
-from .model import ElementSeries
-
-
-def poisson_sigma(counts: int) -> float:
-    """Standard deviation of a single gross count: ``sqrt(counts)``."""
-    if not isinstance(counts, int) or isinstance(counts, bool):
-        raise ValueError(f"counts must be an integer, got {counts!r}")
-    if counts < 0:
-        raise ValueError(f"counts must be >= 0, got {counts}")
-    return math.sqrt(counts)
 
 
 class ReplicateSummary(NamedTuple):
@@ -48,19 +37,6 @@ def replicate_summary(values: Sequence[float]) -> ReplicateSummary:
     mean = sum(values) / n
     var = sum((v - mean) ** 2 for v in values) / (n - 1)
     return ReplicateSummary(mean=mean, se=math.sqrt(var / n), df=n - 1, n=n)
-
-
-def apply_bias(s: ElementSeries, c: float) -> ElementSeries:
-    """Rescale a series by ``(1 + c)``; df and n are unchanged.
-
-    Exactly inverted by a correction of ``-c / (1 + c)``.
-    """
-    if c <= -1:
-        raise ValueError(f"correction must be > -1, got {c}")
-    factor = 1.0 + c
-    return ElementSeries(
-        element=s.element, mean=s.mean * factor, se=s.se * factor, df=s.df, n=s.n
-    )
 
 
 @dataclass(frozen=True)

@@ -156,13 +156,31 @@ class TestHeteroCommand:
         assert "ambiguous" in err
 
     def test_single_count_series_exits_2(self, capsys):
-        code, _, err = run(
+        code, out, err = run(
             capsys,
             "hetero", "--fixture", "table1", "--element", "Ag",
             "--ids", "CE 399,CE 842",
         )
-        assert code == 2
-        assert "single-count" in err
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: specimen 'CE 399' Ag is a single-count series; "
+            "the pooled t-test needs replicate-based sides\n"
+        )
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_zero_spread_different_means_exits_2(self, capsys, tmp_path, fmt):
+        path = tmp_path / "flat.csv"
+        path.write_text(
+            f"{HEADER}\n"
+            + "".join(f"{sid},bullet,L1,,Ag,{v},,replicate_member\n"
+                      for sid, v in (("x5", 5.0), ("x5", 5.0), ("x6", 6.0), ("x6", 6.0)))
+        )
+        code, out, err = run(
+            capsys,
+            "hetero", "--input", str(path), "--element", "Ag", "--ids", "x5,x6", "--format", fmt,
+        )
+        assert (code, out) == (2, "")
+        assert "x5 and x6 both have zero spread" in err
 
     def test_manova_on_raw_rows(self, capsys, tmp_path):
         rng = np.random.default_rng(0)
@@ -270,6 +288,184 @@ class TestReportCommand:
         assert payload["within_lot"]["pairs_total"] == 16 * 15 // 2
 
 
+# (bullet, element) -> nine replicates: three outer, three middle, three inner
+MANOVA_VALUES = {
+    ("b1", "Ag"): (6.1, 6.3, 6.2, 6.6, 6.4, 6.5, 6.0, 6.2, 6.1),
+    ("b1", "As"): (3.1, 3.3, 3.0, 3.2, 3.4, 3.3, 3.0, 3.1, 3.2),
+    ("b2", "Ag"): (7.0, 7.2, 6.9, 7.4, 7.1, 7.3, 6.8, 7.0, 7.1),
+    ("b2", "As"): (3.6, 3.5, 3.8, 3.7, 3.9, 3.6, 3.5, 3.4, 3.6),
+}
+MANOVA_CSV = HEADER + "\n" + "".join(
+    f"{bullet},bullet,6003,{('outer', 'middle', 'inner')[i // 3]},{element},{v},,replicate_member\n"
+    for (bullet, element), values in MANOVA_VALUES.items()
+    for i, v in enumerate(values)
+)
+
+# Literal text stdout, one case per report shape.  Paths in argv are
+# relative to a temporary directory holding the files named in the case.
+TEXT_CASES = {
+    "group-cc": (
+        ["group", "--fixture", "table1", "--criterion", "guinn4"],
+        {},
+        """\
+2 group(s), mode=connected_components
+  group 1: CE 399, CE 842
+  group 2: CE 567, CE 840, CE 843
+""",
+    ),
+    "group-clique": (
+        ["group", "--fixture", "table1", "--criterion", "guinn4",
+         "--boundary", "open", "--mode", "clique"],
+        {},
+        """\
+3 group(s), mode=maximal_cliques
+  group 1: CE 399, CE 842
+  group 2: CE 567, CE 843
+  group 3: CE 840, CE 843
+nontransitive triples (a-b and b-c match, a-c does not):
+  CE 567 - CE 843 - CE 840
+""",
+    ),
+    "match": (
+        ["match", "--fixture", "table1", "--criterion", "guinn4"],
+        {},
+        """\
+pairwise matches under k=4.0 panel={Ag,Sb} boundary=closed
+  CE 399           vs CE 567           no match (Ag ok; Sb fails)
+  CE 399           vs CE 840           no match (Ag ok; Sb fails)
+  CE 399           vs CE 842           match    (Ag ok; Sb ok)
+  CE 399           vs CE 843           no match (Ag ok; Sb fails)
+  CE 567           vs CE 840           match    (Ag ok; Sb ok)
+  CE 567           vs CE 842           no match (Ag ok; Sb fails)
+  CE 567           vs CE 843           match    (Ag ok; Sb ok)
+  CE 840           vs CE 842           no match (Ag ok; Sb fails)
+  CE 840           vs CE 843           match    (Ag ok; Sb ok)
+  CE 842           vs CE 843           no match (Ag ok; Sb fails)
+4 of 10 pairs matched
+""",
+    ),
+    "report": (
+        ["report", "--fixture", "table3", "--criterion", "guinn4"],
+        {},
+        """\
+dataset: fixture:table3 (16 specimens)
+  bullet-1-outer     bullet_section lot 6003: Sb 578 +/- 19.5, Ag 6.3 +/- 0.26
+  bullet-1-middle    bullet_section lot 6003: Sb 585 +/- 12.1, Ag 6.66 +/- 0.09
+  bullet-1-inner     bullet_section lot 6003: Sb 581 +/- 15.1, Ag 6.35 +/- 0.27
+  bullet-1           bullet lot 6003: Sb 576 +/- 3.47, Ag 6.3 +/- 0.06
+  bullet-8-outer     bullet_section lot 6003: Sb 957 +/- 4.86, Ag 6.9 +/- 0.14
+  bullet-8-middle    bullet_section lot 6003: Sb 952 +/- 17.4, Ag 6.79 +/- 0.16
+  bullet-8-inner     bullet_section lot 6003: Sb 963 +/- 16.3, Ag 6.73 +/- 0.18
+  bullet-8           bullet lot 6003: Sb 966 +/- 7.32, Ag 6.81 +/- 0.04
+  bullet-9-outer     bullet_section lot 6003: Sb 1829 +/- 61.4, Ag 8.71 +/- 0.38
+  bullet-9-middle    bullet_section lot 6003: Sb 1806 +/- 18.1, Ag 8.51 +/- 0.28
+  bullet-9-inner     bullet_section lot 6003: Sb 1869 +/- 13.4, Ag 8.68 +/- 0.42
+  bullet-9           bullet lot 6003: Sb 1834 +/- 14.3, Ag 8.66 +/- 0.08
+  bullet-10-outer    bullet_section lot 6003: Sb 260 +/- 10, Ag 5.04 +/- 0.25
+  bullet-10-middle   bullet_section lot 6003: Sb 262 +/- 0.18, Ag 5.21 +/- 0.09
+  bullet-10-inner    bullet_section lot 6003: Sb 258 +/- 4.69, Ag 5.14 +/- 0.16
+  bullet-10          bullet lot 6003: Sb 260 +/- 1.93, Ag 5.04 +/- 0.05
+groups under k=4.0:
+  group 1: bullet-1, bullet-1-inner, bullet-1-middle, bullet-1-outer
+  group 2: bullet-10, bullet-10-inner, bullet-10-middle, bullet-10-outer
+  group 3: bullet-8, bullet-8-inner, bullet-8-middle, bullet-8-outer
+  group 4: bullet-9, bullet-9-inner, bullet-9-middle, bullet-9-outer
+within-lot pairs matched: 24/120 (rate 0.200)
+""",
+    ),
+    "evidence": (
+        ["evidence", "--box", "6,4", "--draws-t", "2", "--draws-not-t", "3",
+         "--groups-observed", "2", "--prior-odds", "2/3"],
+        {},
+        """\
+box groups (6, 4), evidence: >= 2 group(s) spanned
+  P(E | 2 bullets)  = 8/15 = 0.533333
+  P(E | 3 bullets)  = 4/5 = 0.800000
+  likelihood ratio = 2/3 = 0.666667
+  posterior odds   = 4/9 = 0.444444
+""",
+    ),
+    "evidence-one-group": (
+        ["evidence", "--box", "10", "--draws-t", "2", "--draws-not-t", "3",
+         "--groups-observed", "1"],
+        {},
+        """\
+box groups (10,), evidence: >= 1 group(s) spanned
+  P(E | 2 bullets)  = 1 = 1.000000
+  P(E | 3 bullets)  = 1 = 1.000000
+  likelihood ratio = 1 = 1.000000
+""",
+    ),
+    "hetero-ttest": (
+        ["hetero", "--fixture", "table2", "--element", "Ag", "--locations", "outer,middle"],
+        {},
+        """\
+  bullet-1-outer     6.3 +/- 0.13 (n=4)
+  bullet-1-middle    6.66 +/- 0.05 (n=3)
+t = -2.2584, df = 5, two-sided p = 0.0735
+""",
+    ),
+    "hetero-manova": (
+        ["hetero", "--manova", "--input", "raw.csv", "--responses", "Ag,As"],
+        {"raw.csv": MANOVA_CSV},
+        """\
+  bullet       Wilks=0.0373 F=141.880 p=0.0000 | Hotelling-Lawley=25.7964 p=0.0000
+  location     Wilks=0.2156 F=6.344 p=0.0015 | Hotelling-Lawley=3.6052 p=0.0002
+  interaction  Wilks=0.8793 F=0.365 p=0.8306 | Hotelling-Lawley=0.1339 p=0.8513
+""",
+    ),
+    "distfit": (
+        ["distfit", "--input", "values.txt"],
+        {"values.txt": "3\n4\n5\n5\n6\n7\n7\n8\n9\n12\n-1\n2\n"},
+        """\
+12 values; families ranked by goodness-of-fit p
+  gumbel       p=0.7788 stat=0.500 df=2 (loc=3.92987, scale=3.25199)
+  normal       p=0.7788 stat=0.500 df=2 (mu=5.58333, sigma=3.27766)
+  triangular   p=0.4795 stat=0.500 df=1 (a=-1, b=12, c=5)
+  chi_squared  FAILED: chi_squared requires strictly positive data
+  exponential  FAILED: exponential requires strictly positive data
+  gamma        FAILED: gamma requires strictly positive data
+  lognormal    FAILED: lognormal requires strictly positive data
+  weibull      FAILED: weibull requires strictly positive data
+""",
+    ),
+    "naa-decay": (
+        ["naa", "decay", "--half-life", "24s", "--ti", "60", "--td", "30", "--tc", "180"],
+        {},
+        "decay factor = 11.9182 s\n",
+    ),
+    "naa-conc": (
+        ["naa", "conc", "--sample-counts", "5000", "--sample-mass-mg", "20",
+         "--std-counts", "4000", "--std-mass-ug", "2",
+         "--half-life", "24s", "--ti", "60", "--td", "30", "--tc", "180"],
+        {},
+        "concentration = 125 ppm\n",
+    ),
+    "naa-selfabs": (
+        ["naa", "selfabs", "--dimension-mm", "0.4"],
+        {},
+        """\
+     511 keV: loss 3.491%
+     559 keV: loss 3.082%
+     564 keV: loss 3.044%
+     657 keV: loss 2.512%
+  average: 3.032%
+""",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TEXT_CASES))
+def test_text_report_literal(capsys, tmp_path, monkeypatch, case):
+    argv, files, expected = TEXT_CASES[case]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert out == expected
+
+
 class TestExitCodes:
     def test_internal_failure_exits_1(self, capsys, monkeypatch):
         import cabl.cli as cli
@@ -334,6 +530,23 @@ class TestConfigAndDeterminism:
         )
         assert payload["criterion"]["k"] == 2.0
         assert payload["criterion"]["bias"] == {"Sb": [0.02, 0.054], "Ag": [0.055, 0.055]}
+
+    def test_bias_flag_matches_config_form(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"criterion": {"bias": {"Sb": [0.02, 0.054], "Ag": 0.055}}}))
+        from_config, _ = run_json(
+            capsys, "match", "--fixture", "table1", "--k", "2", "--config", str(config)
+        )
+        from_flag, _ = run_json(
+            capsys, "match", "--fixture", "table1", "--k", "2", "--bias", "Sb=0.02:0.054,Ag=0.055"
+        )
+        assert from_flag == from_config
+        assert from_flag["criterion"]["bias"] == {"Sb": [0.02, 0.054], "Ag": [0.055, 0.055]}
+
+    @pytest.mark.parametrize("bias", ["Sb0.02", "Sb=0.01:0.02:0.03", "Sb=low"])
+    def test_malformed_bias_flag_exits_2(self, capsys, bias):
+        code, out, _ = run(capsys, "match", "--fixture", "table1", "--bias", bias)
+        assert (code, out) == (2, "")
 
     def test_flags_override_config(self, capsys, tmp_path):
         config = tmp_path / "config.json"

@@ -1,9 +1,7 @@
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from cabl.errors import ConflictError, DomainError, ParseError
-from cabl.ingest import CSV_HEADER, Dataset, fixture, parse_csv, parse_rows, render_csv
+from cabl.ingest import CSV_HEADER, Dataset, fixture, parse_csv, parse_rows
 from cabl.model import Element, Kind, Location
 
 HEADER = ",".join(CSV_HEADER)
@@ -200,41 +198,6 @@ class TestFixtures:
     def test_unknown_fixture(self):
         with pytest.raises(ValueError):
             fixture("table9")
-
-
-class TestRoundTrip:
-    @pytest.mark.parametrize("name", ["table1", "table2", "table3"])
-    def test_fixture_round_trips(self, name):
-        ds = fixture(name)
-        back = parse_csv(render_csv(ds), provenance=ds.provenance)
-        assert back.ids() == ds.ids()
-        for original, parsed in zip(ds, back):
-            assert parsed.kind is original.kind
-            assert parsed.lot == original.lot
-            assert parsed.location == original.location
-            assert set(parsed.series) == set(original.series)
-            for element in original.series:
-                a, b = original.series[element], parsed.series[element]
-                assert b.mean == pytest.approx(a.mean, rel=1e-12)
-                assert b.se == pytest.approx(a.se, rel=1e-9, abs=1e-12)
-                assert (b.df, b.n) == (a.df, a.n)
-
-    @given(
-        values=st.lists(
-            st.floats(1.0, 1000.0).map(lambda v: round(v, 4)),
-            min_size=2,
-            max_size=8,
-        )
-    )
-    def test_replicate_series_survive_round_trip(self, values):
-        rows = [f"x,bullet,,outer,Sb,{v!r},,replicate_member" for v in values]
-        ds = parse_csv(csv_text(*rows))
-        back = parse_csv(render_csv(ds))
-        a = ds.get("x").series[Element.SB]
-        b = back.get("x").series[Element.SB]
-        assert b.mean == pytest.approx(a.mean, rel=1e-12)
-        assert b.se == pytest.approx(a.se, rel=1e-9, abs=1e-12)
-        assert (b.df, b.n) == (a.df, a.n)
 
 
 class TestDataset:

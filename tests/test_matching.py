@@ -2,10 +2,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cabl.errors import DegreesOfFreedomError, ElementMismatchError, IncompletePanelError
+from cabl.errors import DomainError, ElementMismatchError, IncompletePanelError
 from cabl.ingest import fixture
 from cabl.matching import (
-    equivalence_t_test,
     match_element,
     match_element_biased,
     match_specimens,
@@ -18,6 +17,7 @@ from cabl.model import (
     MatchCriterion,
     Specimen,
     criterion_preset,
+    series_interval,
 )
 
 SB_BIAS = BiasCorrection(Element.SB, 0.02, 0.054)
@@ -193,33 +193,12 @@ class TestMatchSpecimens:
         assert result.matched is False
 
 
-class TestEquivalence:
-    def test_identical_series_equivalent(self):
-        a = series(100.0, 0.5, n=5)
-        assert equivalence_t_test(a, a, margin=10.0).equivalent is True
-
-    def test_far_apart_means(self):
-        a = series(100.0, 1.0, n=4)
-        b = series(200.0, 1.0, n=4)
-        result = equivalence_t_test(a, b, margin=10.0)
-        assert result.equivalent is False
-        assert result.p > 0.999
-
-    def test_table2_antimony_within_30ppm(self):
-        # combined 576 +/- 3.47 (n 18) vs inner 581 +/- 7.56 (n 4);
-        # frozen from a high-precision TOST evaluation
-        a = series(576.0, 3.47, n=18)
-        b = series(581.0, 7.56, n=4)
-        result = equivalence_t_test(a, b, margin=30.0)
-        assert result.equivalent is True
-        assert result.p == pytest.approx(0.003093473853385768, abs=1e-12)
-        assert result.df == 20
-
-    def test_refuses_single_count_series(self):
-        with pytest.raises(DegreesOfFreedomError):
-            equivalence_t_test(series(100.0, 1.0, n=1), series(100.0, 1.0, n=4), margin=5.0)
-
-    def test_margin_must_be_positive(self):
-        a = series(100.0, 1.0, n=4)
-        with pytest.raises(ValueError):
-            equivalence_t_test(a, a, margin=0.0)
+@pytest.mark.parametrize("k", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_k_refused(k):
+    s = series(100.0, 1.0)
+    with pytest.raises(DomainError, match="k must be finite"):
+        series_interval(s, k)
+    with pytest.raises(DomainError, match="k must be finite"):
+        match_element(s, s, k)
+    with pytest.raises(DomainError, match="k must be finite"):
+        match_element_biased(s, s, k, bias_a=SB_BIAS)

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cabl.errors import DesignError
+from cabl.errors import DesignError, DomainError
 from cabl.stats import (
     FactorialObservation,
     TwoSampleInput,
     manova_two_way,
     pooled_t_test,
 )
+from cabl.uncertainty import replicate_summary
 
 
 class TestPooledTTest:
@@ -52,7 +53,8 @@ class TestPooledTTest:
         assert fwd.p_two_sided == pytest.approx(rev.p_two_sided, rel=1e-12)
 
     def test_from_values(self):
-        sample = TwoSampleInput.from_values([1.0, 2.0, 3.0])
+        summary = replicate_summary([1.0, 2.0, 3.0])
+        sample = TwoSampleInput(summary.mean, summary.se, summary.n)
         assert sample.mean == 2.0
         assert sample.se == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-12)
         assert sample.n == 3
@@ -62,6 +64,12 @@ class TestPooledTTest:
         a = TwoSampleInput(mean=5.0, se=0.0, n=4)
         result = pooled_t_test(a, a)
         assert result.t == 0.0 and result.p_two_sided == 1.0
+
+    def test_zero_spread_different_means_refused(self):
+        a = TwoSampleInput(mean=5.0, se=0.0, n=4, label="left")
+        b = TwoSampleInput(mean=6.0, se=0.0, n=3, label="right")
+        with pytest.raises(DomainError, match="left and right both have zero spread"):
+            pooled_t_test(a, b)
 
     def test_requires_two_observations(self):
         with pytest.raises(ValueError):

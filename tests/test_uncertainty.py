@@ -5,40 +5,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cabl.errors import ParseError
-from cabl.model import Element, ElementSeries
 from cabl.uncertainty import (
     DEFAULT_ATTENUATION,
     AttenuationEntry,
     DecaySchedule,
-    apply_bias,
     comparator_concentration,
     decay_factor,
     parse_attenuation_csv,
-    poisson_sigma,
     replicate_summary,
     self_absorption_loss,
 )
 
 SILVER_SCHEDULE = DecaySchedule(half_life=24.0, t_irradiate=60.0, t_decay=30.0, t_count=180.0)
-
-
-class TestPoissonSigma:
-    def test_zero(self):
-        assert poisson_sigma(0) == 0.0
-
-    def test_perfect_square(self):
-        assert poisson_sigma(10000) == 100.0
-
-    def test_8566(self):
-        assert poisson_sigma(8566) == pytest.approx(92.5526876973327, abs=1e-9)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            poisson_sigma(-1)
-
-    def test_rejects_non_integer(self):
-        with pytest.raises(ValueError):
-            poisson_sigma(4.0)
 
 
 class TestReplicateSummary:
@@ -79,42 +57,6 @@ class TestReplicateSummary:
         expected = math.sqrt(repeats * (n - 1) / (repeats * n - 1))
         assert ratio == pytest.approx(expected, rel=1e-9)
         assert 0.8 < ratio <= 1.0
-
-
-class TestApplyBias:
-    def series(self, mean, se, n=1):
-        df = None if n == 1 else n - 1
-        return ElementSeries(Element.SB, mean=mean, se=se, df=df, n=n)
-
-    def test_identity(self):
-        s = self.series(576.0, 3.47, n=18)
-        assert apply_bias(s, 0.0) == s
-
-    def test_antimony_upper_correction(self):
-        adjusted = apply_bias(self.series(576.0, 3.47, n=18), 0.054)
-        assert adjusted.mean == pytest.approx(607.104, abs=1e-9)
-        assert adjusted.se == pytest.approx(3.65738, abs=1e-9)
-        assert adjusted.df == 17 and adjusted.n == 18
-
-    def test_silver_correction(self):
-        adjusted = apply_bias(self.series(6.66, 0.05, n=3), 0.055)
-        assert adjusted.mean == pytest.approx(7.0263, abs=1e-9)
-        assert adjusted.se == pytest.approx(0.05275, abs=1e-9)
-
-    def test_rejects_c_at_or_below_minus_one(self):
-        with pytest.raises(ValueError):
-            apply_bias(self.series(10.0, 1.0), -1.0)
-
-    @given(
-        mean=st.floats(0.1, 1e4),
-        se=st.floats(0.0, 100.0),
-        c=st.floats(-0.5, 2.0),
-    )
-    def test_group_inverse(self, mean, se, c):
-        s = self.series(mean, se)
-        back = apply_bias(apply_bias(s, c), -c / (1.0 + c))
-        assert back.mean == pytest.approx(s.mean, rel=1e-12)
-        assert back.se == pytest.approx(s.se, rel=1e-12, abs=1e-15)
 
 
 class TestDecayFactor:
