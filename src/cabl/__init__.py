@@ -38,7 +38,6 @@ from .model import (
     Kind,
     Location,
     MatchCriterion,
-    RawMeasurement,
     Specimen,
     criterion_preset,
     series_interval,
@@ -91,7 +90,6 @@ __all__ = [
     "Kind",
     "Location",
     "MatchCriterion",
-    "RawMeasurement",
     "Specimen",
     "criterion_preset",
     "series_interval",

@@ -587,6 +587,16 @@ def cmd_naa(args: argparse.Namespace) -> dict:
     if not entries:
         raise ValueError("no attenuation entries selected")
     losses = {e.energy_kev: self_absorption_loss(args.dimension_mm, e) for e in entries}
+    # the report keys energies by their :g text, so two that print alike
+    # would show one loss while the average counts both
+    printed: dict[str, float] = {}
+    for kev in sorted(losses):
+        other = printed.setdefault(f"{kev:g}", kev)
+        if other != kev:
+            raise ValueError(
+                f"attenuation energies {other!r} and {kev!r} keV both print as "
+                f"{kev:g} keV; select one of them"
+            )
     return {
         "command": "naa selfabs",
         "dimension_mm": args.dimension_mm,

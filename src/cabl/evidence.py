@@ -2,10 +2,13 @@
 
 A box of cartridges is modeled as disjoint compositional groups; the
 probability that m bullets drawn uniformly without replacement span at
-least g distinct groups follows the multivariate hypergeometric law and
-is computed exactly by inclusion-exclusion over group subsets.  The
-likelihood ratio compares that span probability under the competing
-draw counts, and posterior odds are prior odds times the ratio.
+least g distinct groups follows the multivariate hypergeometric law.
+The number of draws touching exactly j groups is a coefficient of a
+bivariate generating function, expanded group by group in polynomial
+time (G groups, m draws: O(G^2 * m * max group size) integer steps),
+and divided by C(total, m).  The likelihood ratio compares that span
+probability under the competing draw counts, and posterior odds are
+prior odds times the ratio.
 
 All probabilities are exact rationals (Python integers make this cheap
 at any box size), so the published 53.3%/80% figures are reproduced
@@ -17,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional
 
 
@@ -42,46 +44,42 @@ class BoxModel:
         return len(self.group_sizes)
 
 
-@lru_cache(maxsize=4096)
-def _subset_sums_by_cardinality(sizes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Member totals of every group subset, bucketed by subset size."""
-    n_groups = len(sizes)
-    buckets: list[list[int]] = [[] for _ in range(n_groups + 1)]
-    for mask in range(1 << n_groups):
-        members = sum(sizes[i] for i in range(n_groups) if mask >> i & 1)
-        buckets[mask.bit_count()].append(members)
-    return tuple(tuple(b) for b in buckets)
-
-
-@lru_cache(maxsize=4096)
 def _span_counts(sizes: tuple[int, ...], draws: int) -> tuple[int, ...]:
     """Number of draw-subsets touching exactly j groups, for j = 0..G.
 
-    Mobius inversion of the "draw stays inside subset S" counts
-    C(members(S), draws), aggregated by subset cardinality: a subset T
-    of size u lies under C(G-u, j-u) supersets of size j, with sign
-    (-1)^(j-u).
+    count(draws, j) is the coefficient of x^draws y^j in
+    prod_i (1 + y((1+x)^s_i - 1)): a group either stays untouched or
+    gives up k >= 1 of its s_i bullets in C(s_i, k) ways.  Coefficient d
+    of ``rows[j]`` counts the d-draws from the groups multiplied in so
+    far that touch exactly j of them, cut at d = ``draws``; each group
+    costs O(G * draws * s_i) big-int steps.
     """
-    n_groups = len(sizes)
-    inside = [
-        sum(math.comb(members, draws) for members in bucket)
-        for bucket in _subset_sums_by_cardinality(sizes)
-    ]
-    return tuple(
-        sum(
-            (-1) ** (j - u) * math.comb(n_groups - u, j - u) * inside[u]
-            for u in range(j + 1)
-        )
-        for j in range(n_groups + 1)
-    )
+    rows = [[1] + [0] * draws]
+    for size in sizes:
+        # terms (k, C(size, k)) of (1+x)^size - 1 up to degree draws
+        grow = [(k, math.comb(size, k)) for k in range(1, min(size, draws) + 1)]
+        rows.append([0] * (draws + 1))
+        # descending j reads rows[j - 1] before this group updates it
+        for j in range(len(rows) - 1, 0, -1):
+            below, row = rows[j - 1], rows[j]
+            # j - 1 touched groups hold at least j - 1 drawn bullets
+            for d in range(j - 1, draws):
+                c = below[d]
+                if c:
+                    for k, ways in grow:
+                        if d + k > draws:
+                            break
+                        row[d + k] += c * ways
+    return tuple(row[draws] for row in rows)
 
 
 def p_span_at_least(box: BoxModel, draws: int, min_groups: int) -> Fraction:
     """P(an m-draw without replacement touches >= g distinct groups).
 
-    Exact by inclusion-exclusion over group subsets with multivariate
-    hypergeometric counts.  Nondecreasing in ``draws`` and nonincreasing
-    in ``min_groups``; equal to 1 whenever g = 1.
+    Exact: the count of m-subsets touching at least g groups, from the
+    generating-function expansion in ``_span_counts``, over C(total, m).
+    Nondecreasing in ``draws`` and nonincreasing in ``min_groups``;
+    equal to 1 whenever g = 1.
     """
     if draws < 1 or draws > box.total:
         raise ValueError(f"draws must be in [1, {box.total}], got {draws}")

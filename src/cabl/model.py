@@ -83,32 +83,6 @@ class Boundary(enum.Enum):
 
 
 @dataclass(frozen=True)
-class RawMeasurement:
-    """One measured concentration row, before aggregation.
-
-    ``poisson_single`` rows carry their own counting-statistics sigma;
-    ``replicate_member`` rows carry none (the standard error comes from
-    replication when rows sharing a key are aggregated).
-    """
-
-    specimen_id: str
-    element: Element
-    value: float
-    sigma: Optional[float]
-    location: Location = Location.UNLABELED
-    basis: Basis = Basis.POISSON_SINGLE
-
-    def __post_init__(self) -> None:
-        if self.value <= 0:
-            raise ValueError(f"concentration must be > 0, got {self.value}")
-        if self.basis is Basis.POISSON_SINGLE:
-            if self.sigma is None or self.sigma < 0:
-                raise ValueError("poisson_single rows need sigma >= 0")
-        elif self.sigma is not None:
-            raise ValueError("replicate_member rows must not carry sigma")
-
-
-@dataclass(frozen=True)
 class ElementSeries:
     """Summary of one element's measurements on one specimen.
 

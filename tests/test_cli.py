@@ -270,6 +270,21 @@ class TestNaaCommand:
         )
         assert list(payload["losses"]) == ["600"]
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_selfabs_energies_printing_alike_exit_2(self, capsys, tmp_path, fmt):
+        table = tmp_path / "mu.csv"
+        table.write_text(
+            "energy_kev,mu_linear_per_cm\n600,1.4165\n600.0000001,0.9\n"
+        )
+        code, out, err = run(
+            capsys,
+            "naa", "selfabs", "--dimension-mm", "0.4", "--table", str(table),
+            "--format", fmt,
+        )
+        assert code == 2
+        assert out == ""
+        assert "600.0" in err and "600.0000001" in err
+
 
 class TestReportCommand:
     def test_full_pipeline(self, capsys):

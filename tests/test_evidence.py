@@ -1,12 +1,19 @@
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cabl.evidence import BoxModel, likelihood_ratio, p_span_at_least, posterior_odds
+from cabl.evidence import (
+    BoxModel,
+    _span_counts,
+    likelihood_ratio,
+    p_span_at_least,
+    posterior_odds,
+)
 
 
 def brute_force_span(sizes, draws, min_groups):
@@ -17,6 +24,39 @@ def brute_force_span(sizes, draws, min_groups):
         if len({balls[i] for i in chosen}) >= min_groups
     )
     return Fraction(favorable, math.comb(len(balls), draws))
+
+
+@lru_cache(maxsize=4096)
+def _subset_sums_by_cardinality(sizes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Member totals of every group subset, bucketed by subset size."""
+    n_groups = len(sizes)
+    buckets: list[list[int]] = [[] for _ in range(n_groups + 1)]
+    for mask in range(1 << n_groups):
+        members = sum(sizes[i] for i in range(n_groups) if mask >> i & 1)
+        buckets[mask.bit_count()].append(members)
+    return tuple(tuple(b) for b in buckets)
+
+
+def subset_span_counts(sizes: tuple[int, ...], draws: int) -> tuple[int, ...]:
+    """Inclusion-exclusion over all 2^G group subsets (exponential oracle).
+
+    Mobius inversion of the "draw stays inside subset S" counts
+    C(members(S), draws), aggregated by subset cardinality: a subset T
+    of size u lies under C(G-u, j-u) supersets of size j, with sign
+    (-1)^(j-u).
+    """
+    n_groups = len(sizes)
+    inside = [
+        sum(math.comb(members, draws) for members in bucket)
+        for bucket in _subset_sums_by_cardinality(sizes)
+    ]
+    return tuple(
+        sum(
+            (-1) ** (j - u) * math.comb(n_groups - u, j - u) * inside[u]
+            for u in range(j + 1)
+        )
+        for j in range(n_groups + 1)
+    )
 
 
 boxes = st.lists(st.integers(1, 6), min_size=1, max_size=4).filter(
@@ -89,6 +129,28 @@ class TestSpanProbability:
             assert p_span_at_least(BoxModel(sizes), 3, 2) == p_span_at_least(
                 BoxModel(tuple(sorted(sizes))), 3, 2
             )
+
+
+class TestSpanCounts:
+    @settings(max_examples=60, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 6), min_size=1, max_size=12))
+    def test_matches_subset_formula(self, sizes):
+        sizes = tuple(sizes)
+        for draws in range(sum(sizes) + 1):
+            assert _span_counts(sizes, draws) == subset_span_counts(sizes, draws)
+
+    def test_forty_groups_partition_all_draws(self):
+        # 2^40 subsets: out of reach for the subset formula
+        sizes = tuple(1 + i % 6 for i in range(40))
+        total = sum(sizes)
+        for draws in (0, 1, 2, 39, 40, total // 2, total - 1, total):
+            counts = _span_counts(sizes, draws)
+            assert len(counts) == 41
+            assert sum(counts) == math.comb(total, draws)
+            # j touched groups need at least j draws
+            assert all(c == 0 for c in counts[draws + 1:])
+        assert _span_counts(sizes, 1)[1] == total
+        assert _span_counts(sizes, total)[-1] == 1
 
 
 class TestLikelihoodRatio:

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from cabl.errors import FitError
 from cabl.stats import FAMILIES, FitFailure, FitReport, chi2_gof, fit_distribution, rank_families
+from cabl.stats.fitting import _triangular_loglik
 
 
 def ranked_families(entries):
@@ -104,6 +107,66 @@ class TestFitters:
     def test_needs_eight_observations(self):
         with pytest.raises(ValueError):
             fit_distribution([1.0, 2.0, 3.0], "normal")
+
+
+def scanned_triangular_mode(data):
+    """Quadratic profile scan: the first strict maximum in ascending c."""
+    a, b = min(data), max(data)
+    interior = [v for v in data if a < v < b]
+    best_c, best_ll = None, -math.inf
+    for c in sorted(set(data)):
+        ll = _triangular_loglik(interior, a, c, b)
+        if ll > best_ll:
+            best_ll, best_c = ll, c
+    return best_c
+
+
+def triangular_mode(data):
+    return fit_distribution(data, "triangular").params["c"]
+
+
+class TestTriangularProfile:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(8, 400),
+        sampler=st.sampled_from(["triangular", "normal", "exponential", "uniform"]),
+    )
+    def test_matches_quadratic_scan_on_seeded_data(self, seed, n, sampler):
+        rng = np.random.default_rng(seed)
+        data = {
+            "triangular": lambda: rng.triangular(10.0, rng.uniform(10.0, 30.0), 30.0, n),
+            "normal": lambda: rng.normal(0.0, 1.0, n),
+            "exponential": lambda: rng.exponential(2.0, n),
+            "uniform": lambda: rng.uniform(-1.0, 1.0, n),
+        }[sampler]().tolist()
+        assert triangular_mode(data) == scanned_triangular_mode(data)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        steps=st.lists(st.integers(0, 6), min_size=8, max_size=80),
+        base=st.sampled_from([0.0, 1.0, 1e6]),
+        scale=st.sampled_from([1e-12, 1e-9, 1e-3, 1.0]),
+    )
+    # modes 2 and 3 tie up to the last bit, which the data order sets
+    @example(steps=[0, 1, 2, 2, 3, 3, 3, 5, 1, 3], base=0.0, scale=1.0)
+    # the prefix sums alone would rank this near-tie the other way
+    @example(steps=[7, 3, 1, 5, 1, 4, 1, 8, 8], base=1.0, scale=1e-3)
+    def test_matches_quadratic_scan_on_near_equal_values(self, steps, base, scale):
+        data = [base + k * scale for k in steps]
+        a, b = min(data), max(data)
+        assume(any(a < v < b for v in data))
+        assert triangular_mode(data) == scanned_triangular_mode(data)
+
+    def test_mode_on_support_ends(self):
+        # interior values within rounding of a: c = a ties with the
+        # smallest interior value and, coming first, wins
+        low = [0.0, 1.0, *(k * 1e-20 for k in range(1, 11))]
+        assert triangular_mode(low) == scanned_triangular_mode(low) == 0.0
+        # the mirror image: c = b ties with the largest interior value,
+        # which comes first, so a mode never lands on b
+        high = [-v for v in low]
+        assert triangular_mode(high) == scanned_triangular_mode(high) == -1e-20
 
 
 class TestChi2Gof:

@@ -10,7 +10,6 @@ from cabl.model import (
     ElementSeries,
     Kind,
     MatchCriterion,
-    RawMeasurement,
     Specimen,
     criterion_preset,
     series_interval,
@@ -77,16 +76,6 @@ class TestValidation:
     def test_series_df_must_match_n(self):
         with pytest.raises(ValueError):
             ElementSeries(Element.AG, mean=1.0, se=0.1, df=3, n=3)
-
-    def test_poisson_row_needs_sigma(self):
-        with pytest.raises(ValueError):
-            RawMeasurement("x", Element.AG, value=1.0, sigma=None)
-
-    def test_replicate_row_rejects_sigma(self):
-        from cabl.model import Basis
-
-        with pytest.raises(ValueError):
-            RawMeasurement("x", Element.AG, 1.0, sigma=0.5, basis=Basis.REPLICATE_MEMBER)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_values_refused(self, bad):
