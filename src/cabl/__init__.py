@@ -19,7 +19,6 @@ from .errors import (
     ParseError,
 )
 from .evidence import BoxModel, EvidenceResult, likelihood_ratio, p_span_at_least, posterior_odds
-from .grouping import GroupingResult, MatchRate, group, within_box_match_rate
 from .ingest import Dataset, fixture, parse_csv
 from .matching import (
     MatchResult,
@@ -53,6 +52,19 @@ from .uncertainty import (
 )
 
 __version__ = "0.1.0"
+
+# The grouping engine works on numpy arrays.  It loads on first use of one
+# of its names, so that importing the package does not load numpy.
+_GROUPING_NAMES = ("GroupingResult", "MatchRate", "group", "within_box_match_rate")
+
+
+def __getattr__(name: str):
+    if name in _GROUPING_NAMES:
+        from . import grouping
+
+        return getattr(grouping, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CablError",

@@ -13,6 +13,13 @@ means, for one, exits 2 in both).  Reports carry a ``decisions`` block
 echoing the conventions behind the numbers (boundary handling, bias
 ranges, table semantics), and all output is deterministic for fixed
 inputs.
+
+numpy loads only where a command works on arrays: ``group`` and
+``report`` import the grouping engine, and ``hetero --manova`` the
+MANOVA module, inside the command after its input and criterion are
+validated, so a bad-input job exits 2 without loading it.  Each such
+import names the module that defines the function, and every other
+command runs on the standard library alone.
 """
 
 from __future__ import annotations
@@ -26,9 +33,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import CablError, DegreesOfFreedomError
+from .errors import CablError, DegreesOfFreedomError, DomainError
 from .evidence import BoxModel, likelihood_ratio, posterior_odds
-from .grouping import group, within_box_match_rate
 from .ingest import FIXTURE_NAMES, Dataset, fixture, parse_csv, parse_rows
 from .matching import match_specimens
 from .model import (
@@ -41,14 +47,8 @@ from .model import (
     PRESET_NAMES,
     criterion_preset,
 )
-from .stats import (
-    FAMILIES,
-    FactorialObservation,
-    TwoSampleInput,
-    manova_two_way,
-    pooled_t_test,
-    rank_families,
-)
+from .stats.fitting import FAMILIES, rank_families
+from .stats.ttest import TwoSampleInput, pooled_t_test
 from .uncertainty import (
     DEFAULT_ATTENUATION,
     AttenuationEntry,
@@ -264,6 +264,8 @@ def cmd_group(args: argparse.Namespace) -> dict:
         raise ValueError("dataset has no specimens")
     criterion = _build_criterion(args, config)
     mode = {"cc": "connected_components", "clique": "maximal_cliques"}[args.mode]
+    from .grouping import group
+
     result = group(dataset, criterion, mode=mode)
     return {
         "command": "group",
@@ -405,6 +407,8 @@ def _hetero_manova(args: argparse.Namespace) -> dict:
             continue
         key = (row.specimen_id, row.location.value)
         cells.setdefault(key, {e: [] for e in elements})[row.element].append(row.value)
+    from .stats.manova import FactorialObservation, manova_two_way
+
     observations = []
     for (bullet, location), by_element in sorted(cells.items()):
         counts = {e: len(v) for e, v in by_element.items()}
@@ -470,9 +474,12 @@ def _read_values(path: str) -> list[float]:
             continue
         for part in line.replace(",", " ").split():
             try:
-                values.append(float(part))
+                value = float(part)
             except ValueError:
                 raise ValueError(f"{path}:{i}: not a number: {part!r}") from None
+            if not math.isfinite(value):
+                raise DomainError(f"{path}:{i}: value must be finite, got {part!r}")
+            values.append(value)
     return values
 
 
@@ -626,6 +633,8 @@ def cmd_report(args: argparse.Namespace) -> dict:
     if not len(dataset):
         raise ValueError("dataset has no specimens")
     criterion = _build_criterion(args, config)
+    from .grouping import group, within_box_match_rate
+
     grouping = group(dataset, criterion)
     rate = within_box_match_rate(dataset, criterion)
     specimens = [

@@ -16,12 +16,12 @@ Witnesses are found by walking the neighbours of each middle specimen.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .matching import _match_matrix
-from .model import MatchCriterion, Specimen
+from .matching import match_specimens
+from .model import Boundary, MatchCriterion, Specimen
 
 MODES = ("connected_components", "maximal_cliques")
 
@@ -47,6 +47,52 @@ class GroupingResult:
             "adjacency": {k: list(v) for k, v in sorted(self.adjacency.items())},
             "nontransitive_triples": [list(t) for t in self.nontransitive_triples],
         }
+
+
+# Rows of the match matrix computed at once; bounds the float temporaries
+# to O(_BLOCK_ROWS * n) whatever the number of specimens.
+_BLOCK_ROWS = 256
+
+
+def _match_matrix(specimens: Sequence[Specimen], criterion: MatchCriterion) -> np.ndarray:
+    """Symmetric n x n boolean matrix of ``match_specimens`` outcomes.
+
+    ``specimens`` must be in sorted-id order: for ``i < j`` specimen ``i``
+    is the first (bias-corrected) side, as in canonical pair order.  The
+    interval arithmetic is that of ``model.series_interval`` and
+    ``matching._hull``, elementwise, so every entry equals the scalar
+    verdict.  A missing panel element raises the error the scalar rule
+    raises on its first failing pair.
+    """
+    n = len(specimens)
+    upper = np.zeros((n, n), dtype=bool)
+    if n < 2:
+        return upper
+    for i, s in enumerate(specimens):
+        if any(e not in s.series for e in criterion.elements):
+            # pairs run (0, 1), (0, 2), ...: the first to fail holds 0 and i
+            match_specimens(specimens[0], specimens[max(i, 1)], criterion)
+    panel = []
+    for element in criterion.elements:
+        mean = np.array([s.series[element].mean for s in specimens])
+        half = criterion.k * np.array([s.series[element].se for s in specimens])
+        lo, hi = mean - half, mean + half
+        bias = criterion.bias_for(element)
+        if bias is None:
+            panel.append((lo, hi, lo, hi))
+        else:
+            panel.append(((1.0 + bias.c_lo) * lo, (1.0 + bias.c_hi) * hi, lo, hi))
+    overlaps = np.less_equal if criterion.boundary is Boundary.CLOSED else np.less
+    for r0 in range(0, n - 1, _BLOCK_ROWS):
+        r1 = min(r0 + _BLOCK_ROWS, n)
+        block = np.ones((r1 - r0, n - r0), dtype=bool)
+        for first_lo, first_hi, lo, hi in panel:
+            low = np.maximum(first_lo[r0:r1, None], lo[None, r0:])
+            high = np.minimum(first_hi[r0:r1, None], hi[None, r0:])
+            block &= overlaps(low, high)
+        # row i is the corrected side only against j > i
+        upper[r0:r1, r0:] = np.triu(block, 1)
+    return upper | upper.T
 
 
 def _match_adjacency(ids: list[str], matrix: np.ndarray) -> dict[str, set[str]]:

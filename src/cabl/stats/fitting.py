@@ -246,6 +246,8 @@ def _triangular_loglik(interior: Sequence[float], a: float, c: float, b: float) 
 def _fit_triangular(x: Sequence[float]) -> dict:
     _require_spread(x, "triangular")
     a, b = min(x), max(x)
+    if not math.isfinite(b - a):
+        raise FitError(f"triangular needs a finite data range; b - a overflows for [{a!r}, {b!r}]")
     interior = [v for v in x if a < v < b]
     if not interior:
         raise FitError("triangular needs observations strictly inside the data range")

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cabl
+import cabl.stats
 from cabl.cli import main, render_json
 from cabl.ingest import CSV_HEADER
 
@@ -221,6 +227,15 @@ class TestDistfitCommand:
         path.write_text("\n".join(str(float(i + 1)) for i in range(10)) + "\n")
         code, _, err = run(capsys, "distfit", "--input", str(path), "--families", "cauchy")
         assert code == 2
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_value_exits_2(self, capsys, tmp_path, fmt, bad):
+        path = tmp_path / "vals.csv"
+        path.write_text("\n".join(["1.5", "2.5", bad, *(str(float(i)) for i in range(3, 10))]) + "\n")
+        code, out, err = run(capsys, "distfit", "--input", str(path), "--format", fmt)
+        assert (code, out) == (2, "")
+        assert f"{path}:3: value must be finite, got '{bad}'" in err
 
 
 class TestNaaCommand:
@@ -483,12 +498,13 @@ def test_text_report_literal(capsys, tmp_path, monkeypatch, case):
 
 class TestExitCodes:
     def test_internal_failure_exits_1(self, capsys, monkeypatch):
-        import cabl.cli as cli
+        import cabl.grouping
 
         def boom(*_args, **_kwargs):
             raise RuntimeError("synthetic crash")
 
-        monkeypatch.setattr(cli, "group", boom)
+        # cmd_group imports group from its defining module at call time
+        monkeypatch.setattr(cabl.grouping, "group", boom)
         code, _, err = run(capsys, "group", "--fixture", "table1")
         assert code == 1
         assert "internal error" in err
@@ -496,6 +512,76 @@ class TestExitCodes:
     def test_success_exits_0(self, capsys):
         code, _, _ = run(capsys, "group", "--fixture", "table1")
         assert code == 0
+
+
+# Commands that must run without numpy; the last exits 2 on a bad header.
+NO_NUMPY_CASES = {
+    "naa-decay": ["naa", "decay", "--half-life", "24s", "--ti", "60", "--td", "30", "--tc", "180"],
+    "naa-conc": ["naa", "conc", "--sample-counts", "5000", "--sample-mass-mg", "20",
+                 "--std-counts", "4000", "--std-mass-ug", "2",
+                 "--half-life", "24s", "--ti", "60", "--td", "30", "--tc", "180"],
+    "naa-selfabs": ["naa", "selfabs", "--dimension-mm", "0.4", "--format", "json"],
+    "evidence": ["evidence", "--box", "6,4", "--draws-t", "2", "--draws-not-t", "3",
+                 "--groups-observed", "2", "--format", "json"],
+    "distfit": ["distfit", "--input", "values.txt", "--families", "all"],
+    "hetero-ttest": ["hetero", "--fixture", "table2", "--element", "Ag",
+                     "--locations", "outer,middle", "--format", "json"],
+    "match": ["match", "--fixture", "table1", "--criterion", "guinn4"],
+    "group-bad-input": ["group", "--input", "bad.csv", "--criterion", "guinn4"],
+}
+
+# None in sys.modules makes every later `import numpy` raise ImportError,
+# which main reports as an internal error (exit 1)
+_WITHOUT_NUMPY = """
+import sys
+sys.modules["numpy"] = None
+from cabl.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def _python(code: str, *argv: str, cwd: Path) -> subprocess.CompletedProcess:
+    src = str(Path(cabl.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+class TestImportContract:
+    @pytest.mark.parametrize("case", sorted(NO_NUMPY_CASES))
+    def test_runs_without_numpy(self, capsys, tmp_path, monkeypatch, case):
+        argv = NO_NUMPY_CASES[case]
+        (tmp_path / "values.txt").write_text(
+            "\n".join(str(1.0 + (7 * i) % 13 / 3.0) for i in range(40)) + "\n"
+        )
+        (tmp_path / "bad.csv").write_text("id,element,value\nx,Sb,1\n")
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert code == (2 if case == "group-bad-input" else 0), err
+        blocked = _python(_WITHOUT_NUMPY, *argv, cwd=tmp_path)
+        assert (blocked.returncode, blocked.stdout) == (code, out), blocked.stderr
+
+    def test_import_leaves_numpy_unloaded(self, tmp_path):
+        probe = _python("import sys, cabl.cli; sys.exit('numpy' in sys.modules)", cwd=tmp_path)
+        assert probe.returncode == 0, probe.stderr
+
+    def test_public_names_resolve(self):
+        from cabl import grouping
+        from cabl.stats import manova
+
+        assert cabl.group is grouping.group
+        assert cabl.GroupingResult is grouping.GroupingResult
+        assert cabl.stats.manova_two_way is manova.manova_two_way
+        for package in (cabl, cabl.stats):
+            assert all(hasattr(package, name) for name in package.__all__)
+        with pytest.raises(AttributeError):
+            cabl.no_such_name
 
 
 class TestNonFiniteInputs:

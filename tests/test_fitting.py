@@ -94,6 +94,15 @@ class TestFitters:
         with pytest.raises(FitError):
             fit_distribution([2.0] * 10, "weibull")
 
+    def test_triangular_overflowing_range_rejected(self):
+        # b - a is inf, so no candidate mode has a finite profile score
+        data = [-1e308, 1e308, *(float(i) for i in range(8))]
+        with pytest.raises(FitError, match="finite data range"):
+            fit_distribution(data, "triangular")
+        entries = rank_families(data)
+        assert sorted(e.family for e in entries) == sorted(FAMILIES)
+        assert any(isinstance(e, FitFailure) and e.family == "triangular" for e in entries)
+
     def test_positive_support_families_reject_nonpositive(self):
         data = [-1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
         for family in ("exponential", "weibull", "gamma", "lognormal", "chi_squared"):
