@@ -7,110 +7,76 @@ heterogeneity tests, distribution-fit ranking, and activation-analysis
 measurement reduction.
 """
 
-from .errors import (
-    CablError,
-    ConflictError,
-    DegreesOfFreedomError,
-    DesignError,
-    DomainError,
-    ElementMismatchError,
-    FitError,
-    IncompletePanelError,
-    ParseError,
-)
-from .evidence import BoxModel, EvidenceResult, likelihood_ratio, p_span_at_least, posterior_odds
-from .ingest import Dataset, fixture, parse_csv
-from .matching import (
-    MatchResult,
-    PerElementMatch,
-    match_element,
-    match_element_biased,
-    match_specimens,
-)
-from .model import (
-    DEFAULT_BIAS,
-    Basis,
-    BiasCorrection,
-    Boundary,
-    Element,
-    ElementSeries,
-    Kind,
-    Location,
-    MatchCriterion,
-    Specimen,
-    criterion_preset,
-    series_interval,
-)
-from .uncertainty import (
-    DEFAULT_ATTENUATION,
-    AttenuationEntry,
-    DecaySchedule,
-    comparator_concentration,
-    decay_factor,
-    replicate_summary,
-    self_absorption_loss,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-# The grouping engine works on numpy arrays.  It loads on first use of one
-# of its names, so that importing the package does not load numpy.
-_GROUPING_NAMES = ("GroupingResult", "MatchRate", "group", "within_box_match_rate")
+# Public names by defining module.  Each name loads its module on first
+# use (PEP 562), so importing the package loads no submodule, and numpy
+# only with the grouping engine.
+_EXPORTS = {
+    "errors": (
+        "CablError",
+        "ConflictError",
+        "DegreesOfFreedomError",
+        "DesignError",
+        "DomainError",
+        "ElementMismatchError",
+        "FitError",
+        "IncompletePanelError",
+        "ParseError",
+    ),
+    "evidence": (
+        "BoxModel",
+        "EvidenceResult",
+        "likelihood_ratio",
+        "p_span_at_least",
+        "posterior_odds",
+    ),
+    "grouping": ("GroupingResult", "MatchRate", "group", "within_box_match_rate"),
+    "ingest": ("Dataset", "fixture", "parse_csv"),
+    "matching": (
+        "MatchResult",
+        "PerElementMatch",
+        "match_element",
+        "match_element_biased",
+        "match_specimens",
+    ),
+    "model": (
+        "DEFAULT_BIAS",
+        "Basis",
+        "BiasCorrection",
+        "Boundary",
+        "Element",
+        "ElementSeries",
+        "Kind",
+        "Location",
+        "MatchCriterion",
+        "Specimen",
+        "criterion_preset",
+        "series_interval",
+    ),
+    "uncertainty": (
+        "DEFAULT_ATTENUATION",
+        "AttenuationEntry",
+        "DecaySchedule",
+        "comparator_concentration",
+        "decay_factor",
+        "replicate_summary",
+        "self_absorption_loss",
+    ),
+}
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_MODULE_OF, "__version__"]
 
 
 def __getattr__(name: str):
-    if name in _GROUPING_NAMES:
-        from . import grouping
-
-        return getattr(grouping, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
 
 
-__all__ = [
-    "CablError",
-    "ConflictError",
-    "DegreesOfFreedomError",
-    "DesignError",
-    "DomainError",
-    "ElementMismatchError",
-    "FitError",
-    "IncompletePanelError",
-    "ParseError",
-    "BoxModel",
-    "EvidenceResult",
-    "likelihood_ratio",
-    "p_span_at_least",
-    "posterior_odds",
-    "GroupingResult",
-    "MatchRate",
-    "group",
-    "within_box_match_rate",
-    "Dataset",
-    "fixture",
-    "parse_csv",
-    "MatchResult",
-    "PerElementMatch",
-    "match_element",
-    "match_element_biased",
-    "match_specimens",
-    "DEFAULT_BIAS",
-    "Basis",
-    "BiasCorrection",
-    "Boundary",
-    "Element",
-    "ElementSeries",
-    "Kind",
-    "Location",
-    "MatchCriterion",
-    "Specimen",
-    "criterion_preset",
-    "series_interval",
-    "DEFAULT_ATTENUATION",
-    "AttenuationEntry",
-    "DecaySchedule",
-    "comparator_concentration",
-    "decay_factor",
-    "replicate_summary",
-    "self_absorption_loss",
-    "__version__",
-]
+def __dir__() -> list[str]:
+    return __all__

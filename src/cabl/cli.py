@@ -28,7 +28,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
@@ -427,7 +427,7 @@ def _hetero_manova(args: argparse.Namespace) -> dict:
         "test": "manova_two_way",
         "responses": [e.value for e in elements],
         "n_observations": len(observations),
-        "effects": {name: test.as_dict() for name, test in tests.items()},
+        "effects": {name: asdict(test) for name, test in tests.items()},
         "decisions": {
             "log_note": "responses are natural-log concentrations",
             "pairing_note": "replicates pair by row order within each (bullet, location) cell; "
@@ -496,7 +496,7 @@ def cmd_distfit(args: argparse.Namespace) -> dict:
         "command": "distfit",
         "input": args.input,
         "n": len(values),
-        "ranking": [e.as_dict() for e in rank_families(values, families)],
+        "ranking": [asdict(e) for e in rank_families(values, families)],
         "decisions": {
             "gof_note": "chi-squared on max(5, n//5) equal-probability bins; "
             "df = bins - 1 - #params",

@@ -8,8 +8,9 @@ deterministically ordered, and each nontransitive triple (a matched to
 b, b matched to c, a unmatched to c) is reported as a witness.
 
 The match graph is computed as one boolean array over the specimens in
-sorted-id order, with the same verdict per pair as ``match_specimens``;
-under a bias table the smaller id of each pair is the corrected side.
+sorted-id order from the interval endpoints ``match_specimens`` uses, so
+each pair gets its verdict by construction; under a bias table the
+smaller id of each pair is the corrected side.
 Witnesses are found by walking the neighbours of each middle specimen.
 """
 
@@ -20,8 +21,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .matching import match_specimens
-from .model import Boundary, MatchCriterion, Specimen
+from .matching import _hull, match_specimens
+from .model import Boundary, MatchCriterion, Specimen, series_interval
 
 MODES = ("connected_components", "maximal_cliques")
 
@@ -59,10 +60,11 @@ def _match_matrix(specimens: Sequence[Specimen], criterion: MatchCriterion) -> n
 
     ``specimens`` must be in sorted-id order: for ``i < j`` specimen ``i``
     is the first (bias-corrected) side, as in canonical pair order.  The
-    interval arithmetic is that of ``model.series_interval`` and
-    ``matching._hull``, elementwise, so every entry equals the scalar
-    verdict.  A missing panel element raises the error the scalar rule
-    raises on its first failing pair.
+    endpoints come from the calls ``match_specimens`` makes, ``_hull``
+    for the first side and ``series_interval`` for the other, once per
+    specimen and element; only the overlap test runs on arrays, so every
+    entry equals the scalar verdict.  A missing panel element raises the
+    error the scalar rule raises on its first failing pair.
     """
     n = len(specimens)
     upper = np.zeros((n, n), dtype=bool)
@@ -74,14 +76,11 @@ def _match_matrix(specimens: Sequence[Specimen], criterion: MatchCriterion) -> n
             match_specimens(specimens[0], specimens[max(i, 1)], criterion)
     panel = []
     for element in criterion.elements:
-        mean = np.array([s.series[element].mean for s in specimens])
-        half = criterion.k * np.array([s.series[element].se for s in specimens])
-        lo, hi = mean - half, mean + half
         bias = criterion.bias_for(element)
-        if bias is None:
-            panel.append((lo, hi, lo, hi))
-        else:
-            panel.append(((1.0 + bias.c_lo) * lo, (1.0 + bias.c_hi) * hi, lo, hi))
+        series = [s.series[element] for s in specimens]
+        first_lo, first_hi = np.array([_hull(s, criterion.k, bias) for s in series]).T
+        lo, hi = np.array([series_interval(s, criterion.k) for s in series]).T
+        panel.append((first_lo, first_hi, lo, hi))
     overlaps = np.less_equal if criterion.boundary is Boundary.CLOSED else np.less
     for r0 in range(0, n - 1, _BLOCK_ROWS):
         r1 = min(r0 + _BLOCK_ROWS, n)

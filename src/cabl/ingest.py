@@ -47,9 +47,6 @@ CSV_HEADER = [
     "basis",
 ]
 
-FIXTURE_NAMES = ("table1", "table2", "table3")
-
-
 @dataclass(frozen=True)
 class Dataset:
     """Specimens plus a provenance label (file path or fixture name)."""
@@ -377,9 +374,13 @@ def _table3() -> Dataset:
     return Dataset(specimens=tuple(specimens), provenance="fixture:table3")
 
 
+_FIXTURES = {"table1": _table1, "table2": _table2, "table3": _table3}
+
+FIXTURE_NAMES = tuple(_FIXTURES)
+
+
 def fixture(name: str) -> Dataset:
     """Return one of the embedded measurement tables."""
-    builders = {"table1": _table1, "table2": _table2, "table3": _table3}
-    if name not in builders:
+    if name not in _FIXTURES:
         raise ValueError(f"unknown fixture {name!r} (have: {', '.join(FIXTURE_NAMES)})")
-    return builders[name]()
+    return _FIXTURES[name]()

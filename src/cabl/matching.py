@@ -9,8 +9,8 @@ is exactly the hull spanned by the range endpoints, so the hull test is
 exact rather than an approximation.
 
 :func:`match_specimens` reports one pair in detail; grouping asks for
-every pair at once through ``grouping._match_matrix``, which applies the
-same arithmetic to whole arrays.
+every pair at once through ``grouping._match_matrix``, which takes its
+endpoints from the same ``_hull`` and ``series_interval`` calls.
 """
 
 from __future__ import annotations
@@ -59,11 +59,7 @@ def match_element(
     Closed boundary counts intervals that merely touch; open does not.
     Symmetric in (a, b), and monotone in k under the closed boundary.
     """
-    if a.element is not b.element:
-        raise ElementMismatchError(
-            f"cannot compare {a.element.value} against {b.element.value}"
-        )
-    return _intervals_overlap(series_interval(a, k), series_interval(b, k), boundary) is not None
+    return match_element_biased(a, b, k, boundary=boundary)
 
 
 def match_element_biased(

@@ -152,17 +152,6 @@ class Specimen:
                 )
         object.__setattr__(self, "series", MappingProxyType(dict(self.series)))
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Specimen):
-            return NotImplemented
-        return (
-            self.id == other.id
-            and self.kind == other.kind
-            and self.lot == other.lot
-            and self.location == other.location
-            and dict(self.series) == dict(other.series)
-        )
-
     def elements(self) -> tuple[Element, ...]:
         return tuple(self.series)
 

@@ -1,43 +1,35 @@
 """Statistical engine: special functions, t-tests, MANOVA, fitting."""
 
-from .fitting import (
-    FAMILIES,
-    FitFailure,
-    FitReport,
-    FittedDistribution,
-    GofResult,
-    chi2_gof,
-    fit_distribution,
-    rank_families,
-)
-from .ttest import TTestResult, TwoSampleInput, pooled_t_test
+import importlib
 
-# MANOVA works on numpy arrays.  It loads on first use of one of its names,
-# so that the fitting and t-test modules load without numpy.
-_MANOVA_NAMES = ("EffectTest", "FactorialObservation", "manova_two_way")
+# Public names by defining module.  Each name loads its module on first
+# use (PEP 562), so the fitting and t-test names load without numpy and
+# only MANOVA brings it in.
+_EXPORTS = {
+    "fitting": (
+        "FAMILIES",
+        "FitFailure",
+        "FitReport",
+        "FittedDistribution",
+        "GofResult",
+        "chi2_gof",
+        "fit_distribution",
+        "rank_families",
+    ),
+    "manova": ("EffectTest", "FactorialObservation", "manova_two_way"),
+    "ttest": ("TTestResult", "TwoSampleInput", "pooled_t_test"),
+}
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
 
 
 def __getattr__(name: str):
-    if name in _MANOVA_NAMES:
-        from . import manova
-
-        return getattr(manova, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
 
 
-__all__ = [
-    "FAMILIES",
-    "FitFailure",
-    "FitReport",
-    "FittedDistribution",
-    "GofResult",
-    "chi2_gof",
-    "fit_distribution",
-    "rank_families",
-    "EffectTest",
-    "FactorialObservation",
-    "manova_two_way",
-    "TTestResult",
-    "TwoSampleInput",
-    "pooled_t_test",
-]
+def __dir__() -> list[str]:
+    return __all__

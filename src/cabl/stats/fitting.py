@@ -29,32 +29,6 @@ from typing import Callable, Mapping, NamedTuple, Sequence, Union
 from ..errors import FitError
 from .special import chi2_sf, digamma, gammainc_p, normal_cdf
 
-FAMILIES = (
-    "chi_squared",
-    "exponential",
-    "gamma",
-    "gumbel",
-    "lognormal",
-    "normal",
-    "triangular",
-    "weibull",
-)
-
-_POSITIVE_SUPPORT = frozenset(
-    {"exponential", "weibull", "gamma", "lognormal", "chi_squared"}
-)
-
-_PARAM_COUNT = {
-    "exponential": 1,
-    "chi_squared": 1,
-    "triangular": 3,
-    "weibull": 2,
-    "gamma": 2,
-    "lognormal": 2,
-    "gumbel": 2,
-    "normal": 2,
-}
-
 
 @dataclass(frozen=True)
 class FittedDistribution:
@@ -64,7 +38,7 @@ class FittedDistribution:
     params: Mapping[str, float]
 
     def cdf(self, x: float) -> float:
-        return _CDFS[self.family](self.params, x)
+        return _FAMILIES[self.family].cdf(self.params, x)
 
 
 class GofResult(NamedTuple):
@@ -83,15 +57,6 @@ class FitReport:
     gof_df: int
     p_value: float
 
-    def as_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "params": dict(self.params),
-            "gof_stat": self.gof_stat,
-            "gof_df": self.gof_df,
-            "p_value": self.p_value,
-        }
-
 
 @dataclass(frozen=True)
 class FitFailure:
@@ -99,9 +64,6 @@ class FitFailure:
 
     family: str
     error: str
-
-    def as_dict(self) -> dict:
-        return {"family": self.family, "error": self.error}
 
 
 def _bisect(f: Callable[[float], float], lo: float, hi: float) -> float:
@@ -292,18 +254,6 @@ def _fit_triangular(x: Sequence[float]) -> dict:
     return {"a": a, "c": best_c, "b": b}
 
 
-_FITTERS: Mapping[str, Callable[[Sequence[float]], dict]] = {
-    "exponential": _fit_exponential,
-    "weibull": _fit_weibull,
-    "gamma": _fit_gamma,
-    "lognormal": _fit_lognormal,
-    "gumbel": _fit_gumbel,
-    "triangular": _fit_triangular,
-    "chi_squared": _fit_chi_squared,
-    "normal": _fit_normal,
-}
-
-
 def _cdf_exponential(p: Mapping[str, float], x: float) -> float:
     return -math.expm1(-p["rate"] * x) if x > 0 else 0.0
 
@@ -349,27 +299,39 @@ def _cdf_normal(p: Mapping[str, float], x: float) -> float:
     return normal_cdf(x, p["mu"], p["sigma"])
 
 
-_CDFS: Mapping[str, Callable[[Mapping[str, float], float], float]] = {
-    "exponential": _cdf_exponential,
-    "weibull": _cdf_weibull,
-    "gamma": _cdf_gamma,
-    "lognormal": _cdf_lognormal,
-    "gumbel": _cdf_gumbel,
-    "triangular": _cdf_triangular,
-    "chi_squared": _cdf_chi_squared,
-    "normal": _cdf_normal,
+class _Family(NamedTuple):
+    fit: Callable[[Sequence[float]], dict]
+    cdf: Callable[[Mapping[str, float], float], float]
+    positive: bool  # support is x > 0
+
+
+_FAMILIES: Mapping[str, _Family] = {
+    "chi_squared": _Family(_fit_chi_squared, _cdf_chi_squared, True),
+    "exponential": _Family(_fit_exponential, _cdf_exponential, True),
+    "gamma": _Family(_fit_gamma, _cdf_gamma, True),
+    "gumbel": _Family(_fit_gumbel, _cdf_gumbel, False),
+    "lognormal": _Family(_fit_lognormal, _cdf_lognormal, True),
+    "normal": _Family(_fit_normal, _cdf_normal, False),
+    "triangular": _Family(_fit_triangular, _cdf_triangular, False),
+    "weibull": _Family(_fit_weibull, _cdf_weibull, True),
 }
+
+FAMILIES = tuple(_FAMILIES)
 
 
 def fit_distribution(data: Sequence[float], family: str) -> FittedDistribution:
     """Maximum-likelihood fit of one family to the data (n >= 8)."""
-    if family not in _FITTERS:
+    if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r} (have: {', '.join(FAMILIES)})")
     if len(data) < 8:
         raise ValueError(f"need at least 8 observations, got {len(data)}")
-    if family in _POSITIVE_SUPPORT and min(data) <= 0:
+    if _FAMILIES[family].positive and min(data) <= 0:
         raise FitError(f"{family} requires strictly positive data")
-    return FittedDistribution(family=family, params=_FITTERS[family](data))
+    params = _FAMILIES[family].fit(data)
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise FitError(f"{family} fit overflows: {name} = {value}")
+    return FittedDistribution(family=family, params=params)
 
 
 def chi2_gof(data: Sequence[float], fitted: FittedDistribution) -> GofResult:
@@ -378,7 +340,7 @@ def chi2_gof(data: Sequence[float], fitted: FittedDistribution) -> GofResult:
     if n < 8:
         raise ValueError(f"need at least 8 observations, got {n}")
     bins = max(5, n // 5)
-    df = bins - 1 - _PARAM_COUNT[fitted.family]
+    df = bins - 1 - len(fitted.params)
     if df <= 0:
         raise FitError(
             f"too few bins for {fitted.family}: {bins} bins leave df={df}"
@@ -413,8 +375,12 @@ def rank_families(
         try:
             fitted = fit_distribution(data, family)
             gof = chi2_gof(data, fitted)
-        except (FitError, ArithmeticError) as exc:
+        except FitError as exc:
             failures.append(FitFailure(family=family, error=str(exc)))
+            continue
+        except ArithmeticError as exc:
+            error = f"numeric overflow or underflow in the {family} fit or its goodness of fit: {exc}"
+            failures.append(FitFailure(family=family, error=error))
             continue
         reports.append(
             FitReport(

@@ -48,18 +48,6 @@ class EffectTest:
     hl_df: tuple[float, float]
     hl_p: float
 
-    def as_dict(self) -> dict:
-        return {
-            "wilks_lambda": self.wilks_lambda,
-            "wilks_f": self.wilks_f,
-            "wilks_df": list(self.wilks_df),
-            "wilks_p": self.wilks_p,
-            "hotelling_lawley": self.hotelling_lawley,
-            "hl_f": self.hl_f,
-            "hl_df": list(self.hl_df),
-            "hl_p": self.hl_p,
-        }
-
 
 def _effect_columns(levels: int) -> np.ndarray:
     """Sum-to-zero coding matrix, one row per level, levels-1 columns."""

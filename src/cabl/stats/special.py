@@ -188,11 +188,6 @@ def t_cdf(t: float, df: float) -> float:
     return tail if t < 0 else 1.0 - tail
 
 
-def t_sf(t: float, df: float) -> float:
-    """Student t upper tail P(T > t)."""
-    return t_cdf(-t, df)
-
-
 def t_two_sided_p(t: float, df: float) -> float:
     """P(|T| >= |t|) for a Student t variable."""
     if df <= 0:

@@ -237,6 +237,35 @@ class TestDistfitCommand:
         assert (code, out) == (2, "")
         assert f"{path}:3: value must be finite, got '{bad}'" in err
 
+    @pytest.mark.parametrize(
+        "values, overflowed, ranked",
+        [
+            # the normal mean overflows; the triangular CDF overflows in the GOF
+            ([1.0e308 + i * 0.1e308 for i in range(8)], {"normal", "triangular"},
+             {"lognormal", "weibull"}),
+            # the squared deviations of gumbel's and normal's spread overflow
+            ([-1e308, 1e308, *range(8)], {"gumbel", "normal"}, set()),
+        ],
+        ids=["near-max", "wide"],
+    )
+    def test_values_near_double_limit(self, capsys, tmp_path, values, overflowed, ranked):
+        path = tmp_path / "vals.csv"
+        path.write_text("\n".join(repr(float(v)) for v in values) + "\n")
+        payload, _ = run_json(capsys, "distfit", "--input", str(path), "--families", "all")
+        assert len(payload["ranking"]) == 8
+        errors = {e["family"]: e["error"] for e in payload["ranking"] if "error" in e}
+        for family in overflowed:
+            assert family in errors[family] and "overflow" in errors[family]
+        assert ranked.isdisjoint(errors)
+        code, out, err = run(capsys, "distfit", "--input", str(path), "--families", "all")
+        assert code == 0, err
+        lines = out.splitlines()
+        for entry in payload["ranking"]:
+            assert any(line.startswith(f"  {entry['family']:<12} ") for line in lines)
+        for family, error in errors.items():
+            assert f"  {family:<12} FAILED: {error}" in lines
+        assert out.count("FAILED") == len(errors)
+
 
 class TestNaaCommand:
     def test_decay_factor(self, capsys):
@@ -571,6 +600,16 @@ class TestImportContract:
         probe = _python("import sys, cabl.cli; sys.exit('numpy' in sys.modules)", cwd=tmp_path)
         assert probe.returncode == 0, probe.stderr
 
+    def test_package_import_loads_no_submodule(self, tmp_path):
+        probe = _python(
+            "import sys, cabl\n"
+            "assert not [m for m in sys.modules if m.startswith('cabl.')]\n"
+            "import cabl.stats\n"
+            "assert [m for m in sys.modules if m.startswith('cabl.')] == ['cabl.stats']\n",
+            cwd=tmp_path,
+        )
+        assert probe.returncode == 0, probe.stderr
+
     def test_public_names_resolve(self):
         from cabl import grouping
         from cabl.stats import manova
@@ -580,8 +619,35 @@ class TestImportContract:
         assert cabl.stats.manova_two_way is manova.manova_two_way
         for package in (cabl, cabl.stats):
             assert all(hasattr(package, name) for name in package.__all__)
+            assert set(dir(package)) >= set(package.__all__)
         with pytest.raises(AttributeError):
             cabl.no_such_name
+        with pytest.raises(AttributeError):
+            cabl.stats.no_such_name
+
+    def test_public_name_sets(self):
+        assert len(cabl.__all__) == len(set(cabl.__all__))
+        assert set(cabl.__all__) == {
+            "AttenuationEntry", "Basis", "BiasCorrection", "Boundary", "BoxModel",
+            "CablError", "ConflictError", "DEFAULT_ATTENUATION", "DEFAULT_BIAS",
+            "Dataset", "DecaySchedule", "DegreesOfFreedomError", "DesignError",
+            "DomainError", "Element", "ElementMismatchError", "ElementSeries",
+            "EvidenceResult", "FitError", "GroupingResult", "IncompletePanelError",
+            "Kind", "Location", "MatchCriterion", "MatchRate", "MatchResult",
+            "ParseError", "PerElementMatch", "Specimen", "__version__",
+            "comparator_concentration", "criterion_preset", "decay_factor", "fixture",
+            "group", "likelihood_ratio", "match_element", "match_element_biased",
+            "match_specimens", "p_span_at_least", "parse_csv", "posterior_odds",
+            "replicate_summary", "self_absorption_loss", "series_interval",
+            "within_box_match_rate",
+        }
+        assert len(cabl.stats.__all__) == len(set(cabl.stats.__all__))
+        assert set(cabl.stats.__all__) == {
+            "EffectTest", "FAMILIES", "FactorialObservation", "FitFailure", "FitReport",
+            "FittedDistribution", "GofResult", "TTestResult", "TwoSampleInput",
+            "chi2_gof", "fit_distribution", "manova_two_way", "pooled_t_test",
+            "rank_families",
+        }
 
 
 class TestNonFiniteInputs:

@@ -103,6 +103,15 @@ class TestFitters:
         assert sorted(e.family for e in entries) == sorted(FAMILIES)
         assert any(isinstance(e, FitFailure) and e.family == "triangular" for e in entries)
 
+    def test_overflowing_parameter_rejected(self):
+        # the sum of these finite values overflows, so the normal mean is inf
+        data = [1.0e308 + i * 0.1e308 for i in range(8)]
+        with pytest.raises(FitError, match="normal fit overflows: mu = inf"):
+            fit_distribution(data, "normal")
+        failures = {e.family: e.error for e in rank_families(data) if isinstance(e, FitFailure)}
+        assert failures["normal"] == "normal fit overflows: mu = inf"
+        assert failures["triangular"].startswith("numeric overflow or underflow in the triangular")
+
     def test_positive_support_families_reject_nonpositive(self):
         data = [-1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
         for family in ("exponential", "weibull", "gamma", "lognormal", "chi_squared"):
@@ -178,14 +187,30 @@ class TestTriangularProfile:
         assert triangular_mode(high) == scanned_triangular_mode(high) == -1e-20
 
 
+PARAM_COUNTS = {
+    "chi_squared": 1,
+    "exponential": 1,
+    "gamma": 2,
+    "gumbel": 2,
+    "lognormal": 2,
+    "normal": 2,
+    "triangular": 3,
+    "weibull": 2,
+}
+
+
 class TestChi2Gof:
-    def test_stat_nonnegative_and_df_rule(self):
+    def test_families_sorted(self):
+        assert FAMILIES == tuple(sorted(PARAM_COUNTS))
+
+    @pytest.mark.parametrize("family", sorted(PARAM_COUNTS))
+    def test_stat_nonnegative_and_df_rule(self, family):
         rng = np.random.default_rng(5)
         data = rng.exponential(1.0, 100).tolist()
-        fitted = fit_distribution(data, "exponential")
+        fitted = fit_distribution(data, family)
         result = chi2_gof(data, fitted)
         assert result.stat >= 0.0
-        assert result.df == max(5, 100 // 5) - 1 - 1
+        assert result.df == max(5, 100 // 5) - 1 - PARAM_COUNTS[family]
         assert 0.0 <= result.p <= 1.0
 
     def test_minimum_bin_count(self):

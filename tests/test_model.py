@@ -9,6 +9,7 @@ from cabl.model import (
     Element,
     ElementSeries,
     Kind,
+    Location,
     MatchCriterion,
     Specimen,
     criterion_preset,
@@ -93,6 +94,28 @@ class TestValidation:
     def test_bias_range_ordering(self):
         with pytest.raises(ValueError):
             BiasCorrection(Element.SB, 0.06, 0.02)
+
+    def test_specimen_equality_by_value(self):
+        def build(**changes):
+            fields = dict(
+                id="x",
+                kind=Kind.BULLET,
+                lot="L1",
+                series={
+                    Element.SB: series(100.0, 1.0),
+                    Element.AG: series(20.0, 0.5, element=Element.AG),
+                },
+                location=Location.OUTER,
+            )
+            fields.update(changes)
+            return Specimen(**fields)
+
+        assert build() == build()
+        assert build() != build(series={Element.SB: series(100.0, 1.5)})
+        assert build() != build(lot="L2")
+        assert build() != build(location=Location.INNER)
+        with pytest.raises(TypeError):
+            hash(build())
 
     def test_specimen_series_key_must_agree(self):
         with pytest.raises(ValueError):
