@@ -35,7 +35,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import CablError, DegreesOfFreedomError, DomainError
 from .evidence import BoxModel, likelihood_ratio, posterior_odds
-from .ingest import FIXTURE_NAMES, Dataset, fixture, parse_csv, parse_rows
+from .ingest import FIXTURE_NAMES, Dataset, fixture, parse_attenuation_csv, parse_csv, parse_rows
 from .matching import match_specimens
 from .model import (
     Basis,
@@ -55,7 +55,6 @@ from .uncertainty import (
     DecaySchedule,
     comparator_concentration,
     decay_factor,
-    parse_attenuation_csv,
     self_absorption_loss,
 )
 
@@ -88,14 +87,15 @@ def _parse_duration(text: str) -> float:
     return seconds
 
 
-def _parse_elements(text: str) -> tuple[Element, ...]:
-    return tuple(Element.from_symbol(part.strip()) for part in text.split(",") if part.strip())
+def _split(text: str) -> list[str]:
+    """The nonblank items of a comma list, stripped: ' Sb, Ag,' -> ['Sb', 'Ag']."""
+    return [part.strip() for part in text.split(",") if part.strip()]
 
 
 def _parse_bias_spec(text: str) -> dict[str, list[str]]:
     """Read 'Sb=0.02:0.054,Ag=0.055' into the config form {symbol: [lo, hi]}."""
     spec = {}
-    for item in filter(None, (part.strip() for part in text.split(","))):
+    for item in _split(text):
         symbol, sep, values = item.partition("=")
         if not sep:
             raise ValueError(f"bias entry {item!r} must look like Sb=0.02:0.054")
@@ -116,7 +116,7 @@ def _bias_table(spec: Mapping[str, object]) -> dict[Element, BiasCorrection]:
     """Bias table from {symbol: c or [c] or [c_lo, c_hi]}, as config files give it."""
     table = {}
     for symbol, value in spec.items():
-        element = Element.from_symbol(symbol)
+        element = Element(symbol)
         bounds = [value] if isinstance(value, (int, float)) else list(value)
         if len(bounds) not in (1, 2):
             raise ValueError(f"bias for {symbol} must have one or two values, got {value!r}")
@@ -126,20 +126,15 @@ def _bias_table(spec: Mapping[str, object]) -> dict[Element, BiasCorrection]:
 
 def _build_criterion(args: argparse.Namespace, config: dict) -> MatchCriterion:
     conf = config.get("criterion", {})
-    preset_name = args.criterion or conf.get("preset")
     elements = None
     if args.elements:
-        elements = _parse_elements(args.elements)
+        elements = tuple(map(Element, _split(args.elements)))
     elif conf.get("elements"):
-        elements = tuple(Element.from_symbol(s) for s in conf["elements"])
+        elements = tuple(map(Element, conf["elements"]))
     bias_spec = _parse_bias_spec(args.bias) if args.bias else conf.get("bias") or None
     bias = None if bias_spec is None else _bias_table(bias_spec)
-    if preset_name:
-        criterion = criterion_preset(preset_name, elements=elements, bias=bias)
-    else:
-        criterion = MatchCriterion(
-            k=4.0, elements=elements or (Element.SB, Element.AG), bias=bias
-        )
+    preset = args.criterion or conf.get("preset") or "guinn4"
+    criterion = criterion_preset(preset, elements=elements, bias=bias)
     k = args.k if args.k is not None else conf.get("k")
     boundary = args.boundary or conf.get("boundary")
     return replace(
@@ -298,7 +293,7 @@ def _group_text(p: dict) -> Iterable[str]:
 
 
 def cmd_evidence(args: argparse.Namespace) -> dict:
-    sizes = tuple(int(part) for part in args.box.split(",") if part.strip())
+    sizes = tuple(int(part) for part in _split(args.box))
     box = BoxModel(sizes)
     result = likelihood_ratio(box, args.groups_observed, args.draws_t, args.draws_not_t)
     if args.prior_odds is not None:
@@ -335,9 +330,7 @@ def _evidence_text(p: dict) -> Iterable[str]:
 
 
 def _pick_by_location(dataset: Dataset, element: Element, token: str):
-    location = next((loc for loc in Location if loc.value == token), None)
-    if location is None:
-        raise ValueError(f"unknown location {token!r}")
+    location = Location(token)
     hits = [s for s in dataset if s.location is location and element in s.series]
     if not hits:
         raise ValueError(f"no specimen at location {token!r} carrying {element.value}")
@@ -349,9 +342,9 @@ def _pick_by_location(dataset: Dataset, element: Element, token: str):
 
 
 def _hetero_ttest(args: argparse.Namespace, dataset: Dataset) -> dict:
-    element = Element.from_symbol(args.element)
+    element = Element(args.element)
     if args.ids:
-        tokens = [t.strip() for t in args.ids.split(",") if t.strip()]
+        tokens = _split(args.ids)
         if len(tokens) != 2:
             raise ValueError("--ids needs exactly two specimen ids")
         specimens = [dataset.get(t) for t in tokens]
@@ -359,7 +352,7 @@ def _hetero_ttest(args: argparse.Namespace, dataset: Dataset) -> dict:
             if element not in s.series:
                 raise ValueError(f"specimen {s.id!r} has no {element.value} series")
     elif args.locations:
-        tokens = [t.strip() for t in args.locations.split(",") if t.strip()]
+        tokens = _split(args.locations)
         if len(tokens) != 2:
             raise ValueError("--locations needs exactly two locations")
         specimens = [_pick_by_location(dataset, element, t) for t in tokens]
@@ -395,7 +388,7 @@ def _hetero_manova(args: argparse.Namespace) -> dict:
         raise ValueError("--manova needs --input with raw replicate rows")
     if not args.responses:
         raise ValueError("--manova needs --responses, e.g. Ag,As")
-    elements = _parse_elements(args.responses)
+    elements = tuple(map(Element, _split(args.responses)))
     if not elements:
         raise ValueError("--responses must name at least one element")
     rows = parse_rows(Path(args.input).read_text(encoding="utf-8"))
@@ -488,7 +481,7 @@ def cmd_distfit(args: argparse.Namespace) -> dict:
     if args.families in (None, "all"):
         families: Sequence[str] = FAMILIES
     else:
-        families = tuple(f.strip() for f in args.families.split(",") if f.strip())
+        families = tuple(_split(args.families))
         unknown = [f for f in families if f not in FAMILIES]
         if unknown:
             raise ValueError(f"unknown families {unknown}; have {', '.join(FAMILIES)}")
@@ -586,7 +579,7 @@ def cmd_naa(args: argparse.Namespace) -> dict:
         }
     entries = _attenuation_entries(args, config)
     if args.energies and args.energies != "all":
-        wanted = {float(t) for t in args.energies.split(",") if t.strip()}
+        wanted = {float(t) for t in _split(args.energies)}
         entries = tuple(e for e in entries if e.energy_kev in wanted)
         missing = wanted - {e.energy_kev for e in entries}
         if missing:

@@ -1,4 +1,4 @@
-"""Measurement ingestion: CSV parsing and table fixtures.
+"""Input tables: measurement CSV, attenuation CSV and table fixtures.
 
 CSV schema (UTF-8, comma separated, header required)::
 
@@ -7,7 +7,9 @@ CSV schema (UTF-8, comma separated, header required)::
 ``basis`` is ``poisson_single`` (row carries its own sigma) or
 ``replicate_member`` (sigma empty; rows sharing specimen, element and
 location are aggregated into one series whose standard error comes from
-replication).  ``location`` is outer/middle/inner/unlabeled.
+replication).  ``location`` is outer/middle/inner/unlabeled.  The
+attenuation table of ``naa selfabs --table`` has the header
+``energy_kev,mu_linear_per_cm``.
 
 Three embedded fixtures transcribe the published measurement tables:
 
@@ -30,11 +32,11 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterator, Optional
 
 from .errors import ConflictError, DomainError, ParseError
 from .model import Basis, Element, ElementSeries, Kind, Location, Specimen
-from .uncertainty import replicate_summary
+from .uncertainty import AttenuationEntry, replicate_summary
 
 CSV_HEADER = [
     "specimen_id",
@@ -46,6 +48,9 @@ CSV_HEADER = [
     "sigma_ppm",
     "basis",
 ]
+
+ATTENUATION_HEADER = ["energy_kev", "mu_linear_per_cm"]
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -75,28 +80,6 @@ class Dataset:
         except KeyError:
             raise KeyError(f"no specimen {specimen_id!r} in {self.provenance}") from None
 
-    def subset(
-        self,
-        ids: Optional[Iterable[str]] = None,
-        kind: Optional[Kind] = None,
-        location: Optional[Location] = None,
-    ) -> "Dataset":
-        wanted = set(ids) if ids is not None else None
-        picked = []
-        for s in self.specimens:
-            if wanted is not None and s.id not in wanted:
-                continue
-            if kind is not None and s.kind is not kind:
-                continue
-            if location is not None and s.location is not location:
-                continue
-            picked.append(s)
-        if wanted is not None:
-            missing = wanted - {s.id for s in picked}
-            if missing:
-                raise KeyError(f"no specimen {sorted(missing)} in {self.provenance}")
-        return Dataset(specimens=tuple(picked), provenance=self.provenance)
-
 
 @dataclass(frozen=True)
 class RawRow:
@@ -112,14 +95,31 @@ class RawRow:
     basis: Basis
 
 
-def _parse_location(text: str, line: int) -> Location:
-    text = text.strip()
-    if not text:
-        return Location.UNLABELED
-    for member in Location:
-        if member.value == text:
-            return member
-    raise ParseError(f"unknown location {text!r}", line=line)
+def _table_rows(text: str, header: list[str]) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(line, cells)`` for each nonblank data row of a CSV table.
+
+    The first row must be ``header`` and every data row must be as wide.
+    Cells come stripped; ``line`` counts CSV records, the header being 1.
+    """
+    rows = csv.reader(io.StringIO(text))
+    first = next(rows, None)
+    if first is None:
+        raise ParseError("empty input: header row required")
+    if [c.strip() for c in first] != header:
+        raise ParseError(f"header must be {','.join(header)}, got {','.join(first)}")
+    for line, row in enumerate(rows, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != len(header):
+            raise ParseError(f"expected {len(header)} columns, got {len(row)}", line=line)
+        yield line, [c.strip() for c in row]
+
+
+def _token(cls, text: str, line: int):
+    try:
+        return cls(text)
+    except ValueError as exc:
+        raise ParseError(str(exc), line=line) from None
 
 
 def _parse_float(text: str, field: str, line: int) -> float:
@@ -138,40 +138,18 @@ def parse_rows(text: str) -> list["RawRow"]:
     Used by analyses that need the individual replicate values (the
     factorial heterogeneity tests) rather than per-specimen summaries.
     """
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows:
-        raise ParseError("empty input: header row required")
-    if [c.strip() for c in rows[0]] != CSV_HEADER:
-        raise ParseError(
-            f"header must be {','.join(CSV_HEADER)}, got {','.join(rows[0])}"
-        )
     out = []
-    for line, row in enumerate(rows[1:], start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != len(CSV_HEADER):
-            raise ParseError(f"expected {len(CSV_HEADER)} columns, got {len(row)}", line=line)
-        sid, kind_s, lot_s, loc_s, elem_s, value_s, sigma_s, basis_s = (
-            c.strip() for c in row
-        )
+    for line, cells in _table_rows(text, CSV_HEADER):
+        sid, kind_s, lot_s, loc_s, elem_s, value_s, sigma_s, basis_s = cells
         if not sid:
             raise ParseError("specimen_id must be nonempty", line=line)
-        try:
-            kind = next(k for k in Kind if k.value == kind_s)
-        except StopIteration:
-            raise ParseError(f"unknown kind {kind_s!r}", line=line) from None
-        location = _parse_location(loc_s, line)
-        try:
-            element = Element.from_symbol(elem_s)
-        except ValueError as exc:
-            raise ParseError(str(exc), line=line) from exc
+        kind = _token(Kind, kind_s, line)
+        location = _token(Location, loc_s or "unlabeled", line)
+        element = _token(Element, elem_s, line)
         value = _parse_float(value_s, "value_ppm", line)
         if value <= 0:
             raise DomainError(f"line {line}: value_ppm must be > 0, got {value}")
-        try:
-            basis = next(b for b in Basis if b.value == basis_s)
-        except StopIteration:
-            raise ParseError(f"unknown basis {basis_s!r}", line=line) from None
+        basis = _token(Basis, basis_s, line)
         sigma = None
         if basis is Basis.POISSON_SINGLE:
             if not sigma_s:
@@ -279,102 +257,53 @@ def parse_csv(text: str, provenance: str = "<csv>") -> Dataset:
     return Dataset(specimens=tuple(specimens), provenance=provenance)
 
 
-def _series(element: Element, mean: float, se: float, n: int) -> ElementSeries:
-    df = None if n == 1 else n - 1
-    return ElementSeries(element=element, mean=mean, se=se, df=df, n=n)
+def parse_attenuation_csv(text: str) -> tuple[AttenuationEntry, ...]:
+    """Parse an attenuation table: ``energy_kev,mu_linear_per_cm``."""
+    entries = []
+    for line, (energy, mu) in _table_rows(text, ATTENUATION_HEADER):
+        try:
+            entries.append(AttenuationEntry(float(energy), float(mu)))
+        except ValueError as exc:
+            raise ParseError(str(exc), line=line) from exc
+    return tuple(entries)
 
 
-def _table1() -> Dataset:
-    rows = [
-        # id, kind, Ag (mean, se, n), Sb (mean, se, n)
-        ("CE 399", Kind.BULLET, (8.8, 0.5, 1), (833.0, 9.0, 1)),
-        ("CE 842", Kind.FRAGMENT, (9.8, 0.5, 1), (797.0, 7.0, 1)),
-        ("CE 567", Kind.FRAGMENT, (8.1, 0.6, 1), (602.0, 4.0, 1)),
-        ("CE 843", Kind.FRAGMENT, (7.9, 0.3, 1), (621.0, 4.0, 1)),
-        ("CE 840", Kind.FRAGMENT, (8.2, 0.4, 3), (642.0, 6.0, 3)),
-    ]
-    specimens = tuple(
-        Specimen(
-            id=sid,
-            kind=kind,
-            lot=None,
-            series={
-                Element.AG: _series(Element.AG, *ag),
-                Element.SB: _series(Element.SB, *sb),
-            },
-        )
-        for sid, kind, ag, sb in rows
-    )
-    return Dataset(specimens=specimens, provenance="fixture:table1")
-
-
-def _table2() -> Dataset:
-    rows = [
-        # id, location, Ag (mean, se, n), Sb (mean, se, n)
-        ("bullet-1-outer", Location.OUTER, (6.30, 0.13, 4), (578.0, 9.75, 4)),
-        ("bullet-1-middle", Location.MIDDLE, (6.66, 0.05, 3), (585.0, 6.97, 3)),
-        ("bullet-1-inner", Location.INNER, (6.35, 0.14, 4), (581.0, 7.56, 4)),
-        ("bullet-1", None, (6.30, 0.06, 20), (576.0, 3.47, 18)),
-    ]
-    specimens = tuple(
-        Specimen(
-            id=sid,
-            kind=Kind.BULLET if location is None else Kind.BULLET_SECTION,
-            lot="6003",
-            series={
-                Element.AG: _series(Element.AG, *ag),
-                Element.SB: _series(Element.SB, *sb),
-            },
-            location=location,
-        )
-        for sid, location, ag, sb in rows
-    )
-    return Dataset(specimens=specimens, provenance="fixture:table2")
-
-
-# (bullet, location or None for whole) -> Sb (mean, pm, n), Ag (mean, pm, n).
-# Location rows are standard-deviation scale as printed; whole rows are
-# standard errors.
-_TABLE3_ROWS = [
-    ("1", Location.OUTER, (578.0, 19.5, 4), (6.30, 0.26, 4)),
-    ("1", Location.MIDDLE, (585.0, 12.1, 3), (6.66, 0.09, 3)),
-    ("1", Location.INNER, (581.0, 15.1, 4), (6.35, 0.27, 4)),
-    ("1", None, (576.0, 3.47, 18), (6.30, 0.06, 20)),
-    ("8", Location.OUTER, (957.0, 4.86, 3), (6.90, 0.14, 3)),
-    ("8", Location.MIDDLE, (952.0, 17.4, 3), (6.79, 0.16, 3)),
-    ("8", Location.INNER, (963.0, 16.3, 3), (6.73, 0.18, 3)),
-    ("8", None, (966.0, 7.32, 12), (6.81, 0.04, 18)),
-    ("9", Location.OUTER, (1829.0, 61.4, 3), (8.71, 0.38, 3)),
-    ("9", Location.MIDDLE, (1806.0, 18.1, 3), (8.51, 0.28, 3)),
-    ("9", Location.INNER, (1869.0, 13.4, 3), (8.68, 0.42, 3)),
-    ("9", None, (1834.0, 14.3, 9), (8.66, 0.08, 18)),
-    ("10", Location.OUTER, (260.0, 10.0, 3), (5.04, 0.25, 3)),
-    ("10", Location.MIDDLE, (262.0, 0.180, 3), (5.21, 0.09, 3)),
-    ("10", Location.INNER, (258.0, 4.69, 3), (5.14, 0.16, 3)),
-    ("10", None, (260.0, 1.93, 9), (5.04, 0.05, 18)),
-]
-
-
-def _table3() -> Dataset:
-    specimens = []
-    for bullet, location, sb, ag in _TABLE3_ROWS:
-        sid = f"bullet-{bullet}" if location is None else f"bullet-{bullet}-{location.value}"
-        specimens.append(
-            Specimen(
-                id=sid,
-                kind=Kind.BULLET if location is None else Kind.BULLET_SECTION,
-                lot="6003",
-                series={
-                    Element.SB: _series(Element.SB, *sb),
-                    Element.AG: _series(Element.AG, *ag),
-                },
-                location=location,
-            )
-        )
-    return Dataset(specimens=tuple(specimens), provenance="fixture:table3")
-
-
-_FIXTURES = {"table1": _table1, "table2": _table2, "table3": _table3}
+# Fixture name -> (lot, element order, rows).  A row is id, kind,
+# location (None for a whole object) and one (mean, se, n) per element;
+# n > 1 gives df = n - 1.
+_FIXTURES = {
+    "table1": (None, (Element.AG, Element.SB), (
+        ("CE 399", "bullet", None, (8.8, 0.5, 1), (833.0, 9.0, 1)),
+        ("CE 842", "fragment", None, (9.8, 0.5, 1), (797.0, 7.0, 1)),
+        ("CE 567", "fragment", None, (8.1, 0.6, 1), (602.0, 4.0, 1)),
+        ("CE 843", "fragment", None, (7.9, 0.3, 1), (621.0, 4.0, 1)),
+        ("CE 840", "fragment", None, (8.2, 0.4, 3), (642.0, 6.0, 3)),
+    )),
+    "table2": ("6003", (Element.AG, Element.SB), (
+        ("bullet-1-outer", "bullet_section", "outer", (6.30, 0.13, 4), (578.0, 9.75, 4)),
+        ("bullet-1-middle", "bullet_section", "middle", (6.66, 0.05, 3), (585.0, 6.97, 3)),
+        ("bullet-1-inner", "bullet_section", "inner", (6.35, 0.14, 4), (581.0, 7.56, 4)),
+        ("bullet-1", "bullet", None, (6.30, 0.06, 20), (576.0, 3.47, 18)),
+    )),
+    "table3": ("6003", (Element.SB, Element.AG), (
+        ("bullet-1-outer", "bullet_section", "outer", (578.0, 19.5, 4), (6.30, 0.26, 4)),
+        ("bullet-1-middle", "bullet_section", "middle", (585.0, 12.1, 3), (6.66, 0.09, 3)),
+        ("bullet-1-inner", "bullet_section", "inner", (581.0, 15.1, 4), (6.35, 0.27, 4)),
+        ("bullet-1", "bullet", None, (576.0, 3.47, 18), (6.30, 0.06, 20)),
+        ("bullet-8-outer", "bullet_section", "outer", (957.0, 4.86, 3), (6.90, 0.14, 3)),
+        ("bullet-8-middle", "bullet_section", "middle", (952.0, 17.4, 3), (6.79, 0.16, 3)),
+        ("bullet-8-inner", "bullet_section", "inner", (963.0, 16.3, 3), (6.73, 0.18, 3)),
+        ("bullet-8", "bullet", None, (966.0, 7.32, 12), (6.81, 0.04, 18)),
+        ("bullet-9-outer", "bullet_section", "outer", (1829.0, 61.4, 3), (8.71, 0.38, 3)),
+        ("bullet-9-middle", "bullet_section", "middle", (1806.0, 18.1, 3), (8.51, 0.28, 3)),
+        ("bullet-9-inner", "bullet_section", "inner", (1869.0, 13.4, 3), (8.68, 0.42, 3)),
+        ("bullet-9", "bullet", None, (1834.0, 14.3, 9), (8.66, 0.08, 18)),
+        ("bullet-10-outer", "bullet_section", "outer", (260.0, 10.0, 3), (5.04, 0.25, 3)),
+        ("bullet-10-middle", "bullet_section", "middle", (262.0, 0.180, 3), (5.21, 0.09, 3)),
+        ("bullet-10-inner", "bullet_section", "inner", (258.0, 4.69, 3), (5.14, 0.16, 3)),
+        ("bullet-10", "bullet", None, (260.0, 1.93, 9), (5.04, 0.05, 18)),
+    )),
+}
 
 FIXTURE_NAMES = tuple(_FIXTURES)
 
@@ -383,4 +312,18 @@ def fixture(name: str) -> Dataset:
     """Return one of the embedded measurement tables."""
     if name not in _FIXTURES:
         raise ValueError(f"unknown fixture {name!r} (have: {', '.join(FIXTURE_NAMES)})")
-    return _FIXTURES[name]()
+    lot, panel, rows = _FIXTURES[name]
+    specimens = tuple(
+        Specimen(
+            id=sid,
+            kind=Kind(kind),
+            lot=lot,
+            series={
+                e: ElementSeries(e, mean, se, df=None if n == 1 else n - 1, n=n)
+                for e, (mean, se, n) in zip(panel, values)
+            },
+            location=Location(location) if location else None,
+        )
+        for sid, kind, location, *values in rows
+    )
+    return Dataset(specimens=specimens, provenance=f"fixture:{name}")

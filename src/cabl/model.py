@@ -16,7 +16,23 @@ from typing import Mapping, Optional
 from .errors import DomainError
 
 
-class Element(enum.Enum):
+class _Token(enum.Enum):
+    """A vocabulary enum, read from and printed as its text value.
+
+    ``Element("Sb")`` is the Sb member; an unknown text raises
+    ``ValueError`` naming the enum and listing the valid values.
+    """
+
+    def __str__(self) -> str:
+        return self.value
+
+    @classmethod
+    def _missing_(cls, value: object):
+        have = ", ".join(m.value for m in cls)
+        raise ValueError(f"unknown {cls.__name__.lower()} {value!r} (have: {have})")
+
+
+class Element(_Token):
     """The seven-element panel used for bullet lead comparisons."""
 
     SB = "Sb"
@@ -27,19 +43,8 @@ class Element(enum.Enum):
     SN = "Sn"
     CD = "Cd"
 
-    def __str__(self) -> str:
-        return self.value
 
-    @classmethod
-    def from_symbol(cls, symbol: str) -> "Element":
-        for member in cls:
-            if member.value == symbol:
-                return member
-        valid = ", ".join(m.value for m in cls)
-        raise ValueError(f"unknown element symbol {symbol!r} (panel: {valid})")
-
-
-class Location(enum.Enum):
+class Location(_Token):
     """Radial sampling location of a measurement within a bullet."""
 
     OUTER = "outer"
@@ -47,39 +52,27 @@ class Location(enum.Enum):
     INNER = "inner"
     UNLABELED = "unlabeled"
 
-    def __str__(self) -> str:
-        return self.value
 
-
-class Basis(enum.Enum):
+class Basis(_Token):
     """How a measurement's uncertainty arises."""
 
     POISSON_SINGLE = "poisson_single"
     REPLICATE_MEMBER = "replicate_member"
 
-    def __str__(self) -> str:
-        return self.value
 
-
-class Kind(enum.Enum):
+class Kind(_Token):
     """What physical object a specimen is."""
 
     FRAGMENT = "fragment"
     BULLET = "bullet"
     BULLET_SECTION = "bullet_section"
 
-    def __str__(self) -> str:
-        return self.value
 
-
-class Boundary(enum.Enum):
+class Boundary(_Token):
     """Whether touching intervals count as overlapping."""
 
     CLOSED = "closed"
     OPEN = "open"
-
-    def __str__(self) -> str:
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -151,9 +144,6 @@ class Specimen:
                     f"series keyed {element.value} carries element {s.element.value}"
                 )
         object.__setattr__(self, "series", MappingProxyType(dict(self.series)))
-
-    def elements(self) -> tuple[Element, ...]:
-        return tuple(self.series)
 
 
 @dataclass(frozen=True)
@@ -236,14 +226,14 @@ def criterion_preset(
 ) -> MatchCriterion:
     """Build one of the named criterion presets.
 
-    ``guinn4``: +/- 4 standard errors on the silver/antimony panel, no
-    bias correction, closed boundary.  ``nrc2``: +/- 2 standard errors,
-    bias correction on (defaults to :data:`DEFAULT_BIAS`), closed
-    boundary; the panel is configurable and defaults to silver/antimony.
+    ``guinn4``: +/- 4 standard errors, no bias correction unless one is
+    given, closed boundary.  ``nrc2``: +/- 2 standard errors, bias
+    correction on (defaults to :data:`DEFAULT_BIAS`), closed boundary.
+    The panel is configurable and defaults to silver/antimony.
     """
     panel = elements or (Element.SB, Element.AG)
     if name == "guinn4":
-        return MatchCriterion(k=4.0, elements=panel)
+        return MatchCriterion(k=4.0, elements=panel, bias=bias)
     if name == "nrc2":
         return MatchCriterion(k=2.0, elements=panel, bias=bias or DEFAULT_BIAS)
     raise ValueError(f"unknown preset {name!r} (have: {', '.join(PRESET_NAMES)})")

@@ -318,6 +318,9 @@ _FAMILIES: Mapping[str, _Family] = {
 
 FAMILIES = tuple(_FAMILIES)
 
+#: Parameters that must come out > 0; underflow can leave them at 0.
+_POSITIVE_PARAMS = frozenset({"rate", "shape", "scale", "sigma", "df"})
+
 
 def fit_distribution(data: Sequence[float], family: str) -> FittedDistribution:
     """Maximum-likelihood fit of one family to the data (n >= 8)."""
@@ -331,6 +334,8 @@ def fit_distribution(data: Sequence[float], family: str) -> FittedDistribution:
     for name, value in params.items():
         if not math.isfinite(value):
             raise FitError(f"{family} fit overflows: {name} = {value}")
+        if name in _POSITIVE_PARAMS and value <= 0:
+            raise FitError(f"{family} fit degenerates: {name} = {value} is not > 0")
     return FittedDistribution(family=family, params=params)
 
 

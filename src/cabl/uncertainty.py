@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .errors import ParseError
-
 
 class ReplicateSummary(NamedTuple):
     """Mean, standard error of the mean, df and n of replicate values."""
@@ -144,29 +142,3 @@ def self_absorption_loss(mean_max_dimension_mm: float, entry: AttenuationEntry) 
         raise ValueError("dimension must be > 0")
     path_cm = (mean_max_dimension_mm / 10.0) / 2.0
     return -math.expm1(-entry.mu_linear_per_cm * path_cm)
-
-
-ATTENUATION_HEADER = ["energy_kev", "mu_linear_per_cm"]
-
-
-def parse_attenuation_csv(text: str) -> tuple[AttenuationEntry, ...]:
-    """Parse an attenuation table: ``energy_kev,mu_linear_per_cm``."""
-    import csv
-    import io
-
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or [c.strip() for c in rows[0]] != ATTENUATION_HEADER:
-        raise ParseError(
-            f"attenuation table must start with header {','.join(ATTENUATION_HEADER)}"
-        )
-    entries = []
-    for i, row in enumerate(rows[1:], start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != 2:
-            raise ParseError("expected 2 columns", line=i)
-        try:
-            entries.append(AttenuationEntry(float(row[0]), float(row[1])))
-        except ValueError as exc:
-            raise ParseError(str(exc), line=i) from exc
-    return tuple(entries)

@@ -238,24 +238,32 @@ class TestDistfitCommand:
         assert f"{path}:3: value must be finite, got '{bad}'" in err
 
     @pytest.mark.parametrize(
-        "values, overflowed, ranked",
+        "values, failed, ranked",
         [
-            # the normal mean overflows; the triangular CDF overflows in the GOF
-            ([1.0e308 + i * 0.1e308 for i in range(8)], {"normal", "triangular"},
+            # the normal mean overflows; the triangular CDF overflows in the
+            # GOF; the exponential rate underflows to 0
+            ([1.0e308 + i * 0.1e308 for i in range(8)],
+             {"normal": "overflow", "triangular": "overflow",
+              "exponential": "rate = 0.0 is not > 0"},
              {"lognormal", "weibull"}),
             # the squared deviations of gumbel's and normal's spread overflow
-            ([-1e308, 1e308, *range(8)], {"gumbel", "normal"}, set()),
+            ([-1e308, 1e308, *range(8)], {"gumbel": "overflow", "normal": "overflow"}, set()),
+            # subnormal data: the exponential rate overflows and the normal
+            # sigma underflows to 0, which must not cost the whole ranking
+            ([5e-324] * 4 + [1e-323] * 4,
+             {"exponential": "overflow", "normal": "sigma = 0.0 is not > 0"},
+             {"chi_squared", "gamma", "lognormal", "weibull"}),
         ],
-        ids=["near-max", "wide"],
+        ids=["near-max", "wide", "tiny"],
     )
-    def test_values_near_double_limit(self, capsys, tmp_path, values, overflowed, ranked):
+    def test_values_near_double_limit(self, capsys, tmp_path, values, failed, ranked):
         path = tmp_path / "vals.csv"
         path.write_text("\n".join(repr(float(v)) for v in values) + "\n")
         payload, _ = run_json(capsys, "distfit", "--input", str(path), "--families", "all")
         assert len(payload["ranking"]) == 8
         errors = {e["family"]: e["error"] for e in payload["ranking"] if "error" in e}
-        for family in overflowed:
-            assert family in errors[family] and "overflow" in errors[family]
+        for family, reason in failed.items():
+            assert family in errors[family] and reason in errors[family]
         assert ranked.isdisjoint(errors)
         code, out, err = run(capsys, "distfit", "--input", str(path), "--families", "all")
         assert code == 0, err
@@ -714,6 +722,28 @@ class TestConfigAndDeterminism:
     def test_malformed_bias_flag_exits_2(self, capsys, bias):
         code, out, _ = run(capsys, "match", "--fixture", "table1", "--bias", bias)
         assert (code, out) == (2, "")
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_bias_flag_applies_under_guinn4(self, capsys, fmt):
+        argv = ("match", "--fixture", "table1", "--bias", "Sb=0.5", "--format", fmt)
+        code, out, err = run(capsys, *argv, "--criterion", "guinn4")
+        assert code == 0, err
+        # naming the preset gives what its defaults give without it
+        assert run(capsys, *argv) == (0, out, "")
+        if fmt == "json":
+            payload = json.loads(out)
+            assert payload["criterion"]["bias"] == {"Sb": [0.5, 0.5]}
+            assert payload["pairs_matched"] == 0
+        else:
+            assert out.splitlines()[-1] == "0 of 10 pairs matched"
+
+    def test_config_bias_applies_under_guinn4(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"criterion": {"preset": "guinn4", "bias": {"Sb": 0.5}}}))
+        payload, _ = run_json(capsys, "group", "--fixture", "table1", "--config", str(config))
+        assert payload["criterion"]["k"] == 4.0
+        assert payload["criterion"]["bias"] == {"Sb": [0.5, 0.5]}
+        assert len(payload["groups"]) == 5
 
     def test_flags_override_config(self, capsys, tmp_path):
         config = tmp_path / "config.json"

@@ -110,6 +110,7 @@ class TestFitters:
             fit_distribution(data, "normal")
         failures = {e.family: e.error for e in rank_families(data) if isinstance(e, FitFailure)}
         assert failures["normal"] == "normal fit overflows: mu = inf"
+        assert failures["exponential"] == "exponential fit degenerates: rate = 0.0 is not > 0"
         assert failures["triangular"].startswith("numeric overflow or underflow in the triangular")
 
     def test_positive_support_families_reject_nonpositive(self):

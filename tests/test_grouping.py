@@ -141,7 +141,7 @@ class TestWithinBoxMatchRate:
 
     def test_table3_whole_bullets(self):
         # brute-force oracle: check all 6 pairs by direct interval arithmetic
-        whole = fixture("table3").subset(kind=Kind.BULLET)
+        whole = [s for s in fixture("table3") if s.kind is Kind.BULLET]
         assert len(whole) == 4
         rate = within_box_match_rate(whole, GUINN4)
         assert rate.pairs_total == 6

@@ -1,10 +1,47 @@
 import pytest
 
 from cabl.errors import ConflictError, DomainError, ParseError
-from cabl.ingest import CSV_HEADER, Dataset, fixture, parse_csv, parse_rows
+from cabl.ingest import CSV_HEADER, FIXTURE_NAMES, Dataset, fixture, parse_csv, parse_rows
 from cabl.model import Element, Kind, Location
 
 HEADER = ",".join(CSV_HEADER)
+
+
+# Every fixture specimen in dataset order: id, kind, lot, location and
+# (element, mean, se, df, n) in series order.  table3 lists Sb before Ag.
+FIXTURE_SNAPSHOT = {
+    "table1": [
+        ("CE 399", "bullet", None, None, [("Ag", 8.8, 0.5, None, 1), ("Sb", 833.0, 9.0, None, 1)]),
+        ("CE 842", "fragment", None, None, [("Ag", 9.8, 0.5, None, 1), ("Sb", 797.0, 7.0, None, 1)]),
+        ("CE 567", "fragment", None, None, [("Ag", 8.1, 0.6, None, 1), ("Sb", 602.0, 4.0, None, 1)]),
+        ("CE 843", "fragment", None, None, [("Ag", 7.9, 0.3, None, 1), ("Sb", 621.0, 4.0, None, 1)]),
+        ("CE 840", "fragment", None, None, [("Ag", 8.2, 0.4, 2, 3), ("Sb", 642.0, 6.0, 2, 3)]),
+    ],
+    "table2": [
+        ("bullet-1-outer", "bullet_section", "6003", "outer", [("Ag", 6.3, 0.13, 3, 4), ("Sb", 578.0, 9.75, 3, 4)]),
+        ("bullet-1-middle", "bullet_section", "6003", "middle", [("Ag", 6.66, 0.05, 2, 3), ("Sb", 585.0, 6.97, 2, 3)]),
+        ("bullet-1-inner", "bullet_section", "6003", "inner", [("Ag", 6.35, 0.14, 3, 4), ("Sb", 581.0, 7.56, 3, 4)]),
+        ("bullet-1", "bullet", "6003", None, [("Ag", 6.3, 0.06, 19, 20), ("Sb", 576.0, 3.47, 17, 18)]),
+    ],
+    "table3": [
+        ("bullet-1-outer", "bullet_section", "6003", "outer", [("Sb", 578.0, 19.5, 3, 4), ("Ag", 6.3, 0.26, 3, 4)]),
+        ("bullet-1-middle", "bullet_section", "6003", "middle", [("Sb", 585.0, 12.1, 2, 3), ("Ag", 6.66, 0.09, 2, 3)]),
+        ("bullet-1-inner", "bullet_section", "6003", "inner", [("Sb", 581.0, 15.1, 3, 4), ("Ag", 6.35, 0.27, 3, 4)]),
+        ("bullet-1", "bullet", "6003", None, [("Sb", 576.0, 3.47, 17, 18), ("Ag", 6.3, 0.06, 19, 20)]),
+        ("bullet-8-outer", "bullet_section", "6003", "outer", [("Sb", 957.0, 4.86, 2, 3), ("Ag", 6.9, 0.14, 2, 3)]),
+        ("bullet-8-middle", "bullet_section", "6003", "middle", [("Sb", 952.0, 17.4, 2, 3), ("Ag", 6.79, 0.16, 2, 3)]),
+        ("bullet-8-inner", "bullet_section", "6003", "inner", [("Sb", 963.0, 16.3, 2, 3), ("Ag", 6.73, 0.18, 2, 3)]),
+        ("bullet-8", "bullet", "6003", None, [("Sb", 966.0, 7.32, 11, 12), ("Ag", 6.81, 0.04, 17, 18)]),
+        ("bullet-9-outer", "bullet_section", "6003", "outer", [("Sb", 1829.0, 61.4, 2, 3), ("Ag", 8.71, 0.38, 2, 3)]),
+        ("bullet-9-middle", "bullet_section", "6003", "middle", [("Sb", 1806.0, 18.1, 2, 3), ("Ag", 8.51, 0.28, 2, 3)]),
+        ("bullet-9-inner", "bullet_section", "6003", "inner", [("Sb", 1869.0, 13.4, 2, 3), ("Ag", 8.68, 0.42, 2, 3)]),
+        ("bullet-9", "bullet", "6003", None, [("Sb", 1834.0, 14.3, 8, 9), ("Ag", 8.66, 0.08, 17, 18)]),
+        ("bullet-10-outer", "bullet_section", "6003", "outer", [("Sb", 260.0, 10.0, 2, 3), ("Ag", 5.04, 0.25, 2, 3)]),
+        ("bullet-10-middle", "bullet_section", "6003", "middle", [("Sb", 262.0, 0.18, 2, 3), ("Ag", 5.21, 0.09, 2, 3)]),
+        ("bullet-10-inner", "bullet_section", "6003", "inner", [("Sb", 258.0, 4.69, 2, 3), ("Ag", 5.14, 0.16, 2, 3)]),
+        ("bullet-10", "bullet", "6003", None, [("Sb", 260.0, 1.93, 8, 9), ("Ag", 5.04, 0.05, 17, 18)]),
+    ],
+}
 
 
 def csv_text(*rows):
@@ -96,6 +133,22 @@ class TestParseCsv:
         with pytest.raises(ParseError, match="basis"):
             parse_csv(csv_text("x,fragment,,unlabeled,Ag,8.8,0.5,bayesian"))
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("x,pellet,,unlabeled,Ag,8.8,0.5,poisson_single", "unknown kind 'pellet' (have: "),
+            ("x,fragment,,rim,Ag,8.8,0.5,poisson_single", "unknown location 'rim' (have: "),
+            ("x,fragment,,unlabeled,Ag,8.8,0.5,bayesian", "unknown basis 'bayesian' (have: "),
+        ],
+        ids=["kind", "location", "basis"],
+    )
+    def test_unknown_token_reports_line(self, row, message):
+        text = csv_text("CE 399,fragment,,unlabeled,Ag,8.8,0.5,poisson_single", row)
+        with pytest.raises(ParseError) as info:
+            parse_rows(text)
+        assert str(info.value).startswith(f"line 3: {message}")
+        assert info.value.line == 3
+
     def test_kind_change_conflict(self):
         with pytest.raises(ConflictError, match="kind"):
             parse_csv(
@@ -158,6 +211,25 @@ class TestParseRows:
 
 
 class TestFixtures:
+    def test_snapshot(self):
+        assert FIXTURE_NAMES == tuple(FIXTURE_SNAPSHOT)
+        for name, expected in FIXTURE_SNAPSHOT.items():
+            ds = fixture(name)
+            assert ds.provenance == f"fixture:{name}"
+            got = [
+                (
+                    s.id,
+                    s.kind.value,
+                    s.lot,
+                    s.location.value if s.location else None,
+                    [(e.value, x.mean, x.se, x.df, x.n) for e, x in s.series.items()],
+                )
+                for s in ds
+            ]
+            assert got == expected, name
+            for s in ds:
+                assert all(x.element is e for e, x in s.series.items())
+
     def test_table1_values(self):
         ds = fixture("table1")
         assert len(ds) == 5
@@ -208,15 +280,6 @@ class TestDataset:
     def test_get_finds_every_specimen(self):
         ds = fixture("table3")
         assert [ds.get(sid) for sid in ds.ids()] == list(ds.specimens)
-
-    def test_subset_by_kind_and_ids(self):
-        ds = fixture("table3")
-        whole = ds.subset(kind=Kind.BULLET)
-        assert len(whole) == 4
-        pair = ds.subset(ids=["bullet-1", "bullet-8"])
-        assert pair.ids() == ("bullet-1", "bullet-8")
-        with pytest.raises(KeyError):
-            ds.subset(ids=["bullet-1", "nope"])
 
     def test_duplicate_ids_rejected(self):
         s = fixture("table1").get("CE 399")

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from cabl.errors import DomainError
 from cabl.model import (
+    Basis,
     BiasCorrection,
     Boundary,
     Element,
@@ -22,17 +23,36 @@ def series(mean, se, n=1, element=Element.SB):
     return ElementSeries(element=element, mean=mean, se=se, df=df, n=n)
 
 
+VOCABULARY = (Element, Location, Basis, Kind, Boundary)
+
+
 class TestElement:
     def test_from_symbol(self):
-        assert Element.from_symbol("Sb") is Element.SB
-        assert Element.from_symbol("Cd") is Element.CD
+        assert Element("Sb") is Element.SB
+        assert Element("Cd") is Element.CD
 
     def test_unknown_symbol(self):
-        with pytest.raises(ValueError, match="unknown element"):
-            Element.from_symbol("Pb")
+        with pytest.raises(ValueError, match=r"unknown element 'Pb' \(have: Sb, Ag, As, Cu, Bi, Sn, Cd\)"):
+            Element("Pb")
 
     def test_panel_is_seven_elements(self):
         assert len(Element) == 7
+
+
+class TestVocabulary:
+    @pytest.mark.parametrize("cls", VOCABULARY)
+    def test_every_member_round_trips_through_its_text(self, cls):
+        for member in cls:
+            assert str(member) == member.value
+            assert cls(str(member)) is member
+
+    @pytest.mark.parametrize("cls", VOCABULARY)
+    def test_unknown_token_names_the_enum(self, cls):
+        name = cls.__name__.lower()
+        # a member's Python name (SB, OUTER, ...) is not its text value
+        for token in ("nope", "", list(cls)[0].name):
+            with pytest.raises(ValueError, match=f"^unknown {name} {token!r} \\(have: "):
+                cls(token)
 
 
 class TestSeriesInterval:

@@ -5,13 +5,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cabl.errors import ParseError
+from cabl.ingest import parse_attenuation_csv
 from cabl.uncertainty import (
     DEFAULT_ATTENUATION,
     AttenuationEntry,
     DecaySchedule,
     comparator_concentration,
     decay_factor,
-    parse_attenuation_csv,
     replicate_summary,
     self_absorption_loss,
 )
