@@ -21,7 +21,6 @@ _EXPORTS = {
         "DegreesOfFreedomError",
         "DesignError",
         "DomainError",
-        "ElementMismatchError",
         "FitError",
         "IncompletePanelError",
         "ParseError",
@@ -35,13 +34,7 @@ _EXPORTS = {
     ),
     "grouping": ("GroupingResult", "MatchRate", "group", "within_box_match_rate"),
     "ingest": ("Dataset", "fixture", "parse_csv"),
-    "matching": (
-        "MatchResult",
-        "PerElementMatch",
-        "match_element",
-        "match_element_biased",
-        "match_specimens",
-    ),
+    "matching": ("MatchResult", "PerElementMatch", "match_specimens"),
     "model": (
         "DEFAULT_BIAS",
         "Basis",

@@ -126,11 +126,9 @@ def _bias_table(spec: Mapping[str, object]) -> dict[Element, BiasCorrection]:
 
 def _build_criterion(args: argparse.Namespace, config: dict) -> MatchCriterion:
     conf = config.get("criterion", {})
-    elements = None
-    if args.elements:
-        elements = tuple(map(Element, _split(args.elements)))
-    elif conf.get("elements"):
-        elements = tuple(map(Element, conf["elements"]))
+    # an absent panel takes the preset's default; an empty one is refused
+    symbols = conf.get("elements") if args.elements is None else _split(args.elements)
+    elements = None if symbols is None else tuple(map(Element, symbols))
     bias_spec = _parse_bias_spec(args.bias) if args.bias else conf.get("bias") or None
     bias = None if bias_spec is None else _bias_table(bias_spec)
     preset = args.criterion or conf.get("preset") or "guinn4"
@@ -198,15 +196,15 @@ def cmd_match(args: argparse.Namespace) -> dict:
     config = _load_config(args.config)
     dataset = _load_dataset(args)
     criterion = _build_criterion(args, config)
-    ids = sorted(dataset.ids())
+    specimens = sorted(dataset, key=lambda s: s.id)
     pairs = []
-    for i, id_a in enumerate(ids):
-        for id_b in ids[i + 1 :]:
-            result = match_specimens(dataset.get(id_a), dataset.get(id_b), criterion)
+    for i, a in enumerate(specimens):
+        for b in specimens[i + 1 :]:
+            result = match_specimens(a, b, criterion)
             pairs.append(
                 {
-                    "a": id_a,
-                    "b": id_b,
+                    "a": a.id,
+                    "b": b.id,
                     "matched": result.matched,
                     "per_element": {
                         e.value: {

@@ -25,10 +25,6 @@ class DomainError(CablError):
     """A value outside its physical domain (negative concentration, ...)."""
 
 
-class ElementMismatchError(CablError):
-    """Two series compared element-wise do not share an element."""
-
-
 class IncompletePanelError(CablError):
     """A specimen lacks an element required by the match criterion."""
 

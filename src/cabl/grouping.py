@@ -21,8 +21,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .matching import _hull, match_specimens
-from .model import Boundary, MatchCriterion, Specimen, series_interval
+from .matching import match_specimens
+from .model import MatchCriterion, Specimen, series_interval
 
 MODES = ("connected_components", "maximal_cliques")
 
@@ -60,11 +60,12 @@ def _match_matrix(specimens: Sequence[Specimen], criterion: MatchCriterion) -> n
 
     ``specimens`` must be in sorted-id order: for ``i < j`` specimen ``i``
     is the first (bias-corrected) side, as in canonical pair order.  The
-    endpoints come from the calls ``match_specimens`` makes, ``_hull``
-    for the first side and ``series_interval`` for the other, once per
-    specimen and element; only the overlap test runs on arrays, so every
-    entry equals the scalar verdict.  A missing panel element raises the
-    error the scalar rule raises on its first failing pair.
+    endpoints come from the ``series_interval`` calls ``match_specimens``
+    makes, biased for the first side and plain for the other, once per
+    specimen and element; only the overlap test runs on arrays, through
+    the same ``Boundary.admits``, so every entry equals the scalar
+    verdict.  A missing panel element raises the error the scalar rule
+    raises on its first failing pair.
     """
     n = len(specimens)
     upper = np.zeros((n, n), dtype=bool)
@@ -78,17 +79,16 @@ def _match_matrix(specimens: Sequence[Specimen], criterion: MatchCriterion) -> n
     for element in criterion.elements:
         bias = criterion.bias_for(element)
         series = [s.series[element] for s in specimens]
-        first_lo, first_hi = np.array([_hull(s, criterion.k, bias) for s in series]).T
+        first_lo, first_hi = np.array([series_interval(s, criterion.k, bias) for s in series]).T
         lo, hi = np.array([series_interval(s, criterion.k) for s in series]).T
         panel.append((first_lo, first_hi, lo, hi))
-    overlaps = np.less_equal if criterion.boundary is Boundary.CLOSED else np.less
     for r0 in range(0, n - 1, _BLOCK_ROWS):
         r1 = min(r0 + _BLOCK_ROWS, n)
         block = np.ones((r1 - r0, n - r0), dtype=bool)
         for first_lo, first_hi, lo, hi in panel:
             low = np.maximum(first_lo[r0:r1, None], lo[None, r0:])
             high = np.minimum(first_hi[r0:r1, None], hi[None, r0:])
-            block &= overlaps(low, high)
+            block &= criterion.boundary.admits(low, high)
         # row i is the corrected side only against j > i
         upper[r0:r1, r0:] = np.triu(block, 1)
     return upper | upper.T

@@ -71,9 +71,6 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.specimens)
 
-    def ids(self) -> tuple[str, ...]:
-        return tuple(s.id for s in self.specimens)
-
     def get(self, specimen_id: str) -> Specimen:
         try:
             return self._by_id[specimen_id]
@@ -263,7 +260,7 @@ def parse_attenuation_csv(text: str) -> tuple[AttenuationEntry, ...]:
     for line, (energy, mu) in _table_rows(text, ATTENUATION_HEADER):
         try:
             entries.append(AttenuationEntry(float(energy), float(mu)))
-        except ValueError as exc:
+        except (ValueError, DomainError) as exc:
             raise ParseError(str(exc), line=line) from exc
     return tuple(entries)
 

@@ -3,14 +3,14 @@
 A per-element match means the two ``mean +/- k*se`` intervals
 intersect; a specimen-level match conjoins that over the criterion's
 element panel.  Bias-corrected matching asks whether any correction in
-the stated range produces an overlap; because a correction rescales
-both interval endpoints monotonically, the union of corrected intervals
-is exactly the hull spanned by the range endpoints, so the hull test is
+the stated range produces an overlap; ``series_interval`` widens the
+corrected side to the union of its corrected intervals, so the test is
 exact rather than an approximation.
 
 :func:`match_specimens` reports one pair in detail; grouping asks for
 every pair at once through ``grouping._match_matrix``, which takes its
-endpoints from the same ``_hull`` and ``series_interval`` calls.
+endpoints from the same ``series_interval`` calls and its closed/open
+test from the same ``Boundary.admits``.
 """
 
 from __future__ import annotations
@@ -19,16 +19,8 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Optional
 
-from .errors import ElementMismatchError, IncompletePanelError
-from .model import (
-    BiasCorrection,
-    Boundary,
-    Element,
-    ElementSeries,
-    MatchCriterion,
-    Specimen,
-    series_interval,
-)
+from .errors import IncompletePanelError
+from .model import Boundary, Element, MatchCriterion, Specimen, series_interval
 
 
 def _intervals_overlap(
@@ -36,49 +28,7 @@ def _intervals_overlap(
 ) -> Optional[tuple[float, float]]:
     lo = max(a[0], b[0])
     hi = min(a[1], b[1])
-    if boundary is Boundary.CLOSED:
-        return (lo, hi) if lo <= hi else None
-    return (lo, hi) if lo < hi else None
-
-
-def _hull(s: ElementSeries, k: float, bias: Optional[BiasCorrection]) -> tuple[float, float]:
-    lo, hi = series_interval(s, k)
-    if bias is None:
-        return (lo, hi)
-    return ((1.0 + bias.c_lo) * lo, (1.0 + bias.c_hi) * hi)
-
-
-def match_element(
-    a: ElementSeries,
-    b: ElementSeries,
-    k: float,
-    boundary: Boundary = Boundary.CLOSED,
-) -> bool:
-    """True when the two k-standard-error intervals intersect.
-
-    Closed boundary counts intervals that merely touch; open does not.
-    Symmetric in (a, b), and monotone in k under the closed boundary.
-    """
-    return match_element_biased(a, b, k, boundary=boundary)
-
-
-def match_element_biased(
-    a: ElementSeries,
-    b: ElementSeries,
-    k: float,
-    bias_a: Optional[BiasCorrection] = None,
-    bias_b: Optional[BiasCorrection] = None,
-    boundary: Boundary = Boundary.CLOSED,
-) -> bool:
-    """True when some correction in each range produces an interval match.
-
-    With both biases absent this is exactly :func:`match_element`.
-    """
-    if a.element is not b.element:
-        raise ElementMismatchError(
-            f"cannot compare {a.element.value} against {b.element.value}"
-        )
-    return _intervals_overlap(_hull(a, k, bias_a), _hull(b, k, bias_b), boundary) is not None
+    return (lo, hi) if boundary.admits(lo, hi) else None
 
 
 @dataclass(frozen=True)
@@ -118,9 +68,11 @@ def match_specimens(a: Specimen, b: Specimen, criterion: MatchCriterion) -> Matc
     all_matched = True
     for element in criterion.elements:
         bias = criterion.bias_for(element)
-        hull_a = _hull(a.series[element], criterion.k, bias)
-        hull_b = series_interval(b.series[element], criterion.k)
-        overlap = _intervals_overlap(hull_a, hull_b, criterion.boundary)
+        overlap = _intervals_overlap(
+            series_interval(a.series[element], criterion.k, bias),
+            series_interval(b.series[element], criterion.k),
+            criterion.boundary,
+        )
         matched = overlap is not None
         all_matched = all_matched and matched
         per_element[element] = PerElementMatch(

@@ -74,6 +74,14 @@ class Boundary(_Token):
     CLOSED = "closed"
     OPEN = "open"
 
+    def admits(self, lo, hi):
+        """Whether an overlap from ``lo`` to ``hi`` counts as a match.
+
+        ``lo <= hi`` when closed, so touching intervals match; ``lo < hi``
+        when open.  Works elementwise on numpy arrays.
+        """
+        return lo <= hi if self is Boundary.CLOSED else lo < hi
+
 
 @dataclass(frozen=True)
 class ElementSeries:
@@ -105,18 +113,28 @@ class ElementSeries:
             raise ValueError(f"df must be n-1 or None, got df={self.df} n={self.n}")
 
 
-def series_interval(s: ElementSeries, k: float) -> tuple[float, float]:
+def series_interval(
+    s: ElementSeries, k: float, bias: Optional[BiasCorrection] = None
+) -> tuple[float, float]:
     """Return the ``mean +/- k*se`` interval of a series, in ppm.
 
     The interval is symmetric about the mean with width exactly
-    ``2*k*se``.
+    ``2*k*se``.  With a bias range ``[c_lo, c_hi]`` it is the union of
+    the corrected intervals ``(1+c) * (mean +/- k*se)`` over the range:
+    each endpoint moves monotonically with ``c``, so the union is the
+    hull of the intervals corrected by ``c_lo`` and by ``c_hi``.
     """
     if not math.isfinite(k):
         raise DomainError(f"k must be finite, got {k}")
     if k <= 0:
         raise ValueError(f"k must be > 0, got {k}")
     half = k * s.se
-    return (s.mean - half, s.mean + half)
+    lo, hi = s.mean - half, s.mean + half
+    if bias is None:
+        return (lo, hi)
+    # hi > 0 is highest at c_hi; a lower end below zero is lowest there too
+    c_low = bias.c_lo if lo >= 0 else bias.c_hi
+    return ((1.0 + c_low) * lo, (1.0 + bias.c_hi) * hi)
 
 
 @dataclass(frozen=True)
@@ -229,9 +247,10 @@ def criterion_preset(
     ``guinn4``: +/- 4 standard errors, no bias correction unless one is
     given, closed boundary.  ``nrc2``: +/- 2 standard errors, bias
     correction on (defaults to :data:`DEFAULT_BIAS`), closed boundary.
-    The panel is configurable and defaults to silver/antimony.
+    The panel is configurable and defaults to silver/antimony when not
+    given; an empty panel is refused.
     """
-    panel = elements or (Element.SB, Element.AG)
+    panel = (Element.SB, Element.AG) if elements is None else elements
     if name == "guinn4":
         return MatchCriterion(k=4.0, elements=panel, bias=bias)
     if name == "nrc2":

@@ -13,6 +13,14 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
+from .errors import DomainError
+
+
+def _require_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
+
 
 class ReplicateSummary(NamedTuple):
     """Mean, standard error of the mean, df and n of replicate values."""
@@ -51,8 +59,9 @@ class DecaySchedule:
     t_count: float
 
     def __post_init__(self) -> None:
-        for name in ("half_life", "t_irradiate", "t_decay", "t_count"):
-            if getattr(self, name) <= 0:
+        _require_finite(**vars(self))
+        for name, value in vars(self).items():
+            if value <= 0:
                 raise ValueError(f"{name} must be > 0")
 
     @property
@@ -90,18 +99,33 @@ def comparator_concentration(
     mass is in milligrams.  Count rates are normalized by each
     schedule's decay factor, so shared flux cancels and the schedules
     need not be identical.  ppm is micrograms of analyte per gram of
-    sample.
+    sample.  A decay factor that underflows to 0, or a result that
+    overflows, is refused with ``DomainError``.
     """
+    _require_finite(
+        sample_counts=sample_counts,
+        sample_mass_mg=sample_mass_mg,
+        std_counts=std_counts,
+        std_mass_ug=std_mass_ug,
+    )
     if sample_counts < 0:
         raise ValueError("sample_counts must be >= 0")
     if sample_mass_mg <= 0 or std_mass_ug <= 0:
         raise ValueError("masses must be > 0")
     if std_counts <= 0:
-        raise ZeroDivisionError("standard counts must be > 0")
-    sample_rate = sample_counts / decay_factor(sample_schedule)
-    std_rate = std_counts / decay_factor(std_schedule)
+        raise ValueError("standard counts must be > 0")
+    sample_factor = decay_factor(sample_schedule)
+    std_factor = decay_factor(std_schedule)
+    if sample_factor == 0.0 or std_factor == 0.0:
+        raise DomainError(
+            "decay factor underflows to 0; the schedule leaves no countable activity"
+        )
+    sample_rate = sample_counts / sample_factor
+    std_rate = std_counts / std_factor
     sample_mass_g = sample_mass_mg / 1000.0
-    return (std_mass_ug / sample_mass_g) * (sample_rate / std_rate)
+    ppm = (std_mass_ug / sample_mass_g) * (sample_rate / std_rate)
+    _require_finite(concentration_ppm=ppm)
+    return ppm
 
 
 @dataclass(frozen=True)
@@ -112,6 +136,7 @@ class AttenuationEntry:
     mu_linear_per_cm: float
 
     def __post_init__(self) -> None:
+        _require_finite(**vars(self))
         if self.energy_kev <= 0:
             raise ValueError("energy must be > 0")
         if self.mu_linear_per_cm <= 0:
@@ -138,6 +163,7 @@ def self_absorption_loss(mean_max_dimension_mm: float, entry: AttenuationEntry) 
     (midpoint-emission approximation): ``1 - exp(-mu * L/2)``.  Strictly
     increasing in the dimension, tending to 0 as ``mu -> 0``.
     """
+    _require_finite(dimension_mm=mean_max_dimension_mm)
     if mean_max_dimension_mm <= 0:
         raise ValueError("dimension must be > 0")
     path_cm = (mean_max_dimension_mm / 10.0) / 2.0

@@ -18,7 +18,7 @@ from cabl.cli import main
 from cabl.evidence import BoxModel, likelihood_ratio, p_span_at_least
 from cabl.grouping import group
 from cabl.ingest import fixture
-from cabl.matching import match_element, match_element_biased
+from cabl.matching import match_specimens
 from cabl.model import (
     BiasCorrection,
     Boundary,
@@ -64,12 +64,16 @@ def test_criterion_01_guinn_grouping(capsys):
 def test_criterion_02_touching_interval_case():
     """CE 567 vs CE 840 antimony at k=4: closed matches, open does not, boundary 618."""
     table1 = fixture("table1")
-    a = table1.get("CE 567").series[Element.SB]
-    b = table1.get("CE 840").series[Element.SB]
-    assert series_interval(a, 4.0)[1] == 618.0  # 602 + 4*4, exact in binary
-    assert series_interval(b, 4.0)[0] == 618.0  # 642 - 4*6, exact in binary
-    assert match_element(a, b, 4.0, Boundary.CLOSED) is True
-    assert match_element(a, b, 4.0, Boundary.OPEN) is False
+    ce567, ce840 = table1.get("CE 567"), table1.get("CE 840")
+    assert series_interval(ce567.series[Element.SB], 4.0)[1] == 618.0  # 602 + 4*4, exact
+    assert series_interval(ce840.series[Element.SB], 4.0)[0] == 618.0  # 642 - 4*6, exact
+
+    def antimony_matches(boundary):
+        criterion = MatchCriterion(k=4.0, elements=(Element.SB,), boundary=boundary)
+        return match_specimens(ce567, ce840, criterion).per_element[Element.SB].matched
+
+    assert antimony_matches(Boundary.CLOSED) is True
+    assert antimony_matches(Boundary.OPEN) is False
 
 
 def _partitions(n, largest=None):
@@ -116,16 +120,19 @@ def test_criterion_03_hypergeometric_numbers():
 def test_criterion_04_bias_corrected_match():
     """Lot 6003 bullet 1 vs CE 567 at k=2 with the published bias ranges."""
     table1, table2 = fixture("table1"), fixture("table2")
+    ce567 = table1.get("CE 567")
+
+    def biased_match(lot_sid, bias):
+        # the bias corrects the first side of the pair: the lot bullet
+        criterion = MatchCriterion(k=2.0, elements=(bias.element,), bias={bias.element: bias})
+        result = match_specimens(table2.get(lot_sid), ce567, criterion)
+        return result.per_element[bias.element].matched
+
     sb_bias = BiasCorrection(Element.SB, 0.02, 0.054)
     ag_bias = BiasCorrection(Element.AG, 0.055, 0.055)
-    ce567_sb = table1.get("CE 567").series[Element.SB]
-    ce567_ag = table1.get("CE 567").series[Element.AG]
-    combined_sb = table2.get("bullet-1").series[Element.SB]
-    combined_ag = table2.get("bullet-1").series[Element.AG]
-    middle_ag = table2.get("bullet-1-middle").series[Element.AG]
-    assert match_element_biased(combined_sb, ce567_sb, 2.0, bias_a=sb_bias) is True
-    assert match_element_biased(combined_ag, ce567_ag, 2.0, bias_a=ag_bias) is False
-    assert match_element_biased(middle_ag, ce567_ag, 2.0, bias_a=ag_bias) is True
+    assert biased_match("bullet-1", sb_bias) is True
+    assert biased_match("bullet-1", ag_bias) is False
+    assert biased_match("bullet-1-middle", ag_bias) is True
 
 
 def test_criterion_05_heterogeneity_t_test():

@@ -639,12 +639,11 @@ class TestImportContract:
             "AttenuationEntry", "Basis", "BiasCorrection", "Boundary", "BoxModel",
             "CablError", "ConflictError", "DEFAULT_ATTENUATION", "DEFAULT_BIAS",
             "Dataset", "DecaySchedule", "DegreesOfFreedomError", "DesignError",
-            "DomainError", "Element", "ElementMismatchError", "ElementSeries",
-            "EvidenceResult", "FitError", "GroupingResult", "IncompletePanelError",
-            "Kind", "Location", "MatchCriterion", "MatchRate", "MatchResult",
-            "ParseError", "PerElementMatch", "Specimen", "__version__",
-            "comparator_concentration", "criterion_preset", "decay_factor", "fixture",
-            "group", "likelihood_ratio", "match_element", "match_element_biased",
+            "DomainError", "Element", "ElementSeries", "EvidenceResult", "FitError",
+            "GroupingResult", "IncompletePanelError", "Kind", "Location",
+            "MatchCriterion", "MatchRate", "MatchResult", "ParseError",
+            "PerElementMatch", "Specimen", "__version__", "comparator_concentration",
+            "criterion_preset", "decay_factor", "fixture", "group", "likelihood_ratio",
             "match_specimens", "p_span_at_least", "parse_csv", "posterior_odds",
             "replicate_summary", "self_absorption_loss", "series_interval",
             "within_box_match_rate",
@@ -684,8 +683,75 @@ class TestNonFiniteInputs:
         assert (code, out) == (2, "")
         assert "line 2" in err and "must be finite" in err
 
+    NAA_BASE = {
+        "decay": ["naa", "decay", "--half-life", "24s", "--ti", "60", "--td", "30", "--tc", "180"],
+        "conc": ["naa", "conc", "--sample-counts", "5000", "--sample-mass-mg", "20",
+                 "--std-counts", "5000", "--std-mass-ug", "2",
+                 "--half-life", "24s", "--ti", "60", "--td", "30", "--tc", "180"],
+        "selfabs": ["naa", "selfabs", "--dimension-mm", "0.4"],
+    }
+    # case -> (command, flag, value, error text)
+    NAA_CASES = {
+        "half_life": ("decay", "--half-life", "nan", "half_life must be finite"),
+        "t_irradiate": ("decay", "--ti", "inf", "t_irradiate must be finite"),
+        "t_decay": ("decay", "--td", "inf", "t_decay must be finite"),
+        "t_count": ("decay", "--tc", "nan", "t_count must be finite"),
+        "conc_t_decay": ("conc", "--td", "inf", "t_decay must be finite"),
+        "sample_counts": ("conc", "--sample-counts", "nan", "sample_counts must be finite"),
+        "sample_mass_mg": ("conc", "--sample-mass-mg", "inf", "sample_mass_mg must be finite"),
+        "std_counts": ("conc", "--std-counts", "nan", "std_counts must be finite"),
+        "std_mass_ug": ("conc", "--std-mass-ug", "inf", "std_mass_ug must be finite"),
+        "decay_underflow": ("conc", "--td", "1e6", "decay factor underflows to 0"),
+        "conc_overflow": ("conc", "--std-mass-ug", "1e308", "concentration_ppm must be finite"),
+        "dimension_mm": ("selfabs", "--dimension-mm", "nan", "dimension_mm must be finite"),
+    }
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("case", sorted(NAA_CASES))
+    def test_non_finite_naa_value_exits_2(self, capsys, fmt, case):
+        command, flag, value, message = self.NAA_CASES[case]
+        argv = list(self.NAA_BASE[command])
+        argv[argv.index(flag) + 1] = value
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert (code, out) == (2, "")
+        assert message in err
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize(
+        "row, message",
+        [("657,nan", "mu_linear_per_cm must be finite"), ("inf,1.2", "energy_kev must be finite")],
+    )
+    def test_non_finite_attenuation_row_exits_2(self, capsys, tmp_path, fmt, row, message):
+        table = tmp_path / "mu.csv"
+        table.write_text(f"energy_kev,mu_linear_per_cm\n{row}\n")
+        code, out, err = run(
+            capsys, *self.NAA_BASE["selfabs"], "--table", str(table), "--format", fmt
+        )
+        assert (code, out) == (2, "")
+        assert "line 2" in err and message in err
+
 
 class TestConfigAndDeterminism:
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("source", ["flag_comma", "flag_blank", "config"])
+    def test_empty_panel_exits_2(self, capsys, tmp_path, fmt, source):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"criterion": {"elements": []}}))
+        panel = {
+            "flag_comma": ("--elements", ","),
+            "flag_blank": ("--elements", ""),
+            "config": ("--config", str(config)),
+        }[source]
+        code, out, err = run(capsys, "match", "--fixture", "table1", *panel, "--format", fmt)
+        assert (code, out) == (2, "")
+        assert "element panel must be nonempty" in err
+
+    def test_absent_panel_keeps_default(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"criterion": {"k": 4}}))
+        payload, _ = run_json(capsys, "match", "--fixture", "table1", "--config", str(config))
+        assert payload["criterion"]["elements"] == ["Ag", "Sb"]
+
     def test_config_supplies_criterion(self, capsys, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(

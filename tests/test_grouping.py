@@ -78,7 +78,7 @@ class TestGroup:
         everything = MatchCriterion(k=1000.0, elements=(Element.SB, Element.AG))
         cc = group(table1, everything).groups
         cliques = group(table1, everything, mode="maximal_cliques").groups
-        assert cc == cliques == (tuple(sorted(table1.ids())),)
+        assert cc == cliques == (tuple(sorted(s.id for s in table1)),)
         # tiny k on distinct means: all singletons in both modes
         nothing = MatchCriterion(k=1e-9, elements=(Element.SB,))
         assert group(table1, nothing).groups == group(

@@ -279,7 +279,7 @@ class TestDataset:
 
     def test_get_finds_every_specimen(self):
         ds = fixture("table3")
-        assert [ds.get(sid) for sid in ds.ids()] == list(ds.specimens)
+        assert [ds.get(s.id) for s in ds] == list(ds.specimens)
 
     def test_duplicate_ids_rejected(self):
         s = fixture("table1").get("CE 399")

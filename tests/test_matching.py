@@ -2,18 +2,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cabl.errors import DomainError, ElementMismatchError, IncompletePanelError
+from cabl.errors import DomainError, IncompletePanelError
 from cabl.ingest import fixture
-from cabl.matching import (
-    match_element,
-    match_element_biased,
-    match_specimens,
-)
+from cabl.matching import match_specimens
 from cabl.model import (
     BiasCorrection,
     Boundary,
     Element,
     ElementSeries,
+    Kind,
     MatchCriterion,
     Specimen,
     criterion_preset,
@@ -27,6 +24,22 @@ AG_BIAS = BiasCorrection(Element.AG, 0.055, 0.055)
 def series(mean, se, n=1, element=Element.SB):
     df = None if n == 1 else n - 1
     return ElementSeries(element=element, mean=mean, se=se, df=df, n=n)
+
+
+def matches(a, b, k, boundary=Boundary.CLOSED, bias=None):
+    """``match_specimens`` on two one-element specimens carrying series a and b.
+
+    ``bias`` corrects the first side, a, as a criterion's bias table does.
+    """
+    criterion = MatchCriterion(
+        k=k,
+        elements=(a.element,),
+        bias=None if bias is None else {bias.element: bias},
+        boundary=boundary,
+    )
+    first = Specimen(id="a", kind=Kind.FRAGMENT, series={a.element: a})
+    second = Specimen(id="b", kind=Kind.FRAGMENT, series={b.element: b})
+    return match_specimens(first, second, criterion).matched
 
 
 @pytest.fixture(scope="module")
@@ -43,26 +56,22 @@ class TestMatchElement:
     def test_touching_intervals_match_closed(self, table1):
         a = table1.get("CE 567").series[Element.SB]
         b = table1.get("CE 840").series[Element.SB]
-        assert match_element(a, b, 4) is True
+        assert matches(a, b, 4) is True
 
     def test_touching_intervals_fail_open(self, table1):
         a = table1.get("CE 567").series[Element.SB]
         b = table1.get("CE 840").series[Element.SB]
-        assert match_element(a, b, 4, Boundary.OPEN) is False
+        assert matches(a, b, 4, Boundary.OPEN) is False
 
     def test_disjoint_intervals(self, table1):
         a = table1.get("CE 842").series[Element.SB]
         b = table1.get("CE 840").series[Element.SB]
-        assert match_element(a, b, 4) is False
+        assert matches(a, b, 4) is False
 
     def test_reflexive(self, table1):
         s = table1.get("CE 399").series[Element.AG]
         for k in (0.5, 2, 4, 10):
-            assert match_element(s, s, k) is True
-
-    def test_element_mismatch(self):
-        with pytest.raises(ElementMismatchError):
-            match_element(series(10, 1), series(10, 1, element=Element.AG), 2)
+            assert matches(s, s, k) is True
 
     @given(
         m1=st.floats(1.0, 1e4),
@@ -73,7 +82,7 @@ class TestMatchElement:
     )
     def test_symmetric(self, m1, s1, m2, s2, k):
         a, b = series(m1, s1), series(m2, s2)
-        assert match_element(a, b, k) == match_element(b, a, k)
+        assert matches(a, b, k) == matches(b, a, k)
 
     @given(
         m1=st.floats(1.0, 1e4),
@@ -85,39 +94,37 @@ class TestMatchElement:
     )
     def test_monotone_in_k_closed(self, m1, s1, m2, s2, k, extra):
         a, b = series(m1, s1), series(m2, s2)
-        if match_element(a, b, k):
-            assert match_element(a, b, k + extra)
+        if matches(a, b, k):
+            assert matches(a, b, k + extra)
 
 
 class TestMatchElementBiased:
     def test_combined_antimony_matches_ce567_at_k2(self, table1, table2):
         combined = table2.get("bullet-1").series[Element.SB]
         ce567 = table1.get("CE 567").series[Element.SB]
-        assert match_element_biased(combined, ce567, 2, bias_a=SB_BIAS) is True
+        assert matches(combined, ce567, 2, bias=SB_BIAS) is True
 
     def test_combined_silver_fails_at_k2(self, table1, table2):
         combined = table2.get("bullet-1").series[Element.AG]
         ce567 = table1.get("CE 567").series[Element.AG]
         # corrected hull tops out at 6.77, below CE 567's 6.90 floor
-        assert match_element_biased(combined, ce567, 2, bias_a=AG_BIAS) is False
+        assert matches(combined, ce567, 2, bias=AG_BIAS) is False
 
     def test_middle_silver_passes_at_k2(self, table1, table2):
         middle = table2.get("bullet-1-middle").series[Element.AG]
         ce567 = table1.get("CE 567").series[Element.AG]
-        assert match_element_biased(middle, ce567, 2, bias_a=AG_BIAS) is True
+        assert matches(middle, ce567, 2, bias=AG_BIAS) is True
 
     def test_all_labeled_sections_match_antimony_at_k2(self, table1, table2):
         ce567 = table1.get("CE 567").series[Element.SB]
         for sid in ("bullet-1-outer", "bullet-1-middle", "bullet-1-inner", "bullet-1"):
             section = table2.get(sid).series[Element.SB]
-            assert match_element_biased(section, ce567, 2, bias_a=SB_BIAS) is True
+            assert matches(section, ce567, 2, bias=SB_BIAS) is True
 
     def test_only_labeled_sections_match_silver_at_k2(self, table1, table2):
         ce567 = table1.get("CE 567").series[Element.AG]
         outcomes = {
-            sid: match_element_biased(
-                table2.get(sid).series[Element.AG], ce567, 2, bias_a=AG_BIAS
-            )
+            sid: matches(table2.get(sid).series[Element.AG], ce567, 2, bias=AG_BIAS)
             for sid in ("bullet-1-outer", "bullet-1-middle", "bullet-1-inner", "bullet-1")
         }
         assert outcomes == {
@@ -137,7 +144,7 @@ class TestMatchElementBiased:
     def test_zero_bias_equals_unbiased(self, m1, s1, m2, s2, k):
         a, b = series(m1, s1), series(m2, s2)
         zero = BiasCorrection(Element.SB, 0.0, 0.0)
-        assert match_element_biased(a, b, k, bias_a=zero, bias_b=zero) == match_element(a, b, k)
+        assert matches(a, b, k, bias=zero) == matches(a, b, k)
 
 
 class TestMatchSpecimens:
@@ -199,6 +206,7 @@ def test_non_finite_k_refused(k):
     with pytest.raises(DomainError, match="k must be finite"):
         series_interval(s, k)
     with pytest.raises(DomainError, match="k must be finite"):
-        match_element(s, s, k)
+        series_interval(s, k, SB_BIAS)
     with pytest.raises(DomainError, match="k must be finite"):
-        match_element_biased(s, s, k, bias_a=SB_BIAS)
+        MatchCriterion(k=k, elements=(Element.SB,))
+

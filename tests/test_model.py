@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -84,6 +85,46 @@ class TestSeriesInterval:
         assert lo2 <= lo + 1e-12 * max(1.0, abs(lo)) or k >= k2
         assert hi2 - lo2 >= hi - lo - 1e-9
 
+    @given(
+        mean=st.floats(1.0, 1e4),
+        se=st.floats(0.0, 500.0),
+        k=st.floats(0.1, 20.0),
+        c_lo=st.floats(-0.5, 0.5),
+        width=st.floats(0.0, 0.5),
+        t=st.floats(0.0, 1.0),
+    )
+    def test_biased_interval_is_the_union_of_corrections(self, mean, se, k, c_lo, width, t):
+        s = series(mean, se)
+        bias = BiasCorrection(Element.SB, c_lo, c_lo + width)
+        lo, hi = series_interval(s, k)
+        hull_lo, hull_hi = series_interval(s, k, bias)
+        # contains the interval corrected by any c in the range
+        c = min(max(bias.c_lo + t * (bias.c_hi - bias.c_lo), bias.c_lo), bias.c_hi)
+        assert hull_lo <= (1.0 + c) * lo
+        assert (1.0 + c) * hi <= hull_hi
+        # and its ends are ends of the intervals corrected by c_lo and c_hi
+        ends_lo = ((1.0 + bias.c_lo) * lo, (1.0 + bias.c_hi) * lo)
+        ends_hi = ((1.0 + bias.c_lo) * hi, (1.0 + bias.c_hi) * hi)
+        assert (hull_lo, hull_hi) == (min(ends_lo), max(ends_hi))
+
+
+class TestBoundary:
+    PAIRS = [(1.0, 2.0), (2.0, 2.0), (3.0, 2.0), (-1.0, -1.0), (0.0, 5e-324)]
+
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    def test_scalars_and_arrays_agree(self, boundary):
+        lo = np.array([p[0] for p in self.PAIRS])
+        hi = np.array([p[1] for p in self.PAIRS])
+        elementwise = boundary.admits(lo, hi)
+        assert elementwise.dtype == bool
+        assert elementwise.tolist() == [boundary.admits(a, b) for a, b in self.PAIRS]
+
+    def test_touching_counts_only_when_closed(self):
+        assert Boundary.CLOSED.admits(618.0, 618.0) is True
+        assert Boundary.OPEN.admits(618.0, 618.0) is False
+        assert Boundary.OPEN.admits(617.0, 618.0) is True
+        assert Boundary.CLOSED.admits(619.0, 618.0) is False
+
 
 class TestValidation:
     def test_series_mean_positive(self):
@@ -150,6 +191,9 @@ class TestCriterion:
     def test_empty_panel_rejected(self):
         with pytest.raises(ValueError):
             MatchCriterion(k=2, elements=())
+        # an empty panel given to a preset is refused, not replaced by its default
+        with pytest.raises(ValueError, match="element panel must be nonempty"):
+            criterion_preset("nrc2", elements=())
 
     def test_guinn4_preset(self):
         c = criterion_preset("guinn4")

@@ -126,7 +126,7 @@ class TestComparatorConcentration:
         assert scaled == pytest.approx(base, rel=1e-9)
 
     def test_zero_standard_counts(self):
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(ValueError, match="standard counts must be > 0"):
             comparator_concentration(100.0, 20.0, 0.0, 2.0, SILVER_SCHEDULE, SILVER_SCHEDULE)
 
     def test_different_schedules_normalize(self):
