@@ -24,6 +24,7 @@ _EXPORTS = {
         "FitError",
         "IncompletePanelError",
         "ParseError",
+        "UnknownSpecimenError",
     ),
     "evidence": (
         "BoxModel",

@@ -1,9 +1,11 @@
 """Command-line surface: ingest -> match -> group -> evidence/stats -> report.
 
 Subcommands: match, group, evidence, hetero, distfit, naa, report.
-Every command accepts ``--format json|text`` and ``--config PATH`` (a
-JSON file supplying criterion defaults, a bias table and an attenuation
-table).  Exit codes: 0 success, 1 internal failure, 2 usage/validation.
+Every command accepts ``--format json|text``.  ``--config PATH`` (a JSON
+file) is offered only where it is read: ``match``, ``group`` and
+``report`` take criterion defaults and a bias table from it, ``naa
+selfabs`` an attenuation table.  Exit codes: 0 success, 1 internal
+failure, 2 usage/validation.
 
 Each command builds one payload dict.  ``--format json`` prints it as
 JSON; ``--format text`` renders the same payload through the command's
@@ -12,7 +14,8 @@ same inputs (a t-test between two zero-spread samples with different
 means, for one, exits 2 in both).  Reports carry a ``decisions`` block
 echoing the conventions behind the numbers (boundary handling, bias
 ranges, table semantics), and all output is deterministic for fixed
-inputs.
+inputs.  JSON comes from ``render_json``, this module's own writer,
+byte-identical to ``json.dumps(indent=2, sort_keys=True)``.
 
 numpy loads only where a command works on arrays: ``group`` and
 ``report`` import the grouping engine, and ``hetero --manova`` the
@@ -30,6 +33,7 @@ import math
 import sys
 from dataclasses import asdict, replace
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -67,7 +71,65 @@ _BIAS_SIDE_NOTE = "criterion bias corrections apply to the first specimen of eac
 
 
 def render_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """``json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\\n"``.
+
+    With ``indent``, ``json.dumps`` leaves CPython's C encoder (3.10 to
+    3.13) for a pure-Python generator of millions of small chunks on the
+    large ``match`` and ``group`` payloads.  This writer gives the same
+    bytes, building each container's text as one string from its
+    children's and quoting strings with the C escaper ``json.dumps``
+    uses.  Dict keys must be ``str``.
+    """
+    return _encode(payload, "\n") + "\n"
+
+
+def _encode(value: object, newline: str) -> str:
+    """JSON text of ``value``; ``newline`` is a newline plus its indent."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return float.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        # _quote raises TypeError on a non-str key
+        body = [f"{_quote(k)}: {_encode(v, inner)}" for k, v in sorted(value.items())]
+        return _lines("{", body, newline, "}")
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if isinstance(value[0], str):
+            # groups and witness triples: quote the whole list in one pass
+            try:
+                return _lines("[", list(map(_quote, value)), newline, "]")
+            except TypeError:  # a later item is not a string
+                pass
+        return _lines("[", [_encode(v, inner) for v in value], newline, "]")
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _lines(opening: str, body: list[str], newline: str, closing: str) -> str:
+    """One container's text: ``body`` one item a line, indented, in brackets.
+
+    The brackets go onto the first and last items before the join, so a
+    large container is copied once; wrapping the joined text would copy
+    it again while the items are still alive.
+    """
+    inner = newline + "  "
+    body[0] = opening + inner + body[0]
+    body[-1] += newline + closing
+    return ("," + inner).join(body)
 
 
 def _parse_duration(text: str) -> float:
@@ -182,11 +244,11 @@ def _add_criterion_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--elements", help="element panel, e.g. Sb,Ag")
     parser.add_argument("--boundary", choices=("closed", "open"), help="interval boundary")
     parser.add_argument("--bias", help="bias table, e.g. Sb=0.02:0.054,Ag=0.055")
+    parser.add_argument("--config", help="JSON config path (criterion defaults)")
 
 
 def _add_common_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("json", "text"), default="text")
-    parser.add_argument("--config", help="JSON config path")
 
 
 # ---------------------------------------------------------------- match
@@ -532,15 +594,20 @@ def _attenuation_entries(args: argparse.Namespace, config: dict) -> tuple[Attenu
     if getattr(args, "table", None):
         return parse_attenuation_csv(Path(args.table).read_text(encoding="utf-8"))
     if config.get("attenuation"):
-        return tuple(
-            AttenuationEntry(float(e["energy_kev"]), float(e["mu_linear_per_cm"]))
-            for e in config["attenuation"]
-        )
+        try:
+            return tuple(
+                AttenuationEntry(float(e["energy_kev"]), float(e["mu_linear_per_cm"]))
+                for e in config["attenuation"]
+            )
+        except (KeyError, TypeError):
+            raise ValueError(
+                "config attenuation entries must look like "
+                '{"energy_kev": 559, "mu_linear_per_cm": 12.1}'
+            ) from None
     return DEFAULT_ATTENUATION
 
 
 def cmd_naa(args: argparse.Namespace) -> dict:
-    config = _load_config(args.config)
     if args.naa_command == "decay":
         schedule = _schedule_from(args)
         return {
@@ -575,7 +642,7 @@ def cmd_naa(args: argparse.Namespace) -> dict:
                 "standard-to-sample mass ratio; shared flux cancels"
             },
         }
-    entries = _attenuation_entries(args, config)
+    entries = _attenuation_entries(args, _load_config(args.config))
     if args.energies and args.energies != "all":
         wanted = {float(t) for t in _split(args.energies)}
         entries = tuple(e for e in entries if e.energy_kev in wanted)
@@ -750,6 +817,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_self.add_argument("--dimension-mm", type=float, required=True)
     p_self.add_argument("--energies", help="'all' or comma list of keV in the table")
     p_self.add_argument("--table", help="attenuation CSV (energy_kev,mu_linear_per_cm)")
+    p_self.add_argument("--config", help="JSON config path (attenuation table)")
     _add_common_options(p_self)
     p_self.set_defaults(text=_selfabs_text)
     p_naa.set_defaults(func=cmd_naa)
@@ -776,7 +844,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:
             sys.stdout.write("".join(f"{line}\n" for line in args.text(payload)))
         return 0
-    except (CablError, ValueError, KeyError, ZeroDivisionError, OSError) as exc:
+    except (CablError, ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

@@ -25,6 +25,13 @@ class DomainError(CablError):
     """A value outside its physical domain (negative concentration, ...)."""
 
 
+class UnknownSpecimenError(CablError, KeyError):
+    """A specimen id the dataset does not hold."""
+
+    # KeyError's __str__ would print the message in quotes
+    __str__ = CablError.__str__
+
+
 class IncompletePanelError(CablError):
     """A specimen lacks an element required by the match criterion."""
 

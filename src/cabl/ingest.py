@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .errors import ConflictError, DomainError, ParseError
+from .errors import ConflictError, DomainError, ParseError, UnknownSpecimenError
 from .model import Basis, Element, ElementSeries, Kind, Location, Specimen
 from .uncertainty import AttenuationEntry, replicate_summary
 
@@ -75,7 +75,7 @@ class Dataset:
         try:
             return self._by_id[specimen_id]
         except KeyError:
-            raise KeyError(f"no specimen {specimen_id!r} in {self.provenance}") from None
+            raise UnknownSpecimenError(f"no specimen {specimen_id!r} in {self.provenance}") from None
 
 
 @dataclass(frozen=True)

@@ -152,6 +152,13 @@ class TestHeteroCommand:
         )
         assert payload["samples"][0]["id"] == "bullet-1-outer"
 
+    def test_unknown_id_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "hetero", "--fixture", "table2", "--element", "Ag", "--ids", "nope,x"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: no specimen 'nope' in fixture:table2\n"
+
     def test_ambiguous_location_exits_2(self, capsys):
         code, _, err = run(
             capsys,
@@ -546,6 +553,45 @@ class TestExitCodes:
         assert code == 1
         assert "internal error" in err
 
+    def test_stray_key_error_exits_1(self, capsys, monkeypatch):
+        import cabl.grouping
+
+        def lookup(*_args, **_kwargs):
+            return {}["missing"]
+
+        # a KeyError that escapes a command is a bug, not bad input
+        monkeypatch.setattr(cabl.grouping, "group", lookup)
+        code, _, err = run(capsys, "group", "--fixture", "table1")
+        assert code == 1
+        assert "internal error" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("evidence", "--box", "6,4", "--draws-t", "2", "--draws-not-t", "3",
+             "--groups-observed", "2"),
+            ("hetero", "--fixture", "table2", "--element", "Ag", "--locations", "outer,middle"),
+            ("distfit", "--input", "values.txt"),
+            ("naa", "decay", "--half-life", "24s", "--ti", "60", "--td", "30", "--tc", "180"),
+            ("naa", "conc", "--sample-counts", "5000", "--sample-mass-mg", "20",
+             "--std-counts", "4000", "--std-mass-ug", "2",
+             "--half-life", "24s", "--ti", "60", "--td", "30", "--tc", "180"),
+        ],
+    )
+    def test_config_only_where_read(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--config", "x")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --config x" in err
+
+    def test_bad_config_attenuation_exits_2(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"attenuation": [{"energy_kev": 559}]}))
+        code, out, err = run(
+            capsys, "naa", "selfabs", "--dimension-mm", "0.4", "--config", str(config)
+        )
+        assert (code, out) == (2, "")
+        assert "config attenuation entries must look like" in err
+
     def test_success_exits_0(self, capsys):
         code, _, _ = run(capsys, "group", "--fixture", "table1")
         assert code == 0
@@ -642,7 +688,8 @@ class TestImportContract:
             "DomainError", "Element", "ElementSeries", "EvidenceResult", "FitError",
             "GroupingResult", "IncompletePanelError", "Kind", "Location",
             "MatchCriterion", "MatchRate", "MatchResult", "ParseError",
-            "PerElementMatch", "Specimen", "__version__", "comparator_concentration",
+            "PerElementMatch", "Specimen", "UnknownSpecimenError", "__version__",
+            "comparator_concentration",
             "criterion_preset", "decay_factor", "fixture", "group", "likelihood_ratio",
             "match_specimens", "p_span_at_least", "parse_csv", "posterior_odds",
             "replicate_summary", "self_absorption_loss", "series_interval",
