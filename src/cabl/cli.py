@@ -109,12 +109,6 @@ def _encode(value: object, newline: str) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        if isinstance(value[0], str):
-            # groups and witness triples: quote the whole list in one pass
-            try:
-                return _lines("[", list(map(_quote, value)), newline, "]")
-            except TypeError:  # a later item is not a string
-                pass
         return _lines("[", [_encode(v, inner) for v in value], newline, "]")
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
