@@ -35,7 +35,7 @@ from dataclasses import asdict, replace
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import CablError, DegreesOfFreedomError, DomainError
 from .evidence import BoxModel, likelihood_ratio, posterior_odds
@@ -148,14 +148,14 @@ def _split(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
-def _parse_bias_spec(text: str) -> dict[str, list[str]]:
+def _parse_bias_spec(text: str) -> dict[str, list[float]]:
     """Read 'Sb=0.02:0.054,Ag=0.055' into the config form {symbol: [lo, hi]}."""
     spec = {}
     for item in _split(text):
         symbol, sep, values = item.partition("=")
         if not sep:
             raise ValueError(f"bias entry {item!r} must look like Sb=0.02:0.054")
-        spec[symbol.strip()] = values.split(":")
+        spec[symbol.strip()] = [float(value) for value in values.split(":")]
     return spec
 
 
@@ -168,28 +168,39 @@ def _load_config(path: Optional[str]) -> dict:
     return config
 
 
-def _bias_table(spec: Mapping[str, object]) -> dict[Element, BiasCorrection]:
-    """Bias table from {symbol: c or [c] or [c_lo, c_hi]}, as config files give it."""
+def _bias_table(spec: object) -> dict[Element, BiasCorrection]:
+    """Bias table from {symbol: c or [c] or [c_lo, c_hi]}, every c a number."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"bias must be an object keyed by element, got {json.dumps(spec)}")
     table = {}
     for symbol, value in spec.items():
         element = Element(symbol)
-        bounds = [value] if isinstance(value, (int, float)) else list(value)
-        if len(bounds) not in (1, 2):
-            raise ValueError(f"bias for {symbol} must have one or two values, got {value!r}")
+        bounds = value if isinstance(value, list) else [value]
+        # JSON true/false load as bools, which are ints to isinstance
+        if len(bounds) not in (1, 2) or not all(type(c) in (int, float) for c in bounds):
+            raise ValueError(f"bias for {symbol} must be one or two numbers, got {json.dumps(value)}")
         table[element] = BiasCorrection(element, float(bounds[0]), float(bounds[-1]))
     return table
 
 
 def _build_criterion(args: argparse.Namespace, config: dict) -> MatchCriterion:
+    # flags win over config values, which win over the preset's; a config
+    # value is checked where it is read, so one a flag overrides goes unread
     conf = config.get("criterion", {})
+    if not isinstance(conf, dict):
+        raise ValueError(f"config criterion must be an object, got {json.dumps(conf)}")
     # an absent panel takes the preset's default; an empty one is refused
     symbols = conf.get("elements") if args.elements is None else _split(args.elements)
+    if symbols is not None and not isinstance(symbols, list):
+        raise ValueError(f"config criterion.elements must be a list, got {json.dumps(symbols)}")
     elements = None if symbols is None else tuple(map(Element, symbols))
-    bias_spec = _parse_bias_spec(args.bias) if args.bias else conf.get("bias") or None
-    bias = None if bias_spec is None else _bias_table(bias_spec)
+    bias_spec = _parse_bias_spec(args.bias) if args.bias else conf.get("bias")
+    bias = None if bias_spec is None else _bias_table(bias_spec) or None
     preset = args.criterion or conf.get("preset") or "guinn4"
     criterion = criterion_preset(preset, elements=elements, bias=bias)
     k = args.k if args.k is not None else conf.get("k")
+    if k is not None and type(k) not in (int, float):
+        raise ValueError(f"config criterion.k must be a number, got {json.dumps(k)}")
     boundary = args.boundary or conf.get("boundary")
     return replace(
         criterion,
@@ -205,7 +216,7 @@ def _criterion_dict(criterion: MatchCriterion) -> dict:
         "boundary": criterion.boundary.value,
         "bias": None
         if criterion.bias is None
-        else {e.value: [c.c_lo, c.c_hi] for e, c in sorted(criterion.bias.items(), key=lambda kv: kv[0].value)},
+        else {e.value: (c.c_lo, c.c_hi) for e, c in criterion.bias.items()},
     }
 
 
@@ -257,20 +268,12 @@ def cmd_match(args: argparse.Namespace) -> dict:
     for i, a in enumerate(specimens):
         for b in specimens[i + 1 :]:
             result = match_specimens(a, b, criterion)
+            per_element = {
+                e.value: {"matched": per.matched, "overlap": per.overlap, "bias_used": per.bias_used}
+                for e, per in result.per_element.items()
+            }
             pairs.append(
-                {
-                    "a": a.id,
-                    "b": b.id,
-                    "matched": result.matched,
-                    "per_element": {
-                        e.value: {
-                            "matched": per.matched,
-                            "overlap": list(per.overlap) if per.overlap else None,
-                            "bias_used": list(per.bias_used) if per.bias_used else None,
-                        }
-                        for e, per in result.per_element.items()
-                    },
-                }
+                {"a": a.id, "b": b.id, "matched": result.matched, "per_element": per_element}
             )
     return {
         "command": "match",
@@ -838,7 +841,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:
             sys.stdout.write("".join(f"{line}\n" for line in args.text(payload)))
         return 0
-    except (CablError, ValueError, ZeroDivisionError, OSError) as exc:
+    except (CablError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

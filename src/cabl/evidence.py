@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .errors import DomainError
+
 
 @dataclass(frozen=True)
 class BoxModel:
@@ -103,17 +105,15 @@ class EvidenceResult:
     posterior_odds: Optional[Fraction] = None
 
     def as_dict(self) -> dict:
-        out = {
-            "p_given_t": float(self.p_given_t),
-            "p_given_t_exact": str(self.p_given_t),
-            "p_given_not_t": float(self.p_given_not_t),
-            "p_given_not_t_exact": str(self.p_given_not_t),
-            "likelihood_ratio": float(self.likelihood_ratio),
-            "likelihood_ratio_exact": str(self.likelihood_ratio),
-        }
-        if self.posterior_odds is not None:
-            out["posterior_odds"] = float(self.posterior_odds)
-            out["posterior_odds_exact"] = str(self.posterior_odds)
+        out = {}
+        for name in ("p_given_t", "p_given_not_t", "likelihood_ratio", "posterior_odds"):
+            value = getattr(self, name)
+            if value is not None:
+                try:
+                    out[name] = float(value)
+                except OverflowError:
+                    raise DomainError(f"{name} exceeds the float range") from None
+                out[f"{name}_exact"] = str(value)
         return out
 
 

@@ -44,9 +44,9 @@ class GroupingResult:
     def as_dict(self) -> dict:
         return {
             "mode": self.mode,
-            "groups": [list(g) for g in self.groups],
-            "adjacency": {k: list(v) for k, v in sorted(self.adjacency.items())},
-            "nontransitive_triples": [list(t) for t in self.nontransitive_triples],
+            "groups": self.groups,
+            "adjacency": self.adjacency,
+            "nontransitive_triples": self.nontransitive_triples,
         }
 
 
@@ -166,15 +166,13 @@ def group(
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    spec_list = list(specimens)
-    ids = [s.id for s in spec_list]
+    # canonical pair order (smaller id first) keeps biased criteria deterministic
+    ordered = sorted(specimens, key=lambda s: s.id)
+    ids = [s.id for s in ordered]
     if len(set(ids)) != len(ids):
         raise ValueError("specimen ids must be unique within a grouping run")
-    # canonical pair order (smaller id first) keeps biased criteria deterministic
-    ordered = sorted(spec_list, key=lambda s: s.id)
-    sorted_ids = [s.id for s in ordered]
     matrix = _match_matrix(ordered, criterion)
-    adjacency = _match_adjacency(sorted_ids, matrix)
+    adjacency = _match_adjacency(ids, matrix)
     if mode == "connected_components":
         raw_groups = _connected_components(adjacency)
     else:
@@ -184,7 +182,7 @@ def group(
         groups=groups,
         adjacency={sid: tuple(sorted(adjacency[sid])) for sid in ids},
         mode=mode,
-        nontransitive_triples=_nontransitive_triples(sorted_ids, matrix),
+        nontransitive_triples=_nontransitive_triples(ids, matrix),
     )
 
 

@@ -99,8 +99,8 @@ def comparator_concentration(
     mass is in milligrams.  Count rates are normalized by each
     schedule's decay factor, so shared flux cancels and the schedules
     need not be identical.  ppm is micrograms of analyte per gram of
-    sample.  A decay factor that underflows to 0, or a result that
-    overflows, is refused with ``DomainError``.
+    sample.  A decay factor, standard rate or gram mass that underflows
+    to 0, or a result that overflows, is refused with ``DomainError``.
     """
     _require_finite(
         sample_counts=sample_counts,
@@ -123,6 +123,9 @@ def comparator_concentration(
     sample_rate = sample_counts / sample_factor
     std_rate = std_counts / std_factor
     sample_mass_g = sample_mass_mg / 1000.0
+    for name, value in (("standard count rate", std_rate), ("sample mass in grams", sample_mass_g)):
+        if value == 0.0:
+            raise DomainError(f"{name} underflows to 0")
     ppm = (std_mass_ug / sample_mass_g) * (sample_rate / std_rate)
     _require_finite(concentration_ppm=ppm)
     return ppm

@@ -132,6 +132,16 @@ class TestEvidenceCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_float_overflow_exits_2(self, capsys, fmt):
+        code, out, err = run(
+            capsys,
+            "evidence", "--box", "6,4", "--draws-t", "2", "--draws-not-t", "3",
+            "--groups-observed", "2", "--prior-odds", "1e400", "--format", fmt,
+        )
+        assert (code, out) == (2, "")
+        assert "posterior_odds exceeds the float range" in err
+
 
 class TestHeteroCommand:
     def test_table2_silver_outer_middle(self, capsys):
@@ -375,7 +385,366 @@ MANOVA_CSV = HEADER + "\n" + "".join(
     for i, v in enumerate(values)
 )
 
-# Literal text stdout, one case per report shape.  Paths in argv are
+# JSON stdout, byte for byte: the match report's bias_used and overlap
+# arrays and null overlaps; the group report's groups, adjacency and
+# witness triple.
+MATCH_NRC2_JSON = """\
+{
+  "command": "match",
+  "criterion": {
+    "bias": {
+      "Ag": [
+        0.055,
+        0.055
+      ],
+      "Sb": [
+        0.02,
+        0.054
+      ]
+    },
+    "boundary": "closed",
+    "elements": [
+      "Ag",
+      "Sb"
+    ],
+    "k": 2.0
+  },
+  "dataset": "fixture:table1",
+  "decisions": {
+    "bias_note": "criterion bias corrections apply to the first specimen of each pair",
+    "boundary_note": "closed boundary counts exactly touching intervals as a match"
+  },
+  "pairs": [
+    {
+      "a": "CE 399",
+      "b": "CE 567",
+      "matched": false,
+      "per_element": {
+        "Ag": {
+          "bias_used": [
+            0.055,
+            0.055
+          ],
+          "matched": true,
+          "overlap": [
+            8.229000000000001,
+            9.299999999999999
+          ]
+        },
+        "Sb": {
+          "bias_used": [
+            0.02,
+            0.054
+          ],
+          "matched": false,
+          "overlap": null
+        }
+      }
+    },
+    {
+      "a": "CE 399",
+      "b": "CE 840",
+      "matched": false,
+      "per_element": {
+        "Ag": {
+          "bias_used": [
+            0.055,
+            0.055
+          ],
+          "matched": true,
+          "overlap": [
+            8.229000000000001,
+            9.0
+          ]
+        },
+        "Sb": {
+          "bias_used": [
+            0.02,
+            0.054
+          ],
+          "matched": false,
+          "overlap": null
+        }
+      }
+    },
+    {
+      "a": "CE 399",
+      "b": "CE 842",
+      "matched": false,
+      "per_element": {
+        "Ag": {
+          "bias_used": [
+            0.055,
+            0.055
+          ],
+          "matched": true,
+          "overlap": [
+            8.8,
+            10.339
+          ]
+        },
+        "Sb": {
+          "bias_used": [
+            0.02,
+            0.054
+          ],
+          "matched": false,
+          "overlap": null
+        }
+      }
+    },
+    {
+      "a": "CE 399",
+      "b": "CE 843",
+      "matched": false,
+      "per_element": {
+        "Ag": {
+          "bias_used": [
+            0.055,
+            0.055
+          ],
+          "matched": true,
+          "overlap": [
+            8.229000000000001,
+            8.5
+          ]
+        },
+        "Sb": {
+          "bias_used": [
+            0.02,
+            0.054
+          ],
+          "matched": false,
+          "overlap": null
+        }
+      }
+    },
+    {
+      "a": "CE 567",
+      "b": "CE 840",
+      "matched": true,
+      "per_element": {
+        "Ag": {
+          "bias_used": [
+            0.055,
+            0.055
+          ],
+          "matched": true,
+          "overlap": [
+            7.3999999999999995,
+            9.0
+          ]
+        },
+        "Sb": {
+          "bias_used": [
+            0.02,
+            0.054
+          ],
+          "matched": true,
+          "overlap": [
+            630.0,
+            642.94
+          ]
+        }
+      }
+    },
+    {
+      "a": "CE 567",
+      "b": "CE 842",
+      "matched": false,
+      "per_element": {
+        "Ag": {
+          "bias_used": [
+            0.055,
+            0.055
+          ],
+          "matched": true,
+          "overlap": [
+            8.8,
+            9.811499999999999
+          ]
+        },
+        "Sb": {
+          "bias_used": [
+            0.02,
+            0.054
+          ],
+          "matched": false,
+          "overlap": null
+        }
+      }
+    },
+    {
+      "a": "CE 567",
+      "b": "CE 843",
+      "matched": true,
+      "per_element": {
+        "Ag": {
+          "bias_used": [
+            0.055,
+            0.055
+          ],
+          "matched": true,
+          "overlap": [
+            7.300000000000001,
+            8.5
+          ]
+        },
+        "Sb": {
+          "bias_used": [
+            0.02,
+            0.054
+          ],
+          "matched": true,
+          "overlap": [
+            613.0,
+            629.0
+          ]
+        }
+      }
+    },
+    {
+      "a": "CE 840",
+      "b": "CE 842",
+      "matched": false,
+      "per_element": {
+        "Ag": {
+          "bias_used": [
+            0.055,
+            0.055
+          ],
+          "matched": true,
+          "overlap": [
+            8.8,
+            9.495
+          ]
+        },
+        "Sb": {
+          "bias_used": [
+            0.02,
+            0.054
+          ],
+          "matched": false,
+          "overlap": null
+        }
+      }
+    },
+    {
+      "a": "CE 840",
+      "b": "CE 843",
+      "matched": false,
+      "per_element": {
+        "Ag": {
+          "bias_used": [
+            0.055,
+            0.055
+          ],
+          "matched": true,
+          "overlap": [
+            7.806999999999999,
+            8.5
+          ]
+        },
+        "Sb": {
+          "bias_used": [
+            0.02,
+            0.054
+          ],
+          "matched": false,
+          "overlap": null
+        }
+      }
+    },
+    {
+      "a": "CE 842",
+      "b": "CE 843",
+      "matched": false,
+      "per_element": {
+        "Ag": {
+          "bias_used": [
+            0.055,
+            0.055
+          ],
+          "matched": false,
+          "overlap": null
+        },
+        "Sb": {
+          "bias_used": [
+            0.02,
+            0.054
+          ],
+          "matched": false,
+          "overlap": null
+        }
+      }
+    }
+  ],
+  "pairs_matched": 2,
+  "pairs_total": 10
+}
+"""
+
+GROUP_CLIQUE_JSON = """\
+{
+  "adjacency": {
+    "CE 399": [
+      "CE 842"
+    ],
+    "CE 567": [
+      "CE 843"
+    ],
+    "CE 840": [
+      "CE 843"
+    ],
+    "CE 842": [
+      "CE 399"
+    ],
+    "CE 843": [
+      "CE 567",
+      "CE 840"
+    ]
+  },
+  "command": "group",
+  "criterion": {
+    "bias": null,
+    "boundary": "open",
+    "elements": [
+      "Ag",
+      "Sb"
+    ],
+    "k": 4.0
+  },
+  "dataset": "fixture:table1",
+  "decisions": {
+    "boundary_note": "closed boundary counts exactly touching intervals as a match",
+    "grouping_note": "groups ordered by smallest member id"
+  },
+  "groups": [
+    [
+      "CE 399",
+      "CE 842"
+    ],
+    [
+      "CE 567",
+      "CE 843"
+    ],
+    [
+      "CE 840",
+      "CE 843"
+    ]
+  ],
+  "mode": "maximal_cliques",
+  "nontransitive_triples": [
+    [
+      "CE 567",
+      "CE 843",
+      "CE 840"
+    ]
+  ]
+}
+"""
+
+# Literal stdout, one case per report shape.  Paths in argv are
 # relative to a temporary directory holding the files named in the case.
 TEXT_CASES = {
     "group-cc": (
@@ -399,6 +768,17 @@ TEXT_CASES = {
 nontransitive triples (a-b and b-c match, a-c does not):
   CE 567 - CE 843 - CE 840
 """,
+    ),
+    "match-json": (
+        ["match", "--fixture", "table1", "--criterion", "nrc2", "--format", "json"],
+        {},
+        MATCH_NRC2_JSON,
+    ),
+    "group-clique-json": (
+        ["group", "--fixture", "table1", "--criterion", "guinn4",
+         "--boundary", "open", "--mode", "clique", "--format", "json"],
+        {},
+        GROUP_CLIQUE_JSON,
     ),
     "match": (
         ["match", "--fixture", "table1", "--criterion", "guinn4"],
@@ -561,6 +941,18 @@ class TestExitCodes:
 
         # a KeyError that escapes a command is a bug, not bad input
         monkeypatch.setattr(cabl.grouping, "group", lookup)
+        code, _, err = run(capsys, "group", "--fixture", "table1")
+        assert code == 1
+        assert "internal error" in err
+
+    def test_stray_zero_division_exits_1(self, capsys, monkeypatch):
+        import cabl.grouping
+
+        def divide(*_args, **_kwargs):
+            return 1.0 / 0.0
+
+        # a ZeroDivisionError that escapes a command is a bug, not bad input
+        monkeypatch.setattr(cabl.grouping, "group", divide)
         code, _, err = run(capsys, "group", "--fixture", "table1")
         assert code == 1
         assert "internal error" in err
@@ -763,6 +1155,26 @@ class TestNonFiniteInputs:
         assert (code, out) == (2, "")
         assert message in err
 
+    # case -> (flag overrides of the conc base, error text)
+    CONC_UNDERFLOW_CASES = {
+        "std_rate": (
+            {"--std-counts": "5e-324", "--half-life": "1e300s", "--ti": "1e300", "--tc": "1e300"},
+            "standard count rate underflows to 0",
+        ),
+        "sample_mass_g": ({"--sample-mass-mg": "5e-324"}, "sample mass in grams underflows to 0"),
+    }
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("case", sorted(CONC_UNDERFLOW_CASES))
+    def test_conc_underflow_exits_2(self, capsys, fmt, case):
+        overrides, message = self.CONC_UNDERFLOW_CASES[case]
+        argv = list(self.NAA_BASE["conc"])
+        for flag, value in overrides.items():
+            argv[argv.index(flag) + 1] = value
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert (code, out) == (2, "")
+        assert message in err
+
     @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize(
         "row, message",
@@ -792,6 +1204,31 @@ class TestConfigAndDeterminism:
         code, out, err = run(capsys, "match", "--fixture", "table1", *panel, "--format", fmt)
         assert (code, out) == (2, "")
         assert "element panel must be nonempty" in err
+
+    # case -> (the config's criterion value, error text)
+    CONFIG_CASES = {
+        "criterion_number": (5, "config criterion must be an object"),
+        "bias_number": ({"bias": 5}, "bias must be an object keyed by element, got 5"),
+        "bias_list": ({"bias": []}, "bias must be an object keyed by element"),
+        "bias_string": ({"bias": {"Sb": "0.02"}}, "bias for Sb must be one or two numbers"),
+        "bias_bool": ({"bias": {"Sb": True}}, "bias for Sb must be one or two numbers"),
+        "bias_three": ({"bias": {"Sb": [0.01, 0.02, 0.03]}}, "bias for Sb must be one or two"),
+        "elements_string": ({"elements": "Sb"}, "config criterion.elements must be a list"),
+        "elements_number": ({"elements": ["Sb", 5]}, "unknown element 5"),
+        "k_bool": ({"k": True}, "config criterion.k must be a number, got true"),
+        "k_string": ({"k": "4"}, "config criterion.k must be a number"),
+    }
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("case", sorted(CONFIG_CASES))
+    def test_malformed_config_exits_2(self, capsys, tmp_path, fmt, case):
+        criterion, message = self.CONFIG_CASES[case]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"criterion": criterion}))
+        argv = ("match", "--fixture", "table1", "--config", str(path), "--format", fmt)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert message in err
 
     def test_absent_panel_keeps_default(self, capsys, tmp_path):
         config = tmp_path / "config.json"

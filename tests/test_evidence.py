@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cabl.errors import DomainError
 from cabl.evidence import (
     BoxModel,
+    EvidenceResult,
     _span_counts,
     likelihood_ratio,
     p_span_at_least,
@@ -196,3 +198,16 @@ class TestPosteriorOdds:
             posterior_odds(0, 1)
         with pytest.raises(ValueError):
             posterior_odds(Fraction(2, 3), -1)
+
+
+class TestEvidenceResult:
+    def test_as_dict_keeps_exact_values(self):
+        result = EvidenceResult(Fraction(8, 15), Fraction(4, 5), Fraction(2, 3), Fraction(4, 9))
+        out = result.as_dict()
+        assert out["posterior_odds_exact"] == "4/9"
+        assert out["likelihood_ratio"] == 2 / 3
+
+    def test_float_overflow_names_the_field(self):
+        huge = Fraction(10**400)
+        with pytest.raises(DomainError, match="likelihood_ratio exceeds the float range"):
+            EvidenceResult(Fraction(1), Fraction(1, 10**400), huge).as_dict()

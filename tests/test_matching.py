@@ -191,6 +191,29 @@ class TestMatchSpecimens:
         with pytest.raises(IncompletePanelError, match="Ag|Sb"):
             match_specimens(bare, table1.get("CE 399"), criterion_preset("guinn4"))
 
+    def test_first_missing_element_raises_for_a_then_b(self):
+        ag, sb = series(5.0, 1.0, element=Element.AG), series(500.0, 5.0)
+        only_ag = Specimen(id="only-ag", kind=Kind.FRAGMENT, series={Element.AG: ag})
+        only_sb = Specimen(id="only-sb", kind=Kind.FRAGMENT, series={Element.SB: sb})
+        # the panel runs Ag, Sb: Ag is checked on both sides before Sb
+        with pytest.raises(IncompletePanelError) as raised:
+            match_specimens(only_ag, only_sb, criterion_preset("guinn4"))
+        assert (raised.value.specimen_id, raised.value.element) == ("only-sb", "Ag")
+        # both sides lack Sb: a is named
+        twin = Specimen(id="twin", kind=Kind.FRAGMENT, series={Element.AG: ag})
+        with pytest.raises(IncompletePanelError) as raised:
+            match_specimens(only_ag, twin, criterion_preset("guinn4"))
+        assert (raised.value.specimen_id, raised.value.element) == ("only-ag", "Sb")
+
+    def test_verdicts_derive_from_overlaps(self, table1):
+        result = match_specimens(
+            table1.get("CE 399"), table1.get("CE 567"), criterion_preset("guinn4")
+        )
+        for per in result.per_element.values():
+            assert per.matched is (per.overlap is not None)
+        with pytest.raises(TypeError):
+            result.per_element[Element.SB] = None
+
     def test_criterion_bias_applies_to_first_specimen(self, table1, table2):
         nrc2 = criterion_preset("nrc2")
         result = match_specimens(table2.get("bullet-1"), table1.get("CE 567"), nrc2)
