@@ -12,8 +12,8 @@ import importlib
 __version__ = "0.1.0"
 
 # Public names by defining module.  Each name loads its module on first
-# use (PEP 562), so importing the package loads no submodule, and numpy
-# only with the grouping engine.
+# use (PEP 562), so importing the package loads no submodule.  None of
+# them needs numpy; only ``cabl.stats.manova_two_way`` loads it.
 _EXPORTS = {
     "errors": (
         "CablError",

@@ -17,12 +17,11 @@ ranges, table semantics), and all output is deterministic for fixed
 inputs.  JSON comes from ``render_json``, this module's own writer,
 byte-identical to ``json.dumps(indent=2, sort_keys=True)``.
 
-numpy loads only where a command works on arrays: ``group`` and
-``report`` import the grouping engine, and ``hetero --manova`` the
-MANOVA module, inside the command after its input and criterion are
-validated, so a bad-input job exits 2 without loading it.  Each such
-import names the module that defines the function, and every other
-command runs on the standard library alone.
+numpy loads only where a command works on arrays: ``hetero --manova``
+imports the MANOVA module inside the command after its input is
+validated, so a bad-input job exits 2 without loading it.  The import
+names the module that defines the function, and every other command,
+``group`` and ``report`` included, runs on the standard library alone.
 """
 
 from __future__ import annotations
@@ -196,17 +195,25 @@ def _build_criterion(args: argparse.Namespace, config: dict) -> MatchCriterion:
     elements = None if symbols is None else tuple(map(Element, symbols))
     bias_spec = _parse_bias_spec(args.bias) if args.bias else conf.get("bias")
     bias = None if bias_spec is None else _bias_table(bias_spec) or None
-    preset = args.criterion or conf.get("preset") or "guinn4"
+    preset = _config_string(conf, "preset", "guinn4") if args.criterion is None else args.criterion
     criterion = criterion_preset(preset, elements=elements, bias=bias)
     k = args.k if args.k is not None else conf.get("k")
     if k is not None and type(k) not in (int, float):
         raise ValueError(f"config criterion.k must be a number, got {json.dumps(k)}")
-    boundary = args.boundary or conf.get("boundary")
+    boundary = args.boundary
+    if boundary is None:
+        boundary = _config_string(conf, "boundary", criterion.boundary.value)
     return replace(
-        criterion,
-        k=criterion.k if k is None else float(k),
-        boundary=Boundary(boundary) if boundary else criterion.boundary,
+        criterion, k=criterion.k if k is None else float(k), boundary=Boundary(boundary)
     )
+
+
+def _config_string(conf: dict, key: str, default: str) -> str:
+    # only an absent value takes the default: "" is an unknown token
+    value = conf.get(key)
+    if value is not None and not isinstance(value, str):
+        raise ValueError(f"config criterion.{key} must be a string, got {json.dumps(value)}")
+    return default if value is None else value
 
 
 def _criterion_dict(criterion: MatchCriterion) -> dict:

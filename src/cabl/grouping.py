@@ -7,19 +7,20 @@ cliques, which surface the chaining artifacts.  Every output is
 deterministically ordered, and each nontransitive triple (a matched to
 b, b matched to c, a unmatched to c) is reported as a witness.
 
-The match graph is computed as one boolean array over the specimens in
-sorted-id order from the interval endpoints ``match_specimens`` uses, so
-each pair gets its verdict by construction; under a bias table the
-smaller id of each pair is the corrected side.
-Witnesses are found by walking the neighbours of each middle specimen.
+The match graph is built as neighbour sets over the specimens in
+sorted-id order by a sort-and-sweep over interval hulls, and each pair
+the sweep meets gets ``match_specimens``' verdict from the same interval
+endpoints; under a bias table the smaller id of each pair is the
+corrected side.  Witnesses are found by walking the neighbours of each
+middle specimen.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
-
-import numpy as np
 
 from .matching import match_specimens
 from .model import MatchCriterion, Specimen, series_interval
@@ -50,27 +51,24 @@ class GroupingResult:
         }
 
 
-# Rows of the match matrix computed at once; bounds the float temporaries
-# to O(_BLOCK_ROWS * n) whatever the number of specimens.
-_BLOCK_ROWS = 256
-
-
-def _match_matrix(specimens: Sequence[Specimen], criterion: MatchCriterion) -> np.ndarray:
-    """Symmetric n x n boolean matrix of ``match_specimens`` outcomes.
+def _neighbours(specimens: Sequence[Specimen], criterion: MatchCriterion) -> list[set[int]]:
+    """Neighbour index sets of the match graph over ``specimens``.
 
     ``specimens`` must be in sorted-id order: for ``i < j`` specimen ``i``
     is the first (bias-corrected) side, as in canonical pair order.  The
     endpoints come from the ``series_interval`` calls ``match_specimens``
     makes, biased for the first side and plain for the other, once per
-    specimen and element; only the overlap test runs on arrays, through
-    the same ``Boundary.admits``, so every entry equals the scalar
-    verdict.  A missing panel element raises the error the scalar rule
-    raises on its first failing pair.
+    specimen and element.  A matching pair's hulls (the union of both
+    intervals) meet on every element, so a sweep over sorted hull starts
+    on the element with the fewest meeting pairs finds every match, and
+    each gets the scalar overlap and ``Boundary.admits``.  A missing
+    panel element raises what the scalar rule raises on its first
+    failing pair.
     """
     n = len(specimens)
-    upper = np.zeros((n, n), dtype=bool)
+    neighbours: list[set[int]] = [set() for _ in range(n)]
     if n < 2:
-        return upper
+        return neighbours
     for i, s in enumerate(specimens):
         if any(e not in s.series for e in criterion.elements):
             # pairs run (0, 1), (0, 2), ...: the first to fail holds 0 and i
@@ -79,29 +77,36 @@ def _match_matrix(specimens: Sequence[Specimen], criterion: MatchCriterion) -> n
     for element in criterion.elements:
         bias = criterion.bias_for(element)
         series = [s.series[element] for s in specimens]
-        first_lo, first_hi = np.array([series_interval(s, criterion.k, bias) for s in series]).T
-        lo, hi = np.array([series_interval(s, criterion.k) for s in series]).T
-        panel.append((first_lo, first_hi, lo, hi))
-    for r0 in range(0, n - 1, _BLOCK_ROWS):
-        r1 = min(r0 + _BLOCK_ROWS, n)
-        block = np.ones((r1 - r0, n - r0), dtype=bool)
-        for first_lo, first_hi, lo, hi in panel:
-            low = np.maximum(first_lo[r0:r1, None], lo[None, r0:])
-            high = np.minimum(first_hi[r0:r1, None], hi[None, r0:])
-            block &= criterion.boundary.admits(low, high)
-        # row i is the corrected side only against j > i
-        upper[r0:r1, r0:] = np.triu(block, 1)
-    return upper | upper.T
+        first_lo, first_hi = zip(*(series_interval(s, criterion.k, bias) for s in series))
+        lo, hi = zip(*(series_interval(s, criterion.k) for s in series))
+        hull_lo, hull_hi = list(map(min, first_lo, lo)), list(map(max, first_hi, hi))
+        order = sorted(range(n), key=hull_lo.__getitem__)
+        starts = [hull_lo[i] for i in order]
+        # the sweep from order[p] meets the hulls of order[p + 1 : stops[p]]
+        stops = [bisect_right(starts, hull_hi[i]) for i in order]
+        panel.append((sum(stops) - n * (n + 1) // 2, order, stops, (first_lo, first_hi, lo, hi)))
+    (_, order, stops, swept), *others = sorted(panel, key=lambda column: column[0])
+    # candidates' hulls meet on the swept element, so test the others first;
+    # max and min are written out, as a builtin call per test shows in time
+    checks = [column[3] for column in others] + [swept]
+    admits = criterion.boundary.admits
+    for p, i in enumerate(order):
+        for j in order[p + 1 : stops[p]]:
+            a, b = (i, j) if i < j else (j, i)
+            for first_lo, first_hi, lo, hi in checks:
+                low, high = first_lo[a], first_hi[a]
+                if not admits(low if low > lo[b] else lo[b], high if high < hi[b] else hi[b]):
+                    break
+            else:
+                neighbours[a].add(b)
+                neighbours[b].add(a)
+    return neighbours
 
 
-def _match_adjacency(ids: list[str], matrix: np.ndarray) -> dict[str, set[str]]:
-    return {sid: {ids[j] for j in row.nonzero()[0].tolist()} for sid, row in zip(ids, matrix)}
-
-
-def _connected_components(adjacency: dict[str, set[str]]) -> list[set[str]]:
-    seen: set[str] = set()
+def _connected_components(adjacency: list[set[int]]) -> list[set[int]]:
+    seen: set[int] = set()
     components = []
-    for start in sorted(adjacency):
+    for start in range(len(adjacency)):
         if start in seen:
             continue
         stack = [start]
@@ -117,10 +122,10 @@ def _connected_components(adjacency: dict[str, set[str]]) -> list[set[str]]:
     return components
 
 
-def _maximal_cliques(adjacency: dict[str, set[str]]) -> list[set[str]]:
-    cliques: list[set[str]] = []
+def _maximal_cliques(adjacency: list[set[int]]) -> list[set[int]]:
+    cliques: list[set[int]] = []
 
-    def extend(r: set[str], p: set[str], x: set[str]) -> None:
+    def extend(r: set[int], p: set[int], x: set[int]) -> None:
         if not p and not x:
             cliques.append(set(r))
             return
@@ -130,28 +135,22 @@ def _maximal_cliques(adjacency: dict[str, set[str]]) -> list[set[str]]:
             p = p - {v}
             x = x | {v}
 
-    extend(set(), set(adjacency), set())
+    extend(set(), set(range(len(adjacency))), set())
     return cliques
 
 
 def _nontransitive_triples(
-    ids: list[str], matrix: np.ndarray
+    ids: list[str], adjacency: list[set[int]], around: list[list[int]]
 ) -> tuple[tuple[str, str, str], ...]:
-    # wedges a - b - c around each middle b whose ends a < c do not match
-    wedges = []
-    for b, row in enumerate(matrix):
-        around = row.nonzero()[0]
-        ends = np.triu(~matrix[np.ix_(around, around)], 1).nonzero()
-        if len(ends[0]):
-            a, c = around[ends[0]], around[ends[1]]
-            wedges.append((a, np.full_like(a, b), c))
-    if not wedges:
-        return ()
-    a, b, c = (np.concatenate(column) for column in zip(*wedges))
-    # index order is id order, so this is the sorted order of the id triples
-    order = np.lexsort((c, b, a))
-    names = np.array(ids, dtype=object)
-    return tuple(zip(names[a[order]], names[b[order]], names[c[order]]))
+    # wedges a - b - c around each middle b whose ends a < c do not match;
+    # b rises and then c within each a's bucket, so the buckets are sorted
+    buckets: list[list[tuple[str, str, str]]] = [[] for _ in ids]
+    for b, ends in enumerate(around):
+        middle = ids[b]
+        for x, a in enumerate(ends):
+            near, first = adjacency[a], ids[a]
+            buckets[a] += [(first, middle, ids[c]) for c in ends[x + 1 :] if c not in near]
+    return tuple(chain.from_iterable(buckets))
 
 
 def group(
@@ -171,18 +170,19 @@ def group(
     ids = [s.id for s in ordered]
     if len(set(ids)) != len(ids):
         raise ValueError("specimen ids must be unique within a grouping run")
-    matrix = _match_matrix(ordered, criterion)
-    adjacency = _match_adjacency(ids, matrix)
+    adjacency = _neighbours(ordered, criterion)
     if mode == "connected_components":
         raw_groups = _connected_components(adjacency)
     else:
         raw_groups = _maximal_cliques(adjacency)
-    groups = tuple(sorted(tuple(sorted(g)) for g in raw_groups))
+    # index order is id order, so sorted indices name sorted ids
+    groups = tuple(sorted(tuple(ids[i] for i in sorted(g)) for g in raw_groups))
+    around = [sorted(near) for near in adjacency]
     return GroupingResult(
         groups=groups,
-        adjacency={sid: tuple(sorted(adjacency[sid])) for sid in ids},
+        adjacency={sid: tuple(ids[j] for j in ends) for sid, ends in zip(ids, around)},
         mode=mode,
-        nontransitive_triples=_nontransitive_triples(ids, matrix),
+        nontransitive_triples=_nontransitive_triples(ids, adjacency, around),
     )
 
 
@@ -218,5 +218,5 @@ def within_box_match_rate(
     matched = 0
     for members in lots.values():
         total += len(members) * (len(members) - 1) // 2
-        matched += int(np.count_nonzero(_match_matrix(members, criterion))) // 2
+        matched += sum(map(len, _neighbours(members, criterion))) // 2
     return MatchRate(pairs_total=total, pairs_matched=matched)

@@ -7,9 +7,9 @@ Bias-corrected matching asks whether any correction in the stated range
 produces an overlap; ``series_interval`` widens the corrected side to
 the union of its corrected intervals, so the test is exact.
 
-:func:`match_specimens` reports one pair in detail; grouping asks for
-every pair at once through ``grouping._match_matrix``, which takes its
-endpoints from the same ``series_interval`` calls and its closed/open
+:func:`match_specimens` reports one pair in detail; grouping decides
+every pair its sweep meets through ``grouping._neighbours``, which takes
+its endpoints from the same ``series_interval`` calls and its closed/open
 test from the same ``Boundary.admits``.
 """
 

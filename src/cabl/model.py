@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping, Optional
@@ -74,13 +75,16 @@ class Boundary(_Token):
     CLOSED = "closed"
     OPEN = "open"
 
-    def admits(self, lo, hi):
-        """Whether an overlap from ``lo`` to ``hi`` counts as a match.
+    @property
+    def admits(self):
+        """The test ``admits(lo, hi)``: whether an overlap from ``lo`` to
+        ``hi`` counts as a match.
 
         ``lo <= hi`` when closed, so touching intervals match; ``lo < hi``
-        when open.  Works elementwise on numpy arrays.
+        when open.  It is a builtin comparison, so a caller that tests
+        many pairs can bind it once.
         """
-        return lo <= hi if self is Boundary.CLOSED else lo < hi
+        return operator.le if self is Boundary.CLOSED else operator.lt
 
 
 @dataclass(frozen=True)

@@ -1002,6 +1002,10 @@ NO_NUMPY_CASES = {
     "hetero-ttest": ["hetero", "--fixture", "table2", "--element", "Ag",
                      "--locations", "outer,middle", "--format", "json"],
     "match": ["match", "--fixture", "table1", "--criterion", "guinn4"],
+    "group": ["group", "--fixture", "table1", "--criterion", "guinn4", "--format", "json"],
+    "group-clique": ["group", "--fixture", "table1", "--mode", "clique", "--boundary", "open"],
+    "group-nrc2": ["group", "--fixture", "table1", "--criterion", "nrc2", "--format", "json"],
+    "report": ["report", "--fixture", "table1", "--criterion", "guinn4", "--format", "json"],
     "group-bad-input": ["group", "--input", "bad.csv", "--criterion", "guinn4"],
 }
 
@@ -1043,8 +1047,9 @@ class TestImportContract:
         assert (blocked.returncode, blocked.stdout) == (code, out), blocked.stderr
 
     def test_import_leaves_numpy_unloaded(self, tmp_path):
-        probe = _python("import sys, cabl.cli; sys.exit('numpy' in sys.modules)", cwd=tmp_path)
-        assert probe.returncode == 0, probe.stderr
+        for module in ("cabl.cli", "cabl.grouping"):
+            probe = _python(f"import sys, {module}; sys.exit('numpy' in sys.modules)", cwd=tmp_path)
+            assert probe.returncode == 0, (module, probe.stderr)
 
     def test_package_import_loads_no_submodule(self, tmp_path):
         probe = _python(
@@ -1217,6 +1222,12 @@ class TestConfigAndDeterminism:
         "elements_number": ({"elements": ["Sb", 5]}, "unknown element 5"),
         "k_bool": ({"k": True}, "config criterion.k must be a number, got true"),
         "k_string": ({"k": "4"}, "config criterion.k must be a number"),
+        "preset_list": ({"preset": []}, "config criterion.preset must be a string, got []"),
+        "preset_empty": ({"preset": ""}, "unknown preset ''"),
+        "boundary_false": (
+            {"boundary": False}, "config criterion.boundary must be a string, got false"
+        ),
+        "boundary_empty": ({"boundary": ""}, "unknown boundary ''"),
     }
 
     @pytest.mark.parametrize("fmt", ["text", "json"])

@@ -1,3 +1,7 @@
+import math
+import random
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -169,8 +173,8 @@ class TestWithinBoxMatchRate:
 
 
 # ------------------------------------------------------------------------
-# The array engine against the scalar rule: grouping builds its adjacency
-# as one array, match_specimens decides one pair; both must agree exactly.
+# The grouping engine against the scalar rule: grouping sweeps to its
+# adjacency, match_specimens decides one pair; both must agree exactly.
 
 
 def scalar_adjacency(specimens, criterion):
@@ -230,13 +234,13 @@ def scalar_cliques(adjacency):
 
 
 def scalar_triples(adjacency):
-    ids = sorted(adjacency)
+    # every wedge a - b - c whose ends a < c do not match, in sorted order
     return tuple(
         (a, b, c)
-        for a in ids
-        for b in ids
-        for c in ids
-        if a < c and b in adjacency[a] and c in adjacency[b] and c not in adjacency[a]
+        for a in sorted(adjacency)
+        for b in sorted(adjacency[a])
+        for c in sorted(adjacency[b])
+        if a < c and c not in adjacency[a]
     )
 
 
@@ -265,27 +269,50 @@ _errors = st.one_of(st.integers(0, 3).map(float), st.floats(0.0, 50.0))
 
 
 @st.composite
-def populations(draw, complete=True):
-    panel = draw(st.lists(st.sampled_from(list(Element)), min_size=1, max_size=7, unique=True))
-    ids = draw(st.lists(st.text("abxyz", min_size=1, max_size=3), min_size=2, max_size=30, unique=True))
-    specimens = []
-    for sid in ids:
-        elements = panel if complete else draw(st.lists(st.sampled_from(panel), unique=True))
-        series = {e: ElementSeries(e, draw(_values), draw(_errors)) for e in elements}
-        lot = draw(st.sampled_from([None, "L1", "L2", "L3"]))
-        specimens.append(Specimen(id=sid, kind=Kind.BULLET, lot=lot, series=series))
+def criteria(draw, panel):
     bias = {}
     for e in draw(st.lists(st.sampled_from(panel), unique=True)):
         c_lo = draw(st.one_of(st.sampled_from([-0.5, 0.0, 0.25]), st.floats(-0.5, 0.5)))
         width = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.3)))
         bias[e] = BiasCorrection(e, c_lo, c_lo + width)
-    criterion = MatchCriterion(
+    return MatchCriterion(
         k=draw(st.one_of(st.sampled_from([1.0, 2.0, 4.0]), st.floats(0.01, 20.0))),
         elements=tuple(panel),
         bias=draw(st.sampled_from([None, bias])),
         boundary=draw(st.sampled_from(list(Boundary))),
     )
-    return specimens, criterion
+
+
+_ids = st.lists(st.text("abxyz", min_size=1, max_size=3), min_size=2, max_size=30, unique=True)
+_lots = st.sampled_from([None, "L1", "L2", "L3"])
+
+
+@st.composite
+def populations(draw, complete=True):
+    panel = draw(st.lists(st.sampled_from(list(Element)), min_size=1, max_size=7, unique=True))
+    specimens = []
+    for sid in draw(_ids):
+        elements = panel if complete else draw(st.lists(st.sampled_from(panel), unique=True))
+        series = {e: ElementSeries(e, draw(_values), draw(_errors)) for e in elements}
+        specimens.append(Specimen(id=sid, kind=Kind.BULLET, lot=draw(_lots), series=series))
+    return specimens, draw(criteria(panel))
+
+
+@st.composite
+def spread_populations(draw):
+    """Values spread over six decades, so most hulls lie apart and sweep
+    windows close early, on every panel element but the first, which
+    barely separates anyone: the most selective element is not first."""
+    panel = draw(st.lists(st.sampled_from(list(Element)), min_size=2, max_size=4, unique=True))
+    specimens = []
+    for sid in draw(_ids):
+        near = 100.0 + draw(_values) % 3
+        series = {panel[0]: ElementSeries(panel[0], near, draw(_errors))}
+        for e in panel[1:]:
+            mean = 10.0 ** draw(st.floats(0.0, 6.0))
+            series[e] = ElementSeries(e, mean, mean * draw(st.floats(0.0, 0.1)))
+        specimens.append(Specimen(id=sid, kind=Kind.BULLET, lot=draw(_lots), series=series))
+    return specimens, draw(criteria(panel))
 
 
 class TestArrayEngineAgainstScalarRule:
@@ -304,6 +331,17 @@ class TestArrayEngineAgainstScalarRule:
         assert cc.nontransitive_triples == cliques.nontransitive_triples == triples
 
     @settings(max_examples=100, deadline=None)
+    @given(spread_populations())
+    def test_spread_values_match_brute_force(self, case):
+        specimens, criterion = case
+        adjacency = scalar_adjacency(specimens, criterion)
+        result = group(specimens, criterion)
+        assert dict(result.adjacency) == sorted_neighbors(adjacency)
+        assert result.groups == scalar_components(adjacency)
+        assert result.nontransitive_triples == scalar_triples(adjacency)
+        assert engine_lot_rate(specimens, criterion) == scalar_lot_rate(specimens, criterion)
+
+    @settings(max_examples=100, deadline=None)
     @given(populations())
     def test_lot_rate_matches_brute_force(self, case):
         specimens, criterion = case
@@ -319,6 +357,51 @@ class TestArrayEngineAgainstScalarRule:
         assert outcome(engine_lot_rate, specimens, criterion) == outcome(
             scalar_lot_rate, specimens, criterion
         )
+
+
+def lot_population(seed, n, log_span, per_lot, lot_spread, rel_se):
+    """``n`` Sb/Ag specimens in lots around log-uniform centres; ids are
+    drawn at random, so id order is not lot order."""
+    rng = random.Random(seed)
+    ids = rng.sample(range(10 * n), n)
+    specimens = []
+    while len(specimens) < n:
+        lot = f"L{len(specimens):03d}"
+        centres = {e: math.exp(rng.uniform(*log_span)) for e in (Element.SB, Element.AG)}
+        for _ in range(min(rng.randint(1, 2 * per_lot), n - len(specimens))):
+            series = {}
+            for e, centre in centres.items():
+                mean = centre * (1.0 + rng.gauss(0.0, lot_spread))
+                series[e] = ElementSeries(e, mean, mean * rng.uniform(*rel_se))
+            sid = f"s{ids[len(specimens)]:04d}"
+            specimens.append(Specimen(id=sid, kind=Kind.BULLET, lot=lot, series=series))
+    return specimens
+
+
+# well separated lots of about 8, and small lots whose intervals chain
+SHAPES = {
+    "sparse": dict(log_span=(0.0, 6.0), per_lot=8, lot_spread=0.004, rel_se=(0.008, 0.015)),
+    "dense": dict(log_span=(3.0, 5.0), per_lot=3, lot_spread=0.02, rel_se=(0.01, 0.03)),
+}
+
+
+class TestSweepAtScale:
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    @pytest.mark.parametrize("preset", ["guinn4", "nrc2"])
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_group_matches_brute_force(self, shape, preset, boundary):
+        specimens = lot_population(11, 300, **SHAPES[shape])
+        criterion = replace(criterion_preset(preset), boundary=boundary)
+        adjacency = scalar_adjacency(specimens, criterion)
+        result = group(specimens, criterion)
+        assert dict(result.adjacency) == sorted_neighbors(adjacency)
+        assert result.groups == scalar_components(adjacency)
+        triples = scalar_triples(adjacency)
+        assert result.nontransitive_triples == triples
+        assert engine_lot_rate(specimens, criterion) == scalar_lot_rate(specimens, criterion)
+        # not a graph without edges; dense lots chain into witnesses
+        assert len(result.groups) < len(specimens)
+        assert triples or shape == "sparse"
 
 
 class TestIncompletePanels:
