@@ -15,7 +15,11 @@ means, for one, exits 2 in both).  Reports carry a ``decisions`` block
 echoing the conventions behind the numbers (boundary handling, bias
 ranges, table semantics), and all output is deterministic for fixed
 inputs.  JSON comes from ``render_json``, this module's own writer,
-byte-identical to ``json.dumps(indent=2, sort_keys=True)``.
+byte-identical to ``json.dumps(indent=2, sort_keys=True)``.  The one
+payload value that is not plain data is ``match``'s pair list: a tuple
+of ``(a, b, overlaps)`` rows (``_MatchRows``) that the writer asks for
+its own text, the text of one ``{"a", "b", "matched", "per_element"}``
+dict a pair, so the n(n-1)/2 pairs never exist as a tree of dicts.
 
 numpy loads only where a command works on arrays: ``hetero --manova``
 imports the MANOVA module inside the command after its input is
@@ -98,6 +102,8 @@ def _encode(value: object, newline: str) -> str:
         if not math.isfinite(value):
             raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
         return float.__repr__(value)
+    if isinstance(value, _MatchRows):
+        return value.json(newline)
     inner = newline + "  "
     if isinstance(value, dict):
         if not value:
@@ -266,29 +272,78 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
 # ---------------------------------------------------------------- match
 
 
+class _MatchRows(tuple):
+    """``match``'s pair list: one row ``(a, b, overlaps)`` a pair.
+
+    ``overlaps`` holds each panel element's ``(lo, hi)`` overlap, or None,
+    in panel order (sorted by symbol, the order JSON keys take), and a
+    pair matches when none is None.  ``bias_used`` is each element's
+    correction range, the same for every pair.  ``_encode`` asks the rows
+    for their text, which is what it would write for the pair dicts
+    ``{"a", "b", "matched", "per_element"}`` they stand for.
+    """
+
+    def __new__(cls, rows: Iterable[tuple], criterion: MatchCriterion) -> _MatchRows:
+        self = super().__new__(cls, rows)
+        self.symbols = tuple(e.value for e in criterion.elements)
+        bias = [criterion.bias_for(e) for e in criterion.elements]
+        self.bias_used = tuple(None if c is None else (c.c_lo, c.c_hi) for c in bias)
+        return self
+
+    @property
+    def matched(self) -> int:
+        return sum(None not in overlaps for _, _, overlaps in self)
+
+    def json(self, newline: str) -> str:
+        """The list's JSON text; ``newline`` is a newline plus its indent."""
+        if not self:
+            return "[]"
+        pair, key, element, field, bound = (newline + "  " * d for d in range(1, 6))
+        # each element's text up to its verdict, and the rest of it when it fails
+        heads = [
+            f'{"," if i else ""}{element}{_quote(symbol)}: {{{field}"bias_used": '
+            f'{_encode(bias, field)},{field}"matched": '
+            for i, (symbol, bias) in enumerate(zip(self.symbols, self.bias_used))
+        ]
+        fails = f'false,{field}"overlap": null{element}}}'
+        holds = f'true,{field}"overlap": [{bound}'
+        items = []
+        for a, b, overlaps in self:
+            text = [
+                f'{{{key}"a": {_quote(a)},{key}"b": {_quote(b)},{key}"matched": '
+                f'{"false" if None in overlaps else "true"},{key}"per_element": {{'
+            ]
+            for head, overlap in zip(heads, overlaps):
+                if overlap is None:
+                    text.append(head + fails)
+                    continue
+                lo, hi = overlap
+                if not (math.isfinite(lo) and math.isfinite(hi)):
+                    _encode(overlap, field)  # raises the writer's error for the first
+                text.append(f"{head}{holds}{lo!r},{bound}{hi!r}{field}]{element}}}")
+            text.append(f"{key}}}{pair}}}")
+            items.append("".join(text))
+        return _lines("[", items, newline, "]")
+
+
 def cmd_match(args: argparse.Namespace) -> dict:
     config = _load_config(args.config)
     dataset = _load_dataset(args)
     criterion = _build_criterion(args, config)
     specimens = sorted(dataset, key=lambda s: s.id)
-    pairs = []
+    rows = []
     for i, a in enumerate(specimens):
         for b in specimens[i + 1 :]:
-            result = match_specimens(a, b, criterion)
-            per_element = {
-                e.value: {"matched": per.matched, "overlap": per.overlap, "bias_used": per.bias_used}
-                for e, per in result.per_element.items()
-            }
-            pairs.append(
-                {"a": a.id, "b": b.id, "matched": result.matched, "per_element": per_element}
-            )
+            per_element = match_specimens(a, b, criterion).per_element
+            rows.append((a.id, b.id, tuple([per.overlap for per in per_element.values()])))
+    pairs = _MatchRows(rows, criterion)
     return {
         "command": "match",
         "dataset": dataset.provenance,
         "criterion": _criterion_dict(criterion),
         "pairs": pairs,
         "pairs_total": len(pairs),
-        "pairs_matched": sum(pair["matched"] for pair in pairs),
+        "pairs_matched": pairs.matched,
         "decisions": {
             "boundary_note": _BOUNDARY_NOTE,
             "bias_note": _BIAS_SIDE_NOTE,
@@ -298,18 +353,16 @@ def cmd_match(args: argparse.Namespace) -> dict:
 
 
 def _match_text(p: dict) -> Iterable[str]:
-    criterion = p["criterion"]
+    criterion, pairs = p["criterion"], p["pairs"]
     yield (
         f"pairwise matches under k={criterion['k']} "
         f"panel={{{','.join(criterion['elements'])}}} boundary={criterion['boundary']}"
     )
-    for pair in p["pairs"]:
-        verdict = "match   " if pair["matched"] else "no match"
-        detail = "; ".join(
-            f"{symbol} {'ok' if per['matched'] else 'fails'}"
-            for symbol, per in pair["per_element"].items()
-        )
-        yield f"  {pair['a']:<16} vs {pair['b']:<16} {verdict} ({detail})"
+    words = [(f"{symbol} ok", f"{symbol} fails") for symbol in pairs.symbols]
+    for a, b, overlaps in pairs:
+        verdict = "no match" if None in overlaps else "match   "
+        detail = "; ".join(word[overlap is None] for word, overlap in zip(words, overlaps))
+        yield f"  {a:<16} vs {b:<16} {verdict} ({detail})"
     yield f"{p['pairs_matched']} of {p['pairs_total']} pairs matched"
 
 

@@ -123,19 +123,36 @@ def _connected_components(adjacency: list[set[int]]) -> list[set[int]]:
 
 
 def _maximal_cliques(adjacency: list[set[int]]) -> list[set[int]]:
-    cliques: list[set[int]] = []
+    """Bron–Kerbosch with the pivot of largest degree, on an explicit stack.
 
-    def extend(r: set[int], p: set[int], x: set[int]) -> None:
+    A frame is ``[r, p, x, branches]``: the clique so far, its candidates,
+    its exclusions, and the branch vertices left, popped in sorted order.
+    A frame leaves the stack as its last branch opens, so a run of single
+    branches, as down one large clique, holds one frame at a time where
+    the recursion held one call a member.
+    """
+    cliques: list[set[int]] = []
+    frames: list[list] = []
+
+    def enter(r: set[int], p: set[int], x: set[int]) -> None:
         if not p and not x:
-            cliques.append(set(r))
+            cliques.append(r)
             return
         pivot = max(p | x, key=lambda v: len(adjacency[v]))
-        for v in sorted(p - adjacency[pivot]):
-            extend(r | {v}, p & adjacency[v], x & adjacency[v])
-            p = p - {v}
-            x = x | {v}
+        branches = sorted(p - adjacency[pivot], reverse=True)
+        if branches:
+            frames.append([r, p, x, branches])
 
-    extend(set(), set(range(len(adjacency))), set())
+    enter(set(), set(range(len(adjacency))), set())
+    while frames:
+        frame = frames[-1]
+        r, p, x, branches = frame
+        v = branches.pop()
+        if branches:
+            frame[1], frame[2] = p - {v}, x | {v}
+        else:
+            frames.pop()
+        enter(r | {v}, p & adjacency[v], x & adjacency[v])
     return cliques
 
 

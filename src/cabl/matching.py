@@ -58,20 +58,23 @@ def match_specimens(a: Specimen, b: Specimen, criterion: MatchCriterion) -> Matc
     the first missing one raises ``IncompletePanelError``, for ``a``
     before ``b``.
     """
+    k, admits = criterion.k, criterion.boundary.admits
+    first_series, second_series = a.series, b.series
     per_element: dict[Element, PerElementMatch] = {}
     for element in criterion.elements:
-        first = a.series.get(element)
+        first = first_series.get(element)
         if first is None:
             raise IncompletePanelError(a.id, element.value)
-        second = b.series.get(element)
+        second = second_series.get(element)
         if second is None:
             raise IncompletePanelError(b.id, element.value)
         bias = criterion.bias_for(element)
-        a_lo, a_hi = series_interval(first, criterion.k, bias)
-        b_lo, b_hi = series_interval(second, criterion.k)
+        a_lo, a_hi = series_interval(first, k, bias)
+        b_lo, b_hi = series_interval(second, k)
+        # max and min keep the first of two equal endpoints, as 0.0 and -0.0 print apart
         lo, hi = max(a_lo, b_lo), min(a_hi, b_hi)
         per_element[element] = PerElementMatch(
-            overlap=(lo, hi) if criterion.boundary.admits(lo, hi) else None,
+            overlap=(lo, hi) if admits(lo, hi) else None,
             bias_used=(bias.c_lo, bias.c_hi) if bias is not None else None,
         )
     return MatchResult(per_element)

@@ -5,13 +5,13 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from strategies import populations, spread_populations
 
 from cabl.errors import IncompletePanelError
-from cabl.grouping import group, within_box_match_rate
+from cabl.grouping import _maximal_cliques, group, within_box_match_rate
 from cabl.ingest import Dataset, fixture
 from cabl.matching import match_specimens
 from cabl.model import (
-    BiasCorrection,
     Boundary,
     Element,
     ElementSeries,
@@ -263,58 +263,6 @@ def outcome(fn, *args):
         return ("IncompletePanelError", exc.specimen_id, exc.element)
 
 
-# small integers make exactly touching intervals common
-_values = st.one_of(st.integers(1, 12).map(float), st.floats(1.0, 1000.0))
-_errors = st.one_of(st.integers(0, 3).map(float), st.floats(0.0, 50.0))
-
-
-@st.composite
-def criteria(draw, panel):
-    bias = {}
-    for e in draw(st.lists(st.sampled_from(panel), unique=True)):
-        c_lo = draw(st.one_of(st.sampled_from([-0.5, 0.0, 0.25]), st.floats(-0.5, 0.5)))
-        width = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.3)))
-        bias[e] = BiasCorrection(e, c_lo, c_lo + width)
-    return MatchCriterion(
-        k=draw(st.one_of(st.sampled_from([1.0, 2.0, 4.0]), st.floats(0.01, 20.0))),
-        elements=tuple(panel),
-        bias=draw(st.sampled_from([None, bias])),
-        boundary=draw(st.sampled_from(list(Boundary))),
-    )
-
-
-_ids = st.lists(st.text("abxyz", min_size=1, max_size=3), min_size=2, max_size=30, unique=True)
-_lots = st.sampled_from([None, "L1", "L2", "L3"])
-
-
-@st.composite
-def populations(draw, complete=True):
-    panel = draw(st.lists(st.sampled_from(list(Element)), min_size=1, max_size=7, unique=True))
-    specimens = []
-    for sid in draw(_ids):
-        elements = panel if complete else draw(st.lists(st.sampled_from(panel), unique=True))
-        series = {e: ElementSeries(e, draw(_values), draw(_errors)) for e in elements}
-        specimens.append(Specimen(id=sid, kind=Kind.BULLET, lot=draw(_lots), series=series))
-    return specimens, draw(criteria(panel))
-
-
-@st.composite
-def spread_populations(draw):
-    """Values spread over six decades, so most hulls lie apart and sweep
-    windows close early, on every panel element but the first, which
-    barely separates anyone: the most selective element is not first."""
-    panel = draw(st.lists(st.sampled_from(list(Element)), min_size=2, max_size=4, unique=True))
-    specimens = []
-    for sid in draw(_ids):
-        near = 100.0 + draw(_values) % 3
-        series = {panel[0]: ElementSeries(panel[0], near, draw(_errors))}
-        for e in panel[1:]:
-            mean = 10.0 ** draw(st.floats(0.0, 6.0))
-            series[e] = ElementSeries(e, mean, mean * draw(st.floats(0.0, 0.1)))
-        specimens.append(Specimen(id=sid, kind=Kind.BULLET, lot=draw(_lots), series=series))
-    return specimens, draw(criteria(panel))
-
-
 class TestArrayEngineAgainstScalarRule:
     @settings(max_examples=150, deadline=None)
     @given(populations())
@@ -357,6 +305,50 @@ class TestArrayEngineAgainstScalarRule:
         assert outcome(engine_lot_rate, specimens, criterion) == outcome(
             scalar_lot_rate, specimens, criterion
         )
+
+
+def recursive_cliques(adjacency):
+    """Bron–Kerbosch as a recursion, one call a clique member: the clique
+    search's earlier form, which a 1,000-member clique took past Python's
+    recursion limit."""
+    cliques = []
+
+    def extend(r, p, x):
+        if not p and not x:
+            cliques.append(set(r))
+            return
+        pivot = max(p | x, key=lambda v: len(adjacency[v]))
+        for v in sorted(p - adjacency[pivot]):
+            extend(r | {v}, p & adjacency[v], x & adjacency[v])
+            p = p - {v}
+            x = x | {v}
+
+    extend(set(), set(range(len(adjacency))), set())
+    return cliques
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(0, 30))
+    adjacency = [set() for _ in range(n)]
+    nodes = st.integers(0, max(n - 1, 0))
+    for a, b in draw(st.lists(st.tuples(nodes, nodes), max_size=250)):
+        if a != b:
+            adjacency[a].add(b)
+            adjacency[b].add(a)
+    return adjacency
+
+
+class TestMaximalCliques:
+    @settings(max_examples=200, deadline=None)
+    @given(graphs())
+    def test_same_cliques_in_the_same_order_as_the_recursion(self, adjacency):
+        assert _maximal_cliques(adjacency) == recursive_cliques(adjacency)
+
+    def test_complete_graph_beyond_the_recursion_limit_is_one_clique(self):
+        n = 1200
+        adjacency = [set(range(n)) - {v} for v in range(n)]
+        assert _maximal_cliques(adjacency) == [set(range(n))]
 
 
 def lot_population(seed, n, log_span, per_lot, lot_spread, rel_se):
