@@ -35,7 +35,7 @@ _EXPORTS = {
     ),
     "grouping": ("GroupingResult", "MatchRate", "group", "within_box_match_rate"),
     "ingest": ("Dataset", "fixture", "parse_csv"),
-    "matching": ("MatchResult", "PerElementMatch", "match_specimens"),
+    "matching": ("MatchResult", "match_specimens"),
     "model": (
         "DEFAULT_BIAS",
         "Basis",

@@ -17,9 +17,11 @@ ranges, table semantics), and all output is deterministic for fixed
 inputs.  JSON comes from ``render_json``, this module's own writer,
 byte-identical to ``json.dumps(indent=2, sort_keys=True)``.  The one
 payload value that is not plain data is ``match``'s pair list: a tuple
-of ``(a, b, overlaps)`` rows (``_MatchRows``) that the writer asks for
-its own text, the text of one ``{"a", "b", "matched", "per_element"}``
-dict a pair, so the n(n-1)/2 pairs never exist as a tree of dicts.
+of ``(a, b, overlaps)`` rows (``_MatchRows``), each ``overlaps`` the
+pair's ``match_specimens`` result, with each element's ``bias_used``
+read off the criterion once per report.  The writer asks the rows for
+their text, that of one ``{"a", "b", "matched", "per_element"}`` dict a
+pair, so the n(n-1)/2 pairs never exist as a tree of dicts.
 
 numpy loads only where a command works on arrays: ``hetero --manova``
 imports the MANOVA module inside the command after its input is
@@ -275,12 +277,13 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
 class _MatchRows(tuple):
     """``match``'s pair list: one row ``(a, b, overlaps)`` a pair.
 
-    ``overlaps`` holds each panel element's ``(lo, hi)`` overlap, or None,
-    in panel order (sorted by symbol, the order JSON keys take), and a
-    pair matches when none is None.  ``bias_used`` is each element's
-    correction range, the same for every pair.  ``_encode`` asks the rows
-    for their text, which is what it would write for the pair dicts
-    ``{"a", "b", "matched", "per_element"}`` they stand for.
+    ``overlaps`` is the pair's ``MatchResult.overlaps``: each panel
+    element's ``(lo, hi)`` overlap, or None, in panel order (sorted by
+    symbol, the order JSON keys take), and a pair matches when none is
+    None.  ``bias_used`` is each element's correction range, the same for
+    every pair.  ``_encode`` asks the rows for their text, which is what
+    it would write for the pair dicts ``{"a", "b", "matched",
+    "per_element"}`` they stand for.
     """
 
     def __new__(cls, rows: Iterable[tuple], criterion: MatchCriterion) -> _MatchRows:
@@ -334,8 +337,7 @@ def cmd_match(args: argparse.Namespace) -> dict:
     rows = []
     for i, a in enumerate(specimens):
         for b in specimens[i + 1 :]:
-            per_element = match_specimens(a, b, criterion).per_element
-            rows.append((a.id, b.id, tuple([per.overlap for per in per_element.values()])))
+            rows.append((a.id, b.id, match_specimens(a, b, criterion).overlaps))
     pairs = _MatchRows(rows, criterion)
     return {
         "command": "match",
@@ -475,6 +477,10 @@ def _hetero_ttest(args: argparse.Namespace, dataset: Dataset) -> dict:
         specimens = [_pick_by_location(dataset, element, t) for t in tokens]
     else:
         raise ValueError("give --locations a,b or --ids id1,id2")
+    if specimens[0] is specimens[1]:
+        raise ValueError(
+            f"both sides are specimen {specimens[0].id!r}; the t-test needs two different specimens"
+        )
     sides = []
     for s in specimens:
         series = s.series[element]
@@ -598,7 +604,9 @@ def cmd_distfit(args: argparse.Namespace) -> dict:
     if args.families in (None, "all"):
         families: Sequence[str] = FAMILIES
     else:
-        families = tuple(_split(args.families))
+        families = tuple(dict.fromkeys(_split(args.families)))
+        if not families:
+            raise ValueError("--families must name at least one family")
         unknown = [f for f in families if f not in FAMILIES]
         if unknown:
             raise ValueError(f"unknown families {unknown}; have {', '.join(FAMILIES)}")

@@ -7,7 +7,9 @@ Bias-corrected matching asks whether any correction in the stated range
 produces an overlap; ``series_interval`` widens the corrected side to
 the union of its corrected intervals, so the test is exact.
 
-:func:`match_specimens` reports one pair in detail; grouping decides
+:func:`match_specimens` reports one pair as a :class:`MatchResult`, the
+tuple of its overlaps in panel order; the bias range behind each is the
+criterion's (``criterion.bias_for``), not the pair's.  Grouping decides
 every pair its sweep meets through ``grouping._neighbours``, which takes
 its endpoints from the same ``series_interval`` calls and its closed/open
 test from the same ``Boundary.admits``.
@@ -15,38 +17,24 @@ test from the same ``Boundary.admits``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import NamedTuple, Optional
 
 from .errors import IncompletePanelError
-from .model import Element, MatchCriterion, Specimen, series_interval
+from .model import MatchCriterion, Specimen, series_interval
 
 
-@dataclass(frozen=True)
-class PerElementMatch:
-    """Outcome of one elemental comparison: the overlap, if it counts."""
+class MatchResult(NamedTuple):
+    """Specimen-level outcome: each panel element's overlap.
 
-    overlap: Optional[tuple[float, float]]
-    bias_used: Optional[tuple[float, float]]
+    ``overlaps[i]`` is the ``(lo, hi)`` overlap on ``criterion.elements[i]``,
+    or None where that element does not match.
+    """
 
-    @property
-    def matched(self) -> bool:
-        return self.overlap is not None
-
-
-@dataclass(frozen=True)
-class MatchResult:
-    """Specimen-level outcome: the conjunction over the element panel."""
-
-    per_element: Mapping[Element, PerElementMatch]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "per_element", MappingProxyType(dict(self.per_element)))
+    overlaps: tuple[Optional[tuple[float, float]], ...]
 
     @property
     def matched(self) -> bool:
-        return all(per.matched for per in self.per_element.values())
+        return None not in self.overlaps
 
 
 def match_specimens(a: Specimen, b: Specimen, criterion: MatchCriterion) -> MatchResult:
@@ -60,7 +48,7 @@ def match_specimens(a: Specimen, b: Specimen, criterion: MatchCriterion) -> Matc
     """
     k, admits = criterion.k, criterion.boundary.admits
     first_series, second_series = a.series, b.series
-    per_element: dict[Element, PerElementMatch] = {}
+    overlaps = []
     for element in criterion.elements:
         first = first_series.get(element)
         if first is None:
@@ -68,13 +56,9 @@ def match_specimens(a: Specimen, b: Specimen, criterion: MatchCriterion) -> Matc
         second = second_series.get(element)
         if second is None:
             raise IncompletePanelError(b.id, element.value)
-        bias = criterion.bias_for(element)
-        a_lo, a_hi = series_interval(first, k, bias)
+        a_lo, a_hi = series_interval(first, k, criterion.bias_for(element))
         b_lo, b_hi = series_interval(second, k)
         # max and min keep the first of two equal endpoints, as 0.0 and -0.0 print apart
         lo, hi = max(a_lo, b_lo), min(a_hi, b_hi)
-        per_element[element] = PerElementMatch(
-            overlap=(lo, hi) if admits(lo, hi) else None,
-            bias_used=(bias.c_lo, bias.c_hi) if bias is not None else None,
-        )
-    return MatchResult(per_element)
+        overlaps.append((lo, hi) if admits(lo, hi) else None)
+    return MatchResult(tuple(overlaps))

@@ -24,6 +24,10 @@ class _Token(enum.Enum):
     ``ValueError`` naming the enum and listing the valid values.
     """
 
+    # members are singletons, so identity hashing agrees with equality and
+    # runs in C (``Enum.__hash__`` is Python); no token set is iterated unsorted
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:
         return self.value
 

@@ -70,7 +70,7 @@ def test_criterion_02_touching_interval_case():
 
     def antimony_matches(boundary):
         criterion = MatchCriterion(k=4.0, elements=(Element.SB,), boundary=boundary)
-        return match_specimens(ce567, ce840, criterion).per_element[Element.SB].matched
+        return match_specimens(ce567, ce840, criterion).matched
 
     assert antimony_matches(Boundary.CLOSED) is True
     assert antimony_matches(Boundary.OPEN) is False
@@ -125,8 +125,7 @@ def test_criterion_04_bias_corrected_match():
     def biased_match(lot_sid, bias):
         # the bias corrects the first side of the pair: the lot bullet
         criterion = MatchCriterion(k=2.0, elements=(bias.element,), bias={bias.element: bias})
-        result = match_specimens(table2.get(lot_sid), ce567, criterion)
-        return result.per_element[bias.element].matched
+        return match_specimens(table2.get(lot_sid), ce567, criterion).matched
 
     sb_bias = BiasCorrection(Element.SB, 0.02, 0.054)
     ag_bias = BiasCorrection(Element.AG, 0.055, 0.055)

@@ -191,6 +191,21 @@ class TestHeteroCommand:
         )
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize(
+        "flag, value, sid",
+        [("--ids", "bullet-1,bullet-1", "bullet-1"),
+         ("--locations", "outer,outer", "bullet-1-outer")],
+    )
+    def test_one_specimen_twice_exits_2(self, capsys, fmt, flag, value, sid):
+        code, out, err = run(
+            capsys, "hetero", "--fixture", "table2", "--element", "Ag", flag, value, "--format", fmt
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: both sides are specimen {sid!r}; the t-test needs two different specimens\n"
+        )
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_zero_spread_different_means_exits_2(self, capsys, tmp_path, fmt):
         path = tmp_path / "flat.csv"
         path.write_text(
@@ -244,6 +259,30 @@ class TestDistfitCommand:
         path.write_text("\n".join(str(float(i + 1)) for i in range(10)) + "\n")
         code, _, err = run(capsys, "distfit", "--input", str(path), "--families", "cauchy")
         assert code == 2
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_duplicate_families_rank_once(self, capsys, tmp_path, fmt):
+        path = tmp_path / "vals.csv"
+        path.write_text("\n".join(str(float(i + 1)) for i in range(10)) + "\n")
+        once, twice = (
+            run(capsys, "distfit", "--input", str(path), "--families", families, "--format", fmt)
+            for families in ("gamma,normal", "gamma, normal,gamma,normal")
+        )
+        assert once[0] == 0
+        assert twice == once
+        if fmt == "json":
+            ranking = json.loads(once[1])["ranking"]
+            assert sorted(e["family"] for e in ranking) == ["gamma", "normal"]
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("families", [",", " , ,"])
+    def test_empty_family_list_exits_2(self, capsys, tmp_path, fmt, families):
+        path = tmp_path / "vals.csv"
+        path.write_text("\n".join(str(float(i + 1)) for i in range(10)) + "\n")
+        code, out, err = run(
+            capsys, "distfit", "--input", str(path), "--families", families, "--format", fmt
+        )
+        assert (code, out, err) == (2, "", "error: --families must name at least one family\n")
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
@@ -1085,7 +1124,7 @@ class TestImportContract:
             "DomainError", "Element", "ElementSeries", "EvidenceResult", "FitError",
             "GroupingResult", "IncompletePanelError", "Kind", "Location",
             "MatchCriterion", "MatchRate", "MatchResult", "ParseError",
-            "PerElementMatch", "Specimen", "UnknownSpecimenError", "__version__",
+            "Specimen", "UnknownSpecimenError", "__version__",
             "comparator_concentration",
             "criterion_preset", "decay_factor", "fixture", "group", "likelihood_ratio",
             "match_specimens", "p_span_at_least", "parse_csv", "posterior_odds",

@@ -42,10 +42,14 @@ def oracle_payload(argv):
     for i, a in enumerate(specimens):
         for b in specimens[i + 1 :]:
             result = match_specimens(a, b, criterion)
-            per_element = {
-                e.value: {"matched": per.matched, "overlap": per.overlap, "bias_used": per.bias_used}
-                for e, per in result.per_element.items()
-            }
+            per_element = {}
+            for e, overlap in zip(criterion.elements, result.overlaps):
+                bias = criterion.bias_for(e)
+                per_element[e.value] = {
+                    "matched": overlap is not None,
+                    "overlap": overlap,
+                    "bias_used": None if bias is None else (bias.c_lo, bias.c_hi),
+                }
             pairs.append(
                 {"a": a.id, "b": b.id, "matched": result.matched, "per_element": per_element}
             )

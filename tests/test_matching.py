@@ -1,3 +1,6 @@
+import itertools
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,6 +15,7 @@ from cabl.model import (
     ElementSeries,
     Kind,
     MatchCriterion,
+    PRESET_NAMES,
     Specimen,
     criterion_preset,
     series_interval,
@@ -153,18 +157,17 @@ class TestMatchSpecimens:
             table1.get("CE 399"), table1.get("CE 842"), criterion_preset("guinn4")
         )
         assert result.matched is True
-        assert result.per_element[Element.SB].matched is True
-        lo, hi = result.per_element[Element.SB].overlap
-        assert (lo, hi) == (797.0, 825.0)
+        # the panel runs Ag, Sb
+        assert result.overlaps[1] == (797.0, 825.0)
 
     def test_ce399_ce567_do_not_match(self, table1):
         result = match_specimens(
             table1.get("CE 399"), table1.get("CE 567"), criterion_preset("guinn4")
         )
         assert result.matched is False
-        assert result.per_element[Element.SB].matched is False
-        assert result.per_element[Element.SB].overlap is None
-        assert result.per_element[Element.AG].matched is True
+        ag, sb = result.overlaps
+        assert sb is None
+        assert ag is not None
 
     def test_self_match(self, table1):
         s = table1.get("CE 840")
@@ -175,7 +178,7 @@ class TestMatchSpecimens:
         for a in table1:
             for b in table1:
                 result = match_specimens(a, b, criterion)
-                assert result.matched == all(p.matched for p in result.per_element.values())
+                assert result.matched == all(o is not None for o in result.overlaps)
 
     def test_shrinking_panel_preserves_matches(self, table1):
         full = criterion_preset("guinn4")
@@ -205,22 +208,43 @@ class TestMatchSpecimens:
             match_specimens(only_ag, twin, criterion_preset("guinn4"))
         assert (raised.value.specimen_id, raised.value.element) == ("only-ag", "Sb")
 
-    def test_verdicts_derive_from_overlaps(self, table1):
-        result = match_specimens(
-            table1.get("CE 399"), table1.get("CE 567"), criterion_preset("guinn4")
-        )
-        for per in result.per_element.values():
-            assert per.matched is (per.overlap is not None)
+    def test_verdicts_derive_from_overlaps(self, table1, table2):
+        specimens = [*table1, *table2]
+        for preset in PRESET_NAMES:
+            for boundary in Boundary:
+                criterion = replace(criterion_preset(preset), boundary=boundary)
+                panel = criterion.elements
+                for a, b in itertools.product(specimens, repeat=2):
+                    if any(e not in s.series for s in (a, b) for e in panel):
+                        continue
+                    result = match_specimens(a, b, criterion)
+                    expected = []
+                    for element in panel:
+                        bias = criterion.bias_for(element)
+                        a_lo, a_hi = series_interval(a.series[element], criterion.k, bias)
+                        b_lo, b_hi = series_interval(b.series[element], criterion.k)
+                        lo, hi = max(a_lo, b_lo), min(a_hi, b_hi)
+                        expected.append((lo, hi) if boundary.admits(lo, hi) else None)
+                    assert result.overlaps == tuple(expected)
+                    assert result.matched is (None not in expected)
+        with pytest.raises(AttributeError):
+            result.overlaps = ()
         with pytest.raises(TypeError):
-            result.per_element[Element.SB] = None
+            result.overlaps[0] = None
 
     def test_criterion_bias_applies_to_first_specimen(self, table1, table2):
         nrc2 = criterion_preset("nrc2")
         result = match_specimens(table2.get("bullet-1"), table1.get("CE 567"), nrc2)
-        assert result.per_element[Element.SB].matched is True
-        assert result.per_element[Element.AG].matched is False
-        assert result.per_element[Element.SB].bias_used == (0.02, 0.054)
+        ag, sb = result.overlaps
+        assert sb is not None
+        assert ag is None
         assert result.matched is False
+        # uncorrected, or with the sides swapped, Sb does not match
+        for a, b, criterion in (
+            (table2.get("bullet-1"), table1.get("CE 567"), replace(nrc2, bias=None)),
+            (table1.get("CE 567"), table2.get("bullet-1"), nrc2),
+        ):
+            assert match_specimens(a, b, criterion).overlaps[1] is None
 
 
 @pytest.mark.parametrize("k", [float("inf"), float("-inf"), float("nan")])
