@@ -44,7 +44,15 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import CablError, DegreesOfFreedomError, DomainError
 from .evidence import BoxModel, likelihood_ratio, posterior_odds
-from .ingest import FIXTURE_NAMES, Dataset, fixture, parse_attenuation_csv, parse_csv, parse_rows
+from .ingest import (
+    ATTENUATION_HEADER,
+    FIXTURE_NAMES,
+    Dataset,
+    fixture,
+    parse_attenuation_csv,
+    parse_csv,
+    parse_rows,
+)
 from .matching import match_specimens
 from .model import (
     Basis,
@@ -186,7 +194,7 @@ def _bias_table(spec: object) -> dict[Element, BiasCorrection]:
         # JSON true/false load as bools, which are ints to isinstance
         if len(bounds) not in (1, 2) or not all(type(c) in (int, float) for c in bounds):
             raise ValueError(f"bias for {symbol} must be one or two numbers, got {json.dumps(value)}")
-        table[element] = BiasCorrection(element, float(bounds[0]), float(bounds[-1]))
+        table[element] = BiasCorrection(float(bounds[0]), float(bounds[-1]))
     return table
 
 
@@ -511,7 +519,8 @@ def _hetero_manova(args: argparse.Namespace) -> dict:
         raise ValueError("--manova needs --input with raw replicate rows")
     if not args.responses:
         raise ValueError("--manova needs --responses, e.g. Ag,As")
-    elements = tuple(map(Element, _split(args.responses)))
+    # a repeated element is one response, as repeated --families are one family
+    elements = tuple(dict.fromkeys(map(Element, _split(args.responses))))
     if not elements:
         raise ValueError("--responses must name at least one element")
     rows = parse_rows(Path(args.input).read_text(encoding="utf-8"))
@@ -658,18 +667,23 @@ def _schedule_from(args: argparse.Namespace, prefix: str = "") -> DecaySchedule:
 def _attenuation_entries(args: argparse.Namespace, config: dict) -> tuple[AttenuationEntry, ...]:
     if getattr(args, "table", None):
         return parse_attenuation_csv(Path(args.table).read_text(encoding="utf-8"))
-    if config.get("attenuation"):
-        try:
-            return tuple(
-                AttenuationEntry(float(e["energy_kev"]), float(e["mu_linear_per_cm"]))
-                for e in config["attenuation"]
-            )
-        except (KeyError, TypeError):
-            raise ValueError(
-                "config attenuation entries must look like "
-                '{"energy_kev": 559, "mu_linear_per_cm": 12.1}'
-            ) from None
-    return DEFAULT_ATTENUATION
+    # only an absent or null table takes the default; [] and {} are refused
+    spec = config.get("attenuation")
+    if spec is None:
+        return DEFAULT_ATTENUATION
+    # JSON true/false load as bools, which are ints to isinstance
+    if not (isinstance(spec, list) and spec and all(
+        isinstance(e, dict) and all(type(e.get(key)) in (int, float) for key in ATTENUATION_HEADER)
+        for e in spec
+    )):
+        raise ValueError(
+            "config attenuation entries must look like "
+            f'{{"energy_kev": 559, "mu_linear_per_cm": 12.1}}, in a nonempty list; '
+            f"got {json.dumps(spec)}"
+        )
+    return tuple(
+        AttenuationEntry(float(e["energy_kev"]), float(e["mu_linear_per_cm"])) for e in spec
+    )
 
 
 def cmd_naa(args: argparse.Namespace) -> dict:

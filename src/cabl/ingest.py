@@ -7,9 +7,11 @@ CSV schema (UTF-8, comma separated, header required)::
 ``basis`` is ``poisson_single`` (row carries its own sigma) or
 ``replicate_member`` (sigma empty; rows sharing specimen, element and
 location are aggregated into one series whose standard error comes from
-replication).  ``location`` is outer/middle/inner/unlabeled.  The
-attenuation table of ``naa selfabs --table`` has the header
-``energy_kev,mu_linear_per_cm``.
+replication).  ``location`` is outer/middle/inner/unlabeled.
+``parse_rows`` returns the rows as ``RawRow`` named tuples;
+``parse_csv`` groups them by specimen id and builds each specimen from
+its own rows, in order of first appearance.  The attenuation table of
+``naa selfabs --table`` has the header ``energy_kev,mu_linear_per_cm``.
 
 Three embedded fixtures transcribe the published measurement tables:
 
@@ -32,7 +34,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .errors import ConflictError, DomainError, ParseError, UnknownSpecimenError
 from .model import Basis, Element, ElementSeries, Kind, Location, Specimen
@@ -78,8 +80,7 @@ class Dataset:
             raise UnknownSpecimenError(f"no specimen {specimen_id!r} in {self.provenance}") from None
 
 
-@dataclass(frozen=True)
-class RawRow:
+class RawRow(NamedTuple):
     """One CSV row: a measurement plus its specimen attribution."""
 
     specimen_id: str
@@ -129,7 +130,7 @@ def _parse_float(text: str, field: str, line: int) -> float:
     return value
 
 
-def parse_rows(text: str) -> list["RawRow"]:
+def parse_rows(text: str) -> list[RawRow]:
     """Parse schema CSV into raw rows without aggregation.
 
     Used by analyses that need the individual replicate values (the
@@ -156,71 +157,56 @@ def parse_rows(text: str) -> list["RawRow"]:
                 raise DomainError(f"line {line}: sigma_ppm must be >= 0, got {sigma}")
         elif sigma_s:
             raise ParseError("replicate_member rows must leave sigma_ppm empty", line=line)
-        out.append(
-            RawRow(
-                specimen_id=sid,
-                kind=kind,
-                lot=lot_s or None,
-                location=location,
-                element=element,
-                value=value,
-                sigma=sigma,
-                basis=basis,
-            )
-        )
+        out.append(RawRow(sid, kind, lot_s or None, location, element, value, sigma, basis))
     return out
 
 
 def parse_csv(text: str, provenance: str = "<csv>") -> Dataset:
-    """Parse measurement CSV into a Dataset.
+    """Parse measurement CSV into a Dataset, one specimen per id in order
+    of first appearance.
 
-    Replicate members sharing (specimen, element, location) aggregate
-    into one series; aggregation is order independent.  Duplicate
-    single-count rows for one (specimen, element) raise a conflict, as
-    do rows that disagree about a specimen's kind or lot.
+    Rows that disagree about a specimen's kind or lot raise a conflict,
+    in row order, before any specimen is built; after that the first
+    specimen in file order with a fault is the one reported.  Replicate
+    members sharing (specimen, element, location) aggregate into one
+    series; aggregation is order independent.  Duplicate single-count
+    rows for one (specimen, element) raise a conflict.
     """
-    raw_rows = parse_rows(text)
+    by_id: dict[str, list[RawRow]] = {}
+    for row in parse_rows(text):
+        rows = by_id.get(row.specimen_id)
+        if rows is None:
+            by_id[row.specimen_id] = [row]
+            continue
+        if rows[0].kind is not row.kind:
+            raise ConflictError(f"specimen {row.specimen_id!r} changes kind")
+        if rows[0].lot != row.lot:
+            raise ConflictError(f"specimen {row.specimen_id!r} changes lot")
+        rows.append(row)
+    return Dataset(tuple(_specimen(sid, rows) for sid, rows in by_id.items()), provenance)
 
-    order: list[str] = []
-    kinds: dict[str, Kind] = {}
-    lots: dict[str, Optional[str]] = {}
-    locations: dict[str, set[Location]] = {}
-    poisson: dict[tuple[str, Element], ElementSeries] = {}
-    replicates: dict[tuple[str, Element, Location], list[float]] = {}
 
-    for raw in raw_rows:
-        sid = raw.specimen_id
-        if sid in kinds:
-            if kinds[sid] is not raw.kind:
-                raise ConflictError(f"specimen {sid!r} changes kind")
-            if lots[sid] != raw.lot:
-                raise ConflictError(f"specimen {sid!r} changes lot")
+def _specimen(sid: str, rows: list[RawRow]) -> Specimen:
+    """Build one specimen from its rows, which agree on kind and lot.
+
+    Single-count series come first, in row order, then one series per
+    replicate group by (element, location).  The specimen has a location
+    when all its rows share one labeled location.
+    """
+    series: dict[Element, ElementSeries] = {}
+    replicates: dict[tuple[Element, Location], list[float]] = {}
+    for row in rows:
+        if row.basis is Basis.POISSON_SINGLE:
+            if row.element in series:
+                raise ConflictError(f"duplicate poisson_single for {sid!r} {row.element.value}")
+            series[row.element] = ElementSeries(row.value, row.sigma)
         else:
-            order.append(sid)
-            kinds[sid] = raw.kind
-            lots[sid] = raw.lot
-            locations[sid] = set()
-        locations[sid].add(raw.location)
-
-        if raw.basis is Basis.POISSON_SINGLE:
-            key = (sid, raw.element)
-            if key in poisson:
-                raise ConflictError(
-                    f"duplicate poisson_single for {sid!r} {raw.element.value}"
-                )
-            poisson[key] = ElementSeries(
-                element=raw.element, mean=raw.value, se=raw.sigma, df=None, n=1
-            )
-        else:
-            replicates.setdefault((sid, raw.element, raw.location), []).append(raw.value)
-
-    series_by_specimen: dict[str, dict[Element, ElementSeries]] = {sid: {} for sid in order}
-    for (sid, element), series in poisson.items():
-        series_by_specimen[sid][element] = series
-    for (sid, element, _location), values in sorted(
-        replicates.items(), key=lambda kv: (kv[0][0], kv[0][1].value, kv[0][2].value)
+            replicates.setdefault((row.element, row.location), []).append(row.value)
+    for (element, _location), values in sorted(
+        replicates.items(), key=lambda kv: (kv[0][0].value, kv[0][1].value)
     ):
-        if (sid, element) in poisson:
+        earlier = series.get(element)
+        if earlier is not None and earlier.df is None:
             raise ConflictError(
                 f"specimen {sid!r} {element.value} mixes poisson_single and replicate rows"
             )
@@ -228,30 +214,18 @@ def parse_csv(text: str, provenance: str = "<csv>") -> Dataset:
             raise ParseError(
                 f"specimen {sid!r} {element.value} has a single replicate_member row; need >= 2"
             )
-        if element in series_by_specimen[sid]:
+        if earlier is not None:
             raise ConflictError(
                 f"specimen {sid!r} {element.value} has replicate groups at several locations"
             )
         # canonical summation order makes aggregation exactly row-order independent
         summary = replicate_summary(sorted(values))
-        series_by_specimen[sid][element] = ElementSeries(
-            element=element, mean=summary.mean, se=summary.se, df=summary.df, n=summary.n
-        )
-
-    specimens = []
-    for sid in order:
-        labeled = locations[sid] - {Location.UNLABELED}
-        spec_location = labeled.pop() if len(labeled) == 1 and len(locations[sid]) == 1 else None
-        specimens.append(
-            Specimen(
-                id=sid,
-                kind=kinds[sid],
-                lot=lots[sid],
-                series=series_by_specimen[sid],
-                location=spec_location,
-            )
-        )
-    return Dataset(specimens=tuple(specimens), provenance=provenance)
+        series[element] = ElementSeries(summary.mean, summary.se, summary.df, summary.n)
+    locations = {row.location for row in rows}
+    location = locations.pop() if len(locations) == 1 else None
+    if location is Location.UNLABELED:
+        location = None
+    return Specimen(sid, rows[0].kind, rows[0].lot, series, location)
 
 
 def parse_attenuation_csv(text: str) -> tuple[AttenuationEntry, ...]:
@@ -316,7 +290,7 @@ def fixture(name: str) -> Dataset:
             kind=Kind(kind),
             lot=lot,
             series={
-                e: ElementSeries(e, mean, se, df=None if n == 1 else n - 1, n=n)
+                e: ElementSeries(mean, se, df=None if n == 1 else n - 1, n=n)
                 for e, (mean, se, n) in zip(panel, values)
             },
             location=Location(location) if location else None,

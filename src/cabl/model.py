@@ -99,10 +99,10 @@ class ElementSeries:
     replicate-based series and ``None`` for the single-observation
     counting-statistics case, which has no traditional degrees of
     freedom; tests that need df must refuse such series rather than
-    invent them.
+    invent them.  The element is the key the series is stored under in
+    :attr:`Specimen.series`.
     """
 
-    element: Element
     mean: float
     se: float
     df: Optional[int] = None
@@ -164,11 +164,6 @@ class Specimen:
     def __post_init__(self) -> None:
         if not self.id:
             raise ValueError("specimen id must be nonempty")
-        for element, s in self.series.items():
-            if s.element is not element:
-                raise ValueError(
-                    f"series keyed {element.value} carries element {s.element.value}"
-                )
         object.__setattr__(self, "series", MappingProxyType(dict(self.series)))
 
 
@@ -178,9 +173,10 @@ class BiasCorrection:
 
     A correction ``c`` rescales a series by ``(1 + c)``; the range
     expresses that the true correction is only known to an interval.
+    The element is the key the correction is stored under in a bias
+    table.
     """
 
-    element: Element
     c_lo: float
     c_hi: float
 
@@ -197,8 +193,8 @@ class BiasCorrection:
 #: against certified standards; silver by a flat 5.5%.
 DEFAULT_BIAS: Mapping[Element, BiasCorrection] = MappingProxyType(
     {
-        Element.SB: BiasCorrection(Element.SB, 0.02, 0.054),
-        Element.AG: BiasCorrection(Element.AG, 0.055, 0.055),
+        Element.SB: BiasCorrection(0.02, 0.054),
+        Element.AG: BiasCorrection(0.055, 0.055),
     }
 )
 
@@ -229,11 +225,6 @@ class MatchCriterion:
         ordered = tuple(sorted(set(self.elements), key=lambda e: e.value))
         object.__setattr__(self, "elements", ordered)
         if self.bias is not None:
-            for element, corr in self.bias.items():
-                if corr.element is not element:
-                    raise ValueError(
-                        f"bias keyed {element.value} is for {corr.element.value}"
-                    )
             object.__setattr__(self, "bias", MappingProxyType(dict(self.bias)))
 
     def bias_for(self, element: Element) -> Optional[BiasCorrection]:

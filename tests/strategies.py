@@ -28,7 +28,7 @@ def criteria(draw, panel):
     for e in draw(st.lists(st.sampled_from(panel), unique=True)):
         c_lo = draw(st.one_of(st.sampled_from([-0.5, 0.0, 0.25]), st.floats(-0.5, 0.5)))
         width = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.3)))
-        bias[e] = BiasCorrection(e, c_lo, c_lo + width)
+        bias[e] = BiasCorrection(c_lo, c_lo + width)
     return MatchCriterion(
         k=draw(st.one_of(st.sampled_from([1.0, 2.0, 4.0]), st.floats(0.01, 20.0))),
         elements=tuple(panel),
@@ -47,7 +47,7 @@ def populations(draw, complete=True):
     specimens = []
     for sid in draw(_ids):
         elements = panel if complete else draw(st.lists(st.sampled_from(panel), unique=True))
-        series = {e: ElementSeries(e, draw(_values), draw(_errors)) for e in elements}
+        series = {e: ElementSeries(draw(_values), draw(_errors)) for e in elements}
         specimens.append(Specimen(id=sid, kind=Kind.BULLET, lot=draw(_lots), series=series))
     return specimens, draw(criteria(panel))
 
@@ -61,9 +61,9 @@ def spread_populations(draw):
     specimens = []
     for sid in draw(_ids):
         near = 100.0 + draw(_values) % 3
-        series = {panel[0]: ElementSeries(panel[0], near, draw(_errors))}
+        series = {panel[0]: ElementSeries(near, draw(_errors))}
         for e in panel[1:]:
             mean = 10.0 ** draw(st.floats(0.0, 6.0))
-            series[e] = ElementSeries(e, mean, mean * draw(st.floats(0.0, 0.1)))
+            series[e] = ElementSeries(mean, mean * draw(st.floats(0.0, 0.1)))
         specimens.append(Specimen(id=sid, kind=Kind.BULLET, lot=draw(_lots), series=series))
     return specimens, draw(criteria(panel))

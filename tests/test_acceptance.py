@@ -123,12 +123,12 @@ def test_criterion_04_bias_corrected_match():
     ce567 = table1.get("CE 567")
 
     def biased_match(lot_sid, bias):
-        # the bias corrects the first side of the pair: the lot bullet
-        criterion = MatchCriterion(k=2.0, elements=(bias.element,), bias={bias.element: bias})
+        # the bias ({element: correction}) corrects the first side of the pair: the lot bullet
+        criterion = MatchCriterion(k=2.0, elements=tuple(bias), bias=bias)
         return match_specimens(table2.get(lot_sid), ce567, criterion).matched
 
-    sb_bias = BiasCorrection(Element.SB, 0.02, 0.054)
-    ag_bias = BiasCorrection(Element.AG, 0.055, 0.055)
+    sb_bias = {Element.SB: BiasCorrection(0.02, 0.054)}
+    ag_bias = {Element.AG: BiasCorrection(0.055, 0.055)}
     assert biased_match("bullet-1", sb_bias) is True
     assert biased_match("bullet-1", ag_bias) is False
     assert biased_match("bullet-1-middle", ag_bias) is True

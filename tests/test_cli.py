@@ -143,6 +143,22 @@ class TestEvidenceCommand:
         assert "posterior_odds exceeds the float range" in err
 
 
+def raw_replicates_csv(tmp_path, bullets, seed):
+    """Write Ag and As replicate rows, three per (bullet, location) cell."""
+    rng = np.random.default_rng(seed)
+    lines = [HEADER]
+    for bullet in bullets:
+        for location in ("outer", "middle", "inner"):
+            for _ in range(3):
+                ag = rng.lognormal(1.9, 0.05)
+                asv = rng.lognormal(1.2, 0.05)
+                lines.append(f"{bullet},bullet,6003,{location},Ag,{ag},,replicate_member")
+                lines.append(f"{bullet},bullet,6003,{location},As,{asv},,replicate_member")
+    path = tmp_path / "raw.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 class TestHeteroCommand:
     def test_table2_silver_outer_middle(self, capsys):
         payload, _ = run_json(
@@ -221,17 +237,7 @@ class TestHeteroCommand:
         assert "x5 and x6 both have zero spread" in err
 
     def test_manova_on_raw_rows(self, capsys, tmp_path):
-        rng = np.random.default_rng(0)
-        lines = [HEADER]
-        for bullet in ("b1", "b2"):
-            for location in ("outer", "middle", "inner"):
-                for _ in range(3):
-                    ag = rng.lognormal(1.9, 0.05)
-                    asv = rng.lognormal(1.2, 0.05)
-                    lines.append(f"{bullet},bullet,6003,{location},Ag,{ag},,replicate_member")
-                    lines.append(f"{bullet},bullet,6003,{location},As,{asv},,replicate_member")
-        path = tmp_path / "raw.csv"
-        path.write_text("\n".join(lines) + "\n")
+        path = raw_replicates_csv(tmp_path, ("b1", "b2"), seed=0)
         payload, _ = run_json(
             capsys,
             "hetero", "--manova", "--input", str(path), "--responses", "Ag,As",
@@ -241,6 +247,15 @@ class TestHeteroCommand:
         for effect in payload["effects"].values():
             assert 0.0 < effect["wilks_lambda"] <= 1.0
             assert 0.0 <= effect["wilks_p"] <= 1.0
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("repeated, once", [("Ag,Ag", "Ag"), ("Ag,As,Ag", "Ag,As")])
+    def test_manova_repeated_response_counts_once(self, capsys, tmp_path, fmt, repeated, once):
+        path = raw_replicates_csv(tmp_path, ("b1", "b2", "b3"), seed=1)
+        argv = ("hetero", "--manova", "--input", str(path), "--format", fmt, "--responses")
+        code, out, err = run(capsys, *argv, repeated)
+        assert (code, err) == (0, "")
+        assert run(capsys, *argv, once) == (0, out, "")
 
 
 class TestDistfitCommand:
@@ -1022,6 +1037,34 @@ class TestExitCodes:
         )
         assert (code, out) == (2, "")
         assert "config attenuation entries must look like" in err
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize(
+        "attenuation",
+        [
+            [],
+            {},
+            [{"energy_kev": True, "mu_linear_per_cm": 1.271831}],
+            [{"energy_kev": "657", "mu_linear_per_cm": 1.271831}],
+        ],
+        ids=["empty_list", "empty_object", "bool_energy", "string_energy"],
+    )
+    def test_malformed_config_attenuation_exits_2(self, capsys, tmp_path, fmt, attenuation):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"attenuation": attenuation}))
+        argv = ("naa", "selfabs", "--dimension-mm", "0.4", "--format", fmt)
+        code, out, err = run(capsys, *argv, "--config", str(config))
+        assert (code, out) == (2, "")
+        assert "config attenuation entries must look like" in err
+        assert err.rstrip().endswith(f"got {json.dumps(attenuation)}")
+
+    def test_null_config_attenuation_takes_default(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"attenuation": None}))
+        argv = ("naa", "selfabs", "--dimension-mm", "0.4")
+        code, out, err = run(capsys, *argv, "--config", str(config))
+        assert (code, err) == (0, "")
+        assert run(capsys, *argv) == (0, out, "")
 
     def test_success_exits_0(self, capsys):
         code, _, _ = run(capsys, "group", "--fixture", "table1")

@@ -27,9 +27,9 @@ OPEN4 = MatchCriterion(k=4.0, elements=(Element.SB, Element.AG), boundary=Bounda
 
 
 def specimen(sid, sb, ag=None, lot=None):
-    series = {Element.SB: ElementSeries(Element.SB, sb[0], sb[1])}
+    series = {Element.SB: ElementSeries(sb[0], sb[1])}
     if ag is not None:
-        series[Element.AG] = ElementSeries(Element.AG, ag[0], ag[1])
+        series[Element.AG] = ElementSeries(ag[0], ag[1])
     return Specimen(id=sid, kind=Kind.BULLET, lot=lot, series=series)
 
 
@@ -364,7 +364,7 @@ def lot_population(seed, n, log_span, per_lot, lot_spread, rel_se):
             series = {}
             for e, centre in centres.items():
                 mean = centre * (1.0 + rng.gauss(0.0, lot_spread))
-                series[e] = ElementSeries(e, mean, mean * rng.uniform(*rel_se))
+                series[e] = ElementSeries(mean, mean * rng.uniform(*rel_se))
             sid = f"s{ids[len(specimens)]:04d}"
             specimens.append(Specimen(id=sid, kind=Kind.BULLET, lot=lot, series=series))
     return specimens

@@ -1,8 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cabl.errors import ConflictError, DomainError, ParseError
 from cabl.ingest import CSV_HEADER, FIXTURE_NAMES, Dataset, fixture, parse_csv, parse_rows
-from cabl.model import Element, Kind, Location
+from cabl.model import Basis, Element, Kind, Location
 
 HEADER = ",".join(CSV_HEADER)
 
@@ -46,6 +48,33 @@ FIXTURE_SNAPSHOT = {
 
 def csv_text(*rows):
     return "\n".join([HEADER, *rows]) + "\n"
+
+
+# small integers make tied replicate values common
+_values = st.one_of(st.integers(1, 9).map(float), st.floats(0.01, 1000.0))
+
+
+@st.composite
+def measurement_rows(draw):
+    """Fault-free CSV data rows of several specimens over several lots:
+    single-count series and replicate groups, each group at one location
+    drawn from one or two per specimen."""
+    rows = []
+    for sid in draw(st.lists(st.text("abxyz", min_size=1, max_size=3), min_size=2, max_size=6,
+                             unique=True)):
+        head = f"{sid},{draw(st.sampled_from(list(Kind)))},{draw(st.sampled_from(['', 'L1', 'L2']))}"
+        locations = draw(st.lists(st.sampled_from(list(Location)), min_size=1, max_size=2,
+                                  unique=True))
+        for element in draw(st.lists(st.sampled_from(list(Element)), min_size=1, max_size=3,
+                                     unique=True)):
+            location = draw(st.sampled_from(locations))
+            if draw(st.sampled_from(list(Basis))) is Basis.POISSON_SINGLE:
+                sigma = draw(st.floats(0.0, 50.0))
+                rows.append(f"{head},{location},{element},{draw(_values)!r},{sigma!r},poisson_single")
+                continue
+            for value in draw(st.lists(_values, min_size=2, max_size=4)):
+                rows.append(f"{head},{location},{element},{value!r},,replicate_member")
+    return rows
 
 
 class TestParseCsv:
@@ -192,6 +221,41 @@ class TestParseCsv:
                 )
             )
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_row_order_does_not_change_specimens(self, data):
+        rows = data.draw(measurement_rows())
+        shuffled = data.draw(st.permutations(rows))
+        base = {s.id: s for s in parse_csv(csv_text(*rows))}
+        ds = parse_csv(csv_text(*shuffled))
+        assert {s.id: s for s in ds} == base  # exact float equality
+        # specimens come out in order of first appearance
+        assert [s.id for s in ds] == list(dict.fromkeys(row.split(",")[0] for row in shuffled))
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            # a kind or lot conflict is found before any specimen is built
+            (("x,fragment,,,Ag,8.8,0.5,poisson_single", "x,fragment,,,Ag,9.0,0.4,poisson_single",
+              "y,fragment,,,Ag,8.8,0.5,poisson_single", "y,bullet,,,Sb,600,4,poisson_single"),
+             "specimen 'y' changes kind"),
+            (("x,bullet,,,Ag,8.8,,replicate_member", "y,bullet,L1,,Ag,8.8,0.5,poisson_single",
+              "y,bullet,L2,,Sb,600,4,poisson_single"),
+             "specimen 'y' changes lot"),
+            # then the first specimen in file order with a fault is named
+            (("z,bullet,,,Ag,8.8,,replicate_member", "a,bullet,,,Ag,8.8,,replicate_member",
+              "a,bullet,,,Ag,9.0,,replicate_member", "a,bullet,,,Sb,600,,replicate_member"),
+             "specimen 'z' Ag has a single replicate_member row"),
+            (("z,bullet,,,Sb,600,,replicate_member", "a,fragment,,,Ag,8.8,0.5,poisson_single",
+              "a,fragment,,,Ag,9.0,0.4,poisson_single"),
+             "specimen 'z' Sb has a single replicate_member row"),
+        ],
+        ids=["kind", "lot", "replicates", "duplicate"],
+    )
+    def test_first_fault_in_file_order_is_reported(self, rows, message):
+        with pytest.raises((ConflictError, ParseError), match=message):
+            parse_csv(csv_text(*rows))
+
     def test_empty_location_means_unlabeled(self):
         ds = parse_csv(csv_text("x,fragment,,,Ag,8.8,0.5,poisson_single"))
         assert ds.get("x").location is None
@@ -227,8 +291,6 @@ class TestFixtures:
                 for s in ds
             ]
             assert got == expected, name
-            for s in ds:
-                assert all(x.element is e for e, x in s.series.items())
 
     def test_table1_values(self):
         ds = fixture("table1")

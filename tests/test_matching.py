@@ -21,28 +21,28 @@ from cabl.model import (
     series_interval,
 )
 
-SB_BIAS = BiasCorrection(Element.SB, 0.02, 0.054)
-AG_BIAS = BiasCorrection(Element.AG, 0.055, 0.055)
+SB_BIAS = BiasCorrection(0.02, 0.054)
+AG_BIAS = BiasCorrection(0.055, 0.055)
 
 
-def series(mean, se, n=1, element=Element.SB):
+def series(mean, se, n=1):
     df = None if n == 1 else n - 1
-    return ElementSeries(element=element, mean=mean, se=se, df=df, n=n)
+    return ElementSeries(mean=mean, se=se, df=df, n=n)
 
 
 def matches(a, b, k, boundary=Boundary.CLOSED, bias=None):
-    """``match_specimens`` on two one-element specimens carrying series a and b.
+    """``match_specimens`` on two Sb-only specimens carrying series a and b.
 
     ``bias`` corrects the first side, a, as a criterion's bias table does.
     """
     criterion = MatchCriterion(
         k=k,
-        elements=(a.element,),
-        bias=None if bias is None else {bias.element: bias},
+        elements=(Element.SB,),
+        bias=None if bias is None else {Element.SB: bias},
         boundary=boundary,
     )
-    first = Specimen(id="a", kind=Kind.FRAGMENT, series={a.element: a})
-    second = Specimen(id="b", kind=Kind.FRAGMENT, series={b.element: b})
+    first = Specimen(id="a", kind=Kind.FRAGMENT, series={Element.SB: a})
+    second = Specimen(id="b", kind=Kind.FRAGMENT, series={Element.SB: b})
     return match_specimens(first, second, criterion).matched
 
 
@@ -147,7 +147,7 @@ class TestMatchElementBiased:
     )
     def test_zero_bias_equals_unbiased(self, m1, s1, m2, s2, k):
         a, b = series(m1, s1), series(m2, s2)
-        zero = BiasCorrection(Element.SB, 0.0, 0.0)
+        zero = BiasCorrection(0.0, 0.0)
         assert matches(a, b, k, bias=zero) == matches(a, b, k)
 
 
@@ -195,7 +195,7 @@ class TestMatchSpecimens:
             match_specimens(bare, table1.get("CE 399"), criterion_preset("guinn4"))
 
     def test_first_missing_element_raises_for_a_then_b(self):
-        ag, sb = series(5.0, 1.0, element=Element.AG), series(500.0, 5.0)
+        ag, sb = series(5.0, 1.0), series(500.0, 5.0)
         only_ag = Specimen(id="only-ag", kind=Kind.FRAGMENT, series={Element.AG: ag})
         only_sb = Specimen(id="only-sb", kind=Kind.FRAGMENT, series={Element.SB: sb})
         # the panel runs Ag, Sb: Ag is checked on both sides before Sb

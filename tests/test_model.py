@@ -19,9 +19,9 @@ from cabl.model import (
 )
 
 
-def series(mean, se, n=1, element=Element.SB):
+def series(mean, se, n=1):
     df = None if n == 1 else n - 1
-    return ElementSeries(element=element, mean=mean, se=se, df=df, n=n)
+    return ElementSeries(mean=mean, se=se, df=df, n=n)
 
 
 VOCABULARY = (Element, Location, Basis, Kind, Boundary)
@@ -95,7 +95,7 @@ class TestSeriesInterval:
     )
     def test_biased_interval_is_the_union_of_corrections(self, mean, se, k, c_lo, width, t):
         s = series(mean, se)
-        bias = BiasCorrection(Element.SB, c_lo, c_lo + width)
+        bias = BiasCorrection(c_lo, c_lo + width)
         lo, hi = series_interval(s, k)
         hull_lo, hull_hi = series_interval(s, k, bias)
         # contains the interval corrected by any c in the range
@@ -129,15 +129,15 @@ class TestBoundary:
 class TestValidation:
     def test_series_mean_positive(self):
         with pytest.raises(ValueError):
-            ElementSeries(Element.AG, mean=0.0, se=1.0)
+            ElementSeries(mean=0.0, se=1.0)
 
     def test_series_negative_se(self):
         with pytest.raises(ValueError):
-            ElementSeries(Element.AG, mean=1.0, se=-0.1)
+            ElementSeries(mean=1.0, se=-0.1)
 
     def test_series_df_must_match_n(self):
         with pytest.raises(ValueError):
-            ElementSeries(Element.AG, mean=1.0, se=0.1, df=3, n=3)
+            ElementSeries(mean=1.0, se=0.1, df=3, n=3)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_values_refused(self, bad):
@@ -146,15 +146,15 @@ class TestValidation:
         with pytest.raises(DomainError):
             series(100.0, bad)
         with pytest.raises(DomainError):
-            BiasCorrection(Element.SB, bad, 0.1)
+            BiasCorrection(bad, 0.1)
         with pytest.raises(DomainError):
-            BiasCorrection(Element.SB, 0.0, bad)
+            BiasCorrection(0.0, bad)
         with pytest.raises(DomainError):
             MatchCriterion(k=bad, elements=(Element.SB,))
 
     def test_bias_range_ordering(self):
         with pytest.raises(ValueError):
-            BiasCorrection(Element.SB, 0.06, 0.02)
+            BiasCorrection(0.06, 0.02)
 
     def test_specimen_equality_by_value(self):
         def build(**changes):
@@ -164,7 +164,7 @@ class TestValidation:
                 lot="L1",
                 series={
                     Element.SB: series(100.0, 1.0),
-                    Element.AG: series(20.0, 0.5, element=Element.AG),
+                    Element.AG: series(20.0, 0.5),
                 },
                 location=Location.OUTER,
             )
@@ -177,10 +177,6 @@ class TestValidation:
         assert build() != build(location=Location.INNER)
         with pytest.raises(TypeError):
             hash(build())
-
-    def test_specimen_series_key_must_agree(self):
-        with pytest.raises(ValueError):
-            Specimen("x", Kind.FRAGMENT, series={Element.AG: series(1.0, 0.1)})
 
 
 class TestCriterion:
