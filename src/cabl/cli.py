@@ -183,6 +183,17 @@ def _load_config(path: Optional[str]) -> dict:
     return config
 
 
+def _config_number(value: object, key: str, refusal: Optional[str] = None) -> float:
+    """``value`` as a float.  A bool (JSON true/false, an int to isinstance) or a
+    non-number raises ``refusal``; too large an integer, a DomainError naming ``key``."""
+    if type(value) not in (int, float):
+        raise ValueError(refusal or f"config {key} must be a number, got {json.dumps(value)}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise DomainError(f"config {key} exceeds the float range") from None
+
+
 def _bias_table(spec: object) -> dict[Element, BiasCorrection]:
     """Bias table from {symbol: c or [c] or [c_lo, c_hi]}, every c a number."""
     if not isinstance(spec, dict):
@@ -191,10 +202,11 @@ def _bias_table(spec: object) -> dict[Element, BiasCorrection]:
     for symbol, value in spec.items():
         element = Element(symbol)
         bounds = value if isinstance(value, list) else [value]
-        # JSON true/false load as bools, which are ints to isinstance
-        if len(bounds) not in (1, 2) or not all(type(c) in (int, float) for c in bounds):
-            raise ValueError(f"bias for {symbol} must be one or two numbers, got {json.dumps(value)}")
-        table[element] = BiasCorrection(float(bounds[0]), float(bounds[-1]))
+        refusal = f"bias for {symbol} must be one or two numbers, got {json.dumps(value)}"
+        if len(bounds) not in (1, 2):
+            raise ValueError(refusal)
+        numbers = [_config_number(c, f"criterion.bias.{symbol}", refusal) for c in bounds]
+        table[element] = BiasCorrection(numbers[0], numbers[-1])
     return table
 
 
@@ -214,14 +226,11 @@ def _build_criterion(args: argparse.Namespace, config: dict) -> MatchCriterion:
     preset = _config_string(conf, "preset", "guinn4") if args.criterion is None else args.criterion
     criterion = criterion_preset(preset, elements=elements, bias=bias)
     k = args.k if args.k is not None else conf.get("k")
-    if k is not None and type(k) not in (int, float):
-        raise ValueError(f"config criterion.k must be a number, got {json.dumps(k)}")
+    k = criterion.k if k is None else _config_number(k, "criterion.k")
     boundary = args.boundary
     if boundary is None:
         boundary = _config_string(conf, "boundary", criterion.boundary.value)
-    return replace(
-        criterion, k=criterion.k if k is None else float(k), boundary=Boundary(boundary)
-    )
+    return replace(criterion, k=k, boundary=Boundary(boundary))
 
 
 def _config_string(conf: dict, key: str, default: str) -> str:
@@ -379,16 +388,21 @@ def _match_text(p: dict) -> Iterable[str]:
 # ---------------------------------------------------------------- group
 
 
-def cmd_group(args: argparse.Namespace) -> dict:
+def _grouped(args: argparse.Namespace, mode: str) -> tuple:
+    """The dataset, criterion and ``group`` result that ``group`` and ``report`` share."""
     config = _load_config(args.config)
     dataset = _load_dataset(args)
     if not len(dataset):
         raise ValueError("dataset has no specimens")
     criterion = _build_criterion(args, config)
-    mode = {"cc": "connected_components", "clique": "maximal_cliques"}[args.mode]
     from .grouping import group
 
-    result = group(dataset, criterion, mode=mode)
+    return dataset, criterion, group(dataset, criterion, mode=mode)
+
+
+def cmd_group(args: argparse.Namespace) -> dict:
+    mode = {"cc": "connected_components", "clique": "maximal_cliques"}[args.mode]
+    dataset, criterion, result = _grouped(args, mode)
     return {
         "command": "group",
         "dataset": dataset.provenance,
@@ -671,18 +685,15 @@ def _attenuation_entries(args: argparse.Namespace, config: dict) -> tuple[Attenu
     spec = config.get("attenuation")
     if spec is None:
         return DEFAULT_ATTENUATION
-    # JSON true/false load as bools, which are ints to isinstance
-    if not (isinstance(spec, list) and spec and all(
-        isinstance(e, dict) and all(type(e.get(key)) in (int, float) for key in ATTENUATION_HEADER)
-        for e in spec
-    )):
-        raise ValueError(
-            "config attenuation entries must look like "
-            f'{{"energy_kev": 559, "mu_linear_per_cm": 12.1}}, in a nonempty list; '
-            f"got {json.dumps(spec)}"
-        )
+    refusal = (
+        'config attenuation entries must look like {"energy_kev": 559, "mu_linear_per_cm": 12.1},'
+        f" in a nonempty list; got {json.dumps(spec)}"
+    )
+    if not (isinstance(spec, list) and spec and all(isinstance(e, dict) for e in spec)):
+        raise ValueError(refusal)
     return tuple(
-        AttenuationEntry(float(e["energy_kev"]), float(e["mu_linear_per_cm"])) for e in spec
+        AttenuationEntry(*(_config_number(e.get(f), f, refusal) for f in ATTENUATION_HEADER))
+        for e in spec
     )
 
 
@@ -765,15 +776,10 @@ def _selfabs_text(p: dict) -> Iterable[str]:
 
 
 def cmd_report(args: argparse.Namespace) -> dict:
-    config = _load_config(args.config)
-    dataset = _load_dataset(args)
-    if not len(dataset):
-        raise ValueError("dataset has no specimens")
-    criterion = _build_criterion(args, config)
-    from .grouping import group, within_box_match_rate
+    dataset, criterion, result = _grouped(args, "connected_components")
+    from .grouping import within_box_match_rate
 
-    grouping = group(dataset, criterion)
-    rate = within_box_match_rate(dataset, criterion)
+    rate = within_box_match_rate(dataset, result)
     specimens = [
         {
             "id": s.id,
@@ -792,7 +798,7 @@ def cmd_report(args: argparse.Namespace) -> dict:
         "dataset": dataset.provenance,
         "criterion": _criterion_dict(criterion),
         "specimens": specimens,
-        "grouping": grouping.as_dict(),
+        "grouping": result.as_dict(),
         "within_lot": {
             "pairs_total": rate.pairs_total,
             "pairs_matched": rate.pairs_matched,

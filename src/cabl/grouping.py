@@ -11,13 +11,14 @@ The match graph is built as neighbour sets over the specimens in
 sorted-id order by a sort-and-sweep over interval hulls, and each pair
 the sweep meets gets ``match_specimens``' verdict from the same interval
 endpoints; under a bias table the smaller id of each pair is the
-corrected side.  Witnesses are found by walking the neighbours of each
-middle specimen.
+corrected side.  That sweep decides each pair once: witnesses walk the
+neighbours of each middle specimen, and the within-lot rate counts edges.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Mapping, Sequence
@@ -215,25 +216,16 @@ class MatchRate:
         return self.pairs_matched / self.pairs_total if self.pairs_total else 0.0
 
 
-def within_box_match_rate(
-    specimens: Iterable[Specimen], criterion: MatchCriterion
-) -> MatchRate:
-    """Fraction of same-lot unordered pairs that match the criterion.
-
-    Specimens without a lot never share one and contribute no pairs.
-    """
-    spec_list = sorted(specimens, key=lambda s: s.id)
+def within_box_match_rate(specimens: Iterable[Specimen], grouping: GroupingResult) -> MatchRate:
+    """Fraction of same-lot unordered pairs that match, read off the adjacency of
+    ``grouping``, ``group``'s result over the same specimens: no pair is decided
+    here.  Specimens without a lot contribute no pairs."""
+    spec_list = list(specimens)
     if not spec_list:
         raise ValueError("need at least one specimen")
-    # lots in order of their smallest id: the first to hold an incomplete
-    # panel also holds the first failing same-lot pair in id order
-    lots: dict[str, list[Specimen]] = {}
-    for s in spec_list:
-        if s.lot is not None:
-            lots.setdefault(s.lot, []).append(s)
-    total = 0
-    matched = 0
-    for members in lots.values():
-        total += len(members) * (len(members) - 1) // 2
-        matched += sum(map(len, _neighbours(members, criterion))) // 2
-    return MatchRate(pairs_total=total, pairs_matched=matched)
+    if sorted(s.id for s in spec_list) != sorted(grouping.adjacency):
+        raise ValueError("grouping must come from a group run over the same specimens")
+    lots = {s.id: s.lot for s in spec_list if s.lot is not None}
+    # each edge is listed at both ends; count it at its smaller id
+    matched = sum(a < b and lots.get(b) == lots[a] for a in lots for b in grouping.adjacency[a])
+    return MatchRate(sum(n * (n - 1) // 2 for n in Counter(lots.values()).values()), matched)

@@ -425,6 +425,36 @@ class TestReportCommand:
         assert "table3_semantics" in payload["decisions"]
         assert payload["within_lot"]["pairs_total"] == 16 * 15 // 2
 
+    def test_report_sweeps_once(self, capsys, monkeypatch):
+        # the within-lot count is read off group's adjacency, not swept per lot
+        import cabl.grouping
+
+        calls = []
+        sweep = cabl.grouping._neighbours
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return sweep(*args)
+
+        monkeypatch.setattr(cabl.grouping, "_neighbours", counted)
+        payload, _ = run_json(capsys, "report", "--fixture", "table3", "--criterion", "guinn4")
+        assert calls == [len(payload["specimens"])]
+        assert payload["within_lot"]["pairs_matched"] == 24
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_lotless_incomplete_panel_exits_2(self, capsys, tmp_path, fmt):
+        # the questioned fragment shares no lot, yet group refuses it first
+        rows = [
+            f"{sid},bullet,L1,,{element},{value},{sigma},poisson_single"
+            for sid in ("a", "b")
+            for element, value, sigma in (("Sb", 100.0, 1.0), ("Ag", 10.0, 0.5))
+        ]
+        path = tmp_path / "lotless.csv"
+        path.write_text("\n".join([HEADER, *rows, "c,fragment,,,Sb,100.0,1.0,poisson_single"]))
+        code, out, err = run(capsys, "report", "--input", str(path), "--format", fmt)
+        assert (code, out) == (2, "")
+        assert "specimen 'c' has no Ag series" in err
+
 
 # (bullet, element) -> nine replicates: three outer, three middle, three inner
 MANOVA_VALUES = {
@@ -1322,6 +1352,29 @@ class TestConfigAndDeterminism:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert message in err
+
+    # case -> (command, config with an integer beyond the float range, its key)
+    BEYOND_FLOAT = "1" + "0" * 400
+    MATCH = ("match", "--fixture", "table1")
+    OVERFLOW_CASES = {
+        "k": (MATCH, '{"criterion": {"k": %s}}', "criterion.k"),
+        "bias": (MATCH, '{"criterion": {"bias": {"Sb": [0.02, %s]}}}', "criterion.bias.Sb"),
+        "energy_kev": (
+            ("naa", "selfabs", "--dimension-mm", "0.4"),
+            '{"attenuation": [{"energy_kev": %s, "mu_linear_per_cm": 1.27}]}',
+            "energy_kev",
+        ),
+    }
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("case", sorted(OVERFLOW_CASES))
+    def test_config_integer_beyond_float_range_exits_2(self, capsys, tmp_path, fmt, case):
+        argv, template, key = self.OVERFLOW_CASES[case]
+        path = tmp_path / "config.json"
+        path.write_text(template % self.BEYOND_FLOAT)
+        code, out, err = run(capsys, *argv, "--config", str(path), "--format", fmt)
+        assert (code, out) == (2, "")
+        assert f"config {key} exceeds the float range" in err
 
     def test_absent_panel_keeps_default(self, capsys, tmp_path):
         config = tmp_path / "config.json"

@@ -127,27 +127,27 @@ class TestWithinBoxMatchRate:
         a = specimen("a", (100.0, 5.0), lot="6000")
         b = specimen("b", (102.0, 5.0), lot="6000")
         criterion = MatchCriterion(k=4.0, elements=(Element.SB,))
-        rate = within_box_match_rate([a, b], criterion)
+        rate = within_box_match_rate([a, b], group([a, b], criterion))
         assert (rate.pairs_total, rate.pairs_matched, rate.rate) == (1, 1, 1.0)
 
     def test_two_unmatched(self):
         a = specimen("a", (100.0, 1.0), lot="6000")
         b = specimen("b", (200.0, 1.0), lot="6000")
         criterion = MatchCriterion(k=4.0, elements=(Element.SB,))
-        rate = within_box_match_rate([a, b], criterion)
+        rate = within_box_match_rate([a, b], group([a, b], criterion))
         assert (rate.pairs_total, rate.pairs_matched, rate.rate) == (2 - 1, 0, 0.0)
 
     def test_different_lots_contribute_no_pairs(self):
         a = specimen("a", (100.0, 5.0), lot="6000")
         b = specimen("b", (100.0, 5.0), lot="6003")
         criterion = MatchCriterion(k=4.0, elements=(Element.SB,))
-        assert within_box_match_rate([a, b], criterion).pairs_total == 0
+        assert within_box_match_rate([a, b], group([a, b], criterion)).pairs_total == 0
 
     def test_table3_whole_bullets(self):
         # brute-force oracle: check all 6 pairs by direct interval arithmetic
         whole = [s for s in fixture("table3") if s.kind is Kind.BULLET]
         assert len(whole) == 4
-        rate = within_box_match_rate(whole, GUINN4)
+        rate = within_box_match_rate(whole, group(whole, GUINN4))
         assert rate.pairs_total == 6
 
         def overlaps(sa, sb):
@@ -169,7 +169,15 @@ class TestWithinBoxMatchRate:
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
-            within_box_match_rate([], GUINN4)
+            within_box_match_rate([], group([], GUINN4))
+
+    def test_grouping_of_other_specimens_rejected(self):
+        a = specimen("a", (100.0, 5.0), lot="6000")
+        b = specimen("b", (102.0, 5.0), lot="6000")
+        criterion = MatchCriterion(k=4.0, elements=(Element.SB,))
+        for others in ([a], [a, b, replace(b, id="c")], [a, b, b]):
+            with pytest.raises(ValueError, match="same specimens"):
+                within_box_match_rate(others, group([a, b], criterion))
 
 
 # ------------------------------------------------------------------------
@@ -197,7 +205,7 @@ def engine_adjacency(specimens, criterion):
 
 
 def engine_lot_rate(specimens, criterion):
-    rate = within_box_match_rate(specimens, criterion)
+    rate = within_box_match_rate(specimens, group(specimens, criterion))
     return rate.pairs_total, rate.pairs_matched
 
 
@@ -301,9 +309,6 @@ class TestArrayEngineAgainstScalarRule:
         specimens, criterion = case
         assert outcome(engine_adjacency, specimens, criterion) == outcome(
             lambda *args: sorted_neighbors(scalar_adjacency(*args)), specimens, criterion
-        )
-        assert outcome(engine_lot_rate, specimens, criterion) == outcome(
-            scalar_lot_rate, specimens, criterion
         )
 
 
@@ -413,11 +418,3 @@ class TestIncompletePanels:
         result = group([lone], GUINN4)
         assert result.groups == (("solo",),)
         assert result.nontransitive_triples == ()
-
-    def test_lot_rate_only_examines_same_lot_pairs(self):
-        # the incomplete specimen shares no lot, so no examined pair fails
-        a = specimen("a", (100.0, 1.0), (10.0, 0.5), lot="L1")
-        b = specimen("b", (100.0, 1.0), (10.0, 0.5), lot="L1")
-        lacking = specimen("c", (100.0, 1.0), lot="L2")
-        rate = within_box_match_rate([a, b, lacking], GUINN4)
-        assert (rate.pairs_total, rate.pairs_matched) == (1, 1)
