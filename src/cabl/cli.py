@@ -23,11 +23,15 @@ read off the criterion once per report.  The writer asks the rows for
 their text, that of one ``{"a", "b", "matched", "per_element"}`` dict a
 pair, so the n(n-1)/2 pairs never exist as a tree of dicts.
 
+Each command imports its own modules inside its function, naming the
+module that defines each function, so a job loads only the code of the
+command it runs.  At the top this module imports only ``errors``, and
+``model`` and ``ingest`` (which loads ``uncertainty``), whose names give
+``build_parser`` its choices.
 numpy loads only where a command works on arrays: ``hetero --manova``
-imports the MANOVA module inside the command after its input is
-validated, so a bad-input job exits 2 without loading it.  The import
-names the module that defines the function, and every other command,
-``group`` and ``report`` included, runs on the standard library alone.
+imports the MANOVA module after its input is validated, so a bad-input
+job exits 2 without loading it, and every other command, ``group`` and
+``report`` included, runs on the standard library alone.
 """
 
 from __future__ import annotations
@@ -36,14 +40,11 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, replace
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from .errors import CablError, DegreesOfFreedomError, DomainError
-from .evidence import BoxModel, likelihood_ratio, posterior_odds
 from .ingest import (
     ATTENUATION_HEADER,
     FIXTURE_NAMES,
@@ -53,7 +54,6 @@ from .ingest import (
     parse_csv,
     parse_rows,
 )
-from .matching import match_specimens
 from .model import (
     Basis,
     BiasCorrection,
@@ -63,16 +63,6 @@ from .model import (
     MatchCriterion,
     PRESET_NAMES,
     criterion_preset,
-)
-from .stats.fitting import FAMILIES, rank_families
-from .stats.ttest import TwoSampleInput, pooled_t_test
-from .uncertainty import (
-    DEFAULT_ATTENUATION,
-    AttenuationEntry,
-    DecaySchedule,
-    comparator_concentration,
-    decay_factor,
-    self_absorption_loss,
 )
 
 _BOUNDARY_NOTE = "closed boundary counts exactly touching intervals as a match"
@@ -230,7 +220,7 @@ def _build_criterion(args: argparse.Namespace, config: dict) -> MatchCriterion:
     boundary = args.boundary
     if boundary is None:
         boundary = _config_string(conf, "boundary", criterion.boundary.value)
-    return replace(criterion, k=k, boundary=Boundary(boundary))
+    return MatchCriterion(k, criterion.elements, criterion.bias, Boundary(boundary))
 
 
 def _config_string(conf: dict, key: str, default: str) -> str:
@@ -338,8 +328,6 @@ class _MatchRows(tuple):
                     text.append(head + fails)
                     continue
                 lo, hi = overlap
-                if not (math.isfinite(lo) and math.isfinite(hi)):
-                    _encode(overlap, field)  # raises the writer's error for the first
                 text.append(f"{head}{holds}{lo!r},{bound}{hi!r}{field}]{element}}}")
             text.append(f"{key}}}{pair}}}")
             items.append("".join(text))
@@ -347,6 +335,8 @@ class _MatchRows(tuple):
 
 
 def cmd_match(args: argparse.Namespace) -> dict:
+    from .matching import match_specimens
+
     config = _load_config(args.config)
     dataset = _load_dataset(args)
     criterion = _build_criterion(args, config)
@@ -434,6 +424,10 @@ def _group_text(p: dict) -> Iterable[str]:
 
 
 def cmd_evidence(args: argparse.Namespace) -> dict:
+    from fractions import Fraction
+
+    from .evidence import BoxModel, likelihood_ratio, posterior_odds
+
     sizes = tuple(int(part) for part in _split(args.box))
     box = BoxModel(sizes)
     result = likelihood_ratio(box, args.groups_observed, args.draws_t, args.draws_not_t)
@@ -442,7 +436,7 @@ def cmd_evidence(args: argparse.Namespace) -> dict:
             prior = Fraction(args.prior_odds)
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"cannot parse prior odds {args.prior_odds!r}") from None
-        result = replace(result, posterior_odds=posterior_odds(result.likelihood_ratio, prior))
+        result = result._replace(posterior_odds=posterior_odds(result.likelihood_ratio, prior))
     return {
         "command": "evidence",
         "box": list(sizes),
@@ -483,6 +477,8 @@ def _pick_by_location(dataset: Dataset, element: Element, token: str):
 
 
 def _hetero_ttest(args: argparse.Namespace, dataset: Dataset) -> dict:
+    from .stats.ttest import TwoSampleInput, pooled_t_test
+
     element = Element(args.element)
     if args.ids:
         tokens = _split(args.ids)
@@ -566,7 +562,7 @@ def _hetero_manova(args: argparse.Namespace) -> dict:
         "test": "manova_two_way",
         "responses": [e.value for e in elements],
         "n_observations": len(observations),
-        "effects": {name: asdict(test) for name, test in tests.items()},
+        "effects": {name: test._asdict() for name, test in tests.items()},
         "decisions": {
             "log_note": "responses are natural-log concentrations",
             "pairing_note": "replicates pair by row order within each (bullet, location) cell; "
@@ -623,6 +619,8 @@ def _read_values(path: str) -> list[float]:
 
 
 def cmd_distfit(args: argparse.Namespace) -> dict:
+    from .stats.fitting import FAMILIES, rank_families
+
     values = _read_values(args.input)
     if args.families in (None, "all"):
         families: Sequence[str] = FAMILIES
@@ -637,7 +635,7 @@ def cmd_distfit(args: argparse.Namespace) -> dict:
         "command": "distfit",
         "input": args.input,
         "n": len(values),
-        "ranking": [asdict(e) for e in rank_families(values, families)],
+        "ranking": [e._asdict() for e in rank_families(values, families)],
         "decisions": {
             "gof_note": "chi-squared on max(5, n//5) equal-probability bins; "
             "df = bins - 1 - #params",
@@ -661,7 +659,9 @@ def _distfit_text(p: dict) -> Iterable[str]:
 # ------------------------------------------------------------------ naa
 
 
-def _schedule_from(args: argparse.Namespace, prefix: str = "") -> DecaySchedule:
+def _schedule_from(args: argparse.Namespace, prefix: str = ""):
+    from .uncertainty import DecaySchedule
+
     def pick(name: str) -> str:
         value = getattr(args, prefix + name, None)
         if value is None:
@@ -678,7 +678,9 @@ def _schedule_from(args: argparse.Namespace, prefix: str = "") -> DecaySchedule:
     )
 
 
-def _attenuation_entries(args: argparse.Namespace, config: dict) -> tuple[AttenuationEntry, ...]:
+def _attenuation_entries(args: argparse.Namespace, config: dict) -> tuple:
+    from .uncertainty import DEFAULT_ATTENUATION, AttenuationEntry
+
     if getattr(args, "table", None):
         return parse_attenuation_csv(Path(args.table).read_text(encoding="utf-8"))
     # only an absent or null table takes the default; [] and {} are refused
@@ -698,6 +700,8 @@ def _attenuation_entries(args: argparse.Namespace, config: dict) -> tuple[Attenu
 
 
 def cmd_naa(args: argparse.Namespace) -> dict:
+    from .uncertainty import comparator_concentration, decay_factor, self_absorption_loss
+
     if args.naa_command == "decay":
         schedule = _schedule_from(args)
         return {

@@ -18,24 +18,28 @@ without tolerance questions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import DomainError
+from .model import Checked
 
 
-@dataclass(frozen=True)
-class BoxModel:
-    """Compositional group sizes within one box of cartridges."""
-
+class _BoxFields(NamedTuple):
     group_sizes: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not self.group_sizes:
+
+class BoxModel(Checked, _BoxFields):
+    """Compositional group sizes within one box of cartridges."""
+
+    __slots__ = ()
+
+    def __new__(cls, group_sizes: tuple[int, ...]):
+        if not group_sizes:
             raise ValueError("need at least one group")
-        if any(not isinstance(s, int) or s <= 0 for s in self.group_sizes):
-            raise ValueError(f"group sizes must be positive integers, got {self.group_sizes}")
+        if any(not isinstance(s, int) or s <= 0 for s in group_sizes):
+            raise ValueError(f"group sizes must be positive integers, got {group_sizes}")
+        return super().__new__(cls, group_sizes)
 
     @property
     def total(self) -> int:
@@ -95,8 +99,7 @@ def p_span_at_least(box: BoxModel, draws: int, min_groups: int) -> Fraction:
     return Fraction(favorable, math.comb(box.total, draws))
 
 
-@dataclass(frozen=True)
-class EvidenceResult:
+class EvidenceResult(NamedTuple):
     """Span probabilities, their ratio, and optional posterior odds."""
 
     p_given_t: Fraction

@@ -19,9 +19,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .matching import match_specimens
 from .model import MatchCriterion, Specimen, series_interval
@@ -29,8 +28,7 @@ from .model import MatchCriterion, Specimen, series_interval
 MODES = ("connected_components", "maximal_cliques")
 
 
-@dataclass(frozen=True)
-class GroupingResult:
+class GroupingResult(NamedTuple):
     """Groups, the match adjacency, and non-transitivity witnesses.
 
     In ``connected_components`` mode the groups partition the specimen
@@ -204,8 +202,7 @@ def group(
     )
 
 
-@dataclass(frozen=True)
-class MatchRate:
+class MatchRate(NamedTuple):
     """Within-lot pairwise match summary."""
 
     pairs_total: int

@@ -33,7 +33,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
 
 from .errors import ConflictError, DomainError, ParseError, UnknownSpecimenError
@@ -54,18 +53,21 @@ CSV_HEADER = [
 ATTENUATION_HEADER = ["energy_kev", "mu_linear_per_cm"]
 
 
-@dataclass(frozen=True)
 class Dataset:
-    """Specimens plus a provenance label (file path or fixture name)."""
+    """Specimens plus a provenance label (file path or fixture name).
 
-    specimens: tuple[Specimen, ...]
-    provenance: str
+    It iterates over its specimens, and its length is their count.
+    """
 
-    def __post_init__(self) -> None:
-        by_id = {s.id: s for s in self.specimens}
-        if len(by_id) != len(self.specimens):
+    __slots__ = ("specimens", "provenance", "_by_id")
+
+    def __init__(self, specimens: tuple[Specimen, ...], provenance: str) -> None:
+        by_id = {s.id: s for s in specimens}
+        if len(by_id) != len(specimens):
             raise ConflictError("specimen ids must be unique within a dataset")
-        object.__setattr__(self, "_by_id", by_id)
+        self.specimens = specimens
+        self.provenance = provenance
+        self._by_id = by_id
 
     def __iter__(self):
         return iter(self.specimens)

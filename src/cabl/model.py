@@ -2,7 +2,8 @@
 
 Concentrations are plain ppm throughout; there is no unit-conversion
 layer.  Every type here is an immutable value object, safe to share
-between threads.
+between threads: a named tuple, whose constructor checks its fields
+where the type has checks (see :class:`Checked`).
 """
 
 from __future__ import annotations
@@ -10,11 +11,26 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .errors import DomainError
+
+
+class Checked:
+    """Base for a named tuple whose ``__new__`` checks its fields.
+
+    ``_make``, and so ``_replace``, goes through the constructor, so a
+    replaced field is checked as a constructed one is.  A checked type
+    is ``class T(Checked, _TFields)`` with ``__slots__ = ()`` and a
+    ``__new__`` that checks and then calls ``super().__new__``.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 class _Token(enum.Enum):
@@ -91,8 +107,14 @@ class Boundary(_Token):
         return operator.le if self is Boundary.CLOSED else operator.lt
 
 
-@dataclass(frozen=True)
-class ElementSeries:
+class _SeriesFields(NamedTuple):
+    mean: float
+    se: float
+    df: Optional[int] = None
+    n: int = 1
+
+
+class ElementSeries(Checked, _SeriesFields):
     """Summary of one element's measurements on one specimen.
 
     ``se`` is the standard error of the mean.  ``df`` is ``n - 1`` for
@@ -103,22 +125,20 @@ class ElementSeries:
     :attr:`Specimen.series`.
     """
 
-    mean: float
-    se: float
-    df: Optional[int] = None
-    n: int = 1
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.mean) and math.isfinite(self.se)):
-            raise DomainError(f"mean and se must be finite, got {self.mean} and {self.se}")
-        if self.mean <= 0:
-            raise ValueError(f"mean must be > 0, got {self.mean}")
-        if self.se < 0:
-            raise ValueError(f"se must be >= 0, got {self.se}")
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.df is not None and self.df != self.n - 1:
-            raise ValueError(f"df must be n-1 or None, got df={self.df} n={self.n}")
+    def __new__(cls, mean: float, se: float, df: Optional[int] = None, n: int = 1):
+        if not (math.isfinite(mean) and math.isfinite(se)):
+            raise DomainError(f"mean and se must be finite, got {mean} and {se}")
+        if mean <= 0:
+            raise ValueError(f"mean must be > 0, got {mean}")
+        if se < 0:
+            raise ValueError(f"se must be >= 0, got {se}")
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
+        if df is not None and df != n - 1:
+            raise ValueError(f"df must be n-1 or None, got df={df} n={n}")
+        return super().__new__(cls, mean, se, df, n)
 
 
 def series_interval(
@@ -130,7 +150,8 @@ def series_interval(
     ``2*k*se``.  With a bias range ``[c_lo, c_hi]`` it is the union of
     the corrected intervals ``(1+c) * (mean +/- k*se)`` over the range:
     each endpoint moves monotonically with ``c``, so the union is the
-    hull of the intervals corrected by ``c_lo`` and by ``c_hi``.
+    hull of the intervals corrected by ``c_lo`` and by ``c_hi``.  An
+    endpoint beyond the float range raises ``DomainError``.
     """
     if not math.isfinite(k):
         raise DomainError(f"k must be finite, got {k}")
@@ -138,37 +159,56 @@ def series_interval(
         raise ValueError(f"k must be > 0, got {k}")
     half = k * s.se
     lo, hi = s.mean - half, s.mean + half
-    if bias is None:
-        return (lo, hi)
-    # hi > 0 is highest at c_hi; a lower end below zero is lowest there too
-    c_low = bias.c_lo if lo >= 0 else bias.c_hi
-    return ((1.0 + c_low) * lo, (1.0 + bias.c_hi) * hi)
+    if bias is not None:
+        # hi > 0 is highest at c_hi; a lower end below zero is lowest there too
+        c_low = bias.c_lo if lo >= 0 else bias.c_hi
+        lo, hi = (1.0 + c_low) * lo, (1.0 + bias.c_hi) * hi
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(
+            f"k={k!r} and se={s.se!r} put an interval endpoint beyond the float range"
+        )
+    return (lo, hi)
 
 
-@dataclass(frozen=True)
-class Specimen:
+class _SpecimenFields(NamedTuple):
+    id: str
+    kind: Kind
+    lot: Optional[str] = None
+    series: Mapping[Element, ElementSeries] = MappingProxyType({})
+    location: Optional[Location] = None
+
+
+class Specimen(Checked, _SpecimenFields):
     """A fragment, bullet or bullet section with its per-element series.
 
     ``location`` is set when every underlying row shares one labeled
     radial location (it drives location-based selection, e.g. comparing
     outer against middle sections); it is ``None`` for whole objects
-    and mixed/unlabeled data.
+    and mixed/unlabeled data.  ``series`` is a read-only copy of the
+    mapping given.
     """
 
-    id: str
-    kind: Kind
-    lot: Optional[str] = None
-    series: Mapping[Element, ElementSeries] = field(default_factory=dict)
-    location: Optional[Location] = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.id:
+    def __new__(
+        cls,
+        id: str,
+        kind: Kind,
+        lot: Optional[str] = None,
+        series: Mapping[Element, ElementSeries] = MappingProxyType({}),
+        location: Optional[Location] = None,
+    ):
+        if not id:
             raise ValueError("specimen id must be nonempty")
-        object.__setattr__(self, "series", MappingProxyType(dict(self.series)))
+        return super().__new__(cls, id, kind, lot, MappingProxyType(dict(series)), location)
 
 
-@dataclass(frozen=True)
-class BiasCorrection:
+class _BiasFields(NamedTuple):
+    c_lo: float
+    c_hi: float
+
+
+class BiasCorrection(Checked, _BiasFields):
     """A relative correction range ``[c_lo, c_hi]`` for one element.
 
     A correction ``c`` rescales a series by ``(1 + c)``; the range
@@ -177,16 +217,16 @@ class BiasCorrection:
     table.
     """
 
-    c_lo: float
-    c_hi: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.c_lo) and math.isfinite(self.c_hi)):
-            raise DomainError(f"corrections must be finite, got [{self.c_lo}, {self.c_hi}]")
-        if self.c_lo > self.c_hi:
-            raise ValueError(f"c_lo {self.c_lo} > c_hi {self.c_hi}")
-        if self.c_lo <= -1:
+    def __new__(cls, c_lo: float, c_hi: float):
+        if not (math.isfinite(c_lo) and math.isfinite(c_hi)):
+            raise DomainError(f"corrections must be finite, got [{c_lo}, {c_hi}]")
+        if c_lo > c_hi:
+            raise ValueError(f"c_lo {c_lo} > c_hi {c_hi}")
+        if c_lo <= -1:
             raise ValueError("corrections must stay > -1")
+        return super().__new__(cls, c_lo, c_hi)
 
 
 #: Default corrections: antimony measurements read low by 2% to 5.4%
@@ -199,33 +239,43 @@ DEFAULT_BIAS: Mapping[Element, BiasCorrection] = MappingProxyType(
 )
 
 
-@dataclass(frozen=True)
-class MatchCriterion:
+class _CriterionFields(NamedTuple):
+    k: float
+    elements: tuple[Element, ...]
+    bias: Optional[Mapping[Element, BiasCorrection]] = None
+    boundary: Boundary = Boundary.CLOSED
+
+
+class MatchCriterion(Checked, _CriterionFields):
     """A configured indistinguishability rule.
 
     Two specimens match when, for every element of the panel, their
     ``mean +/- k*se`` intervals intersect.  ``closed`` boundary counts
     exactly touching intervals as a match; ``open`` does not.  When a
     bias table is present, the corrections are applied to the first
-    (questioned) specimen of a comparison.
+    (questioned) specimen of a comparison.  The panel is stored sorted
+    by symbol without repeats, and a bias table as a read-only copy.
     """
 
-    k: float
-    elements: tuple[Element, ...]
-    bias: Optional[Mapping[Element, BiasCorrection]] = None
-    boundary: Boundary = Boundary.CLOSED
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.k):
-            raise DomainError(f"k must be finite, got {self.k}")
-        if self.k <= 0:
-            raise ValueError(f"k must be > 0, got {self.k}")
-        if not self.elements:
+    def __new__(
+        cls,
+        k: float,
+        elements: tuple[Element, ...],
+        bias: Optional[Mapping[Element, BiasCorrection]] = None,
+        boundary: Boundary = Boundary.CLOSED,
+    ):
+        if not math.isfinite(k):
+            raise DomainError(f"k must be finite, got {k}")
+        if k <= 0:
+            raise ValueError(f"k must be > 0, got {k}")
+        if not elements:
             raise ValueError("element panel must be nonempty")
-        ordered = tuple(sorted(set(self.elements), key=lambda e: e.value))
-        object.__setattr__(self, "elements", ordered)
-        if self.bias is not None:
-            object.__setattr__(self, "bias", MappingProxyType(dict(self.bias)))
+        ordered = tuple(sorted(set(elements), key=lambda e: e.value))
+        if bias is not None:
+            bias = MappingProxyType(dict(bias))
+        return super().__new__(cls, k, ordered, bias, boundary)
 
     def bias_for(self, element: Element) -> Optional[BiasCorrection]:
         if self.bias is None:

@@ -23,15 +23,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 from ..errors import FitError
 from .special import chi2_sf, digamma, gammainc_p, normal_cdf
 
 
-@dataclass(frozen=True)
-class FittedDistribution:
+class FittedDistribution(NamedTuple):
     """A family name with its fitted parameters."""
 
     family: str
@@ -47,8 +45,7 @@ class GofResult(NamedTuple):
     p: float
 
 
-@dataclass(frozen=True)
-class FitReport:
+class FitReport(NamedTuple):
     """One family's fit and its goodness-of-fit score."""
 
     family: str
@@ -58,8 +55,7 @@ class FitReport:
     p_value: float
 
 
-@dataclass(frozen=True)
-class FitFailure:
+class FitFailure(NamedTuple):
     """A family that could not be fitted, kept in the ranking output."""
 
     family: str

@@ -13,30 +13,33 @@ exactly to the classical two-way ANOVA F.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from ..errors import DesignError
+from ..model import Checked
 from .special import f_sf
 
 
-@dataclass(frozen=True)
-class FactorialObservation:
-    """One multivariate observation in the bullet-by-location layout."""
-
+class _ObservationFields(NamedTuple):
     bullet: str
     location: str
     responses: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        if not self.responses:
+
+class FactorialObservation(Checked, _ObservationFields):
+    """One multivariate observation in the bullet-by-location layout."""
+
+    __slots__ = ()
+
+    def __new__(cls, bullet: str, location: str, responses: tuple[float, ...]):
+        if not responses:
             raise ValueError("responses must be nonempty")
+        return super().__new__(cls, bullet, location, responses)
 
 
-@dataclass(frozen=True)
-class EffectTest:
+class EffectTest(NamedTuple):
     """Multivariate test statistics for one model effect."""
 
     wilks_lambda: float

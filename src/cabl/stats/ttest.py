@@ -3,39 +3,42 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..errors import DomainError
+from ..model import Checked
 from .special import t_two_sided_p
 
 
-@dataclass(frozen=True)
-class TwoSampleInput:
+class _SampleFields(NamedTuple):
+    mean: float
+    se: float
+    n: int
+    label: Optional[str] = None
+
+
+class TwoSampleInput(Checked, _SampleFields):
     """One sample, as mean / standard error of the mean / n.
 
     Reported standard errors convert to sample standard deviations via
     ``sd = se * sqrt(n)``.
     """
 
-    mean: float
-    se: float
-    n: int
-    label: Optional[str] = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"need n >= 2, got {self.n}")
-        if self.se < 0:
-            raise ValueError(f"se must be >= 0, got {self.se}")
+    def __new__(cls, mean: float, se: float, n: int, label: Optional[str] = None):
+        if n < 2:
+            raise ValueError(f"need n >= 2, got {n}")
+        if se < 0:
+            raise ValueError(f"se must be >= 0, got {se}")
+        return super().__new__(cls, mean, se, n, label)
 
     @property
     def sd(self) -> float:
         return self.se * math.sqrt(self.n)
 
 
-@dataclass(frozen=True)
-class TTestResult:
+class TTestResult(NamedTuple):
     t: float
     df: int
     p_two_sided: float

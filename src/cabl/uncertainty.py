@@ -10,10 +10,10 @@ All functions are pure and safe for concurrent use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .errors import DomainError
+from .model import Checked
 
 
 def _require_finite(**values: float) -> None:
@@ -45,24 +45,30 @@ def replicate_summary(values: Sequence[float]) -> ReplicateSummary:
     return ReplicateSummary(mean=mean, se=math.sqrt(var / n), df=n - 1, n=n)
 
 
-@dataclass(frozen=True)
-class DecaySchedule:
+class _ScheduleFields(NamedTuple):
+    half_life: float
+    t_irradiate: float
+    t_decay: float
+    t_count: float
+
+
+class DecaySchedule(Checked, _ScheduleFields):
     """Irradiate/decay/count timing for one activation product.
 
     All durations in seconds: ``t_irradiate`` in flux, ``t_decay``
     between removal and counting, ``t_count`` on the detector.
     """
 
-    half_life: float
-    t_irradiate: float
-    t_decay: float
-    t_count: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _require_finite(**vars(self))
-        for name, value in vars(self).items():
+    def __new__(cls, half_life: float, t_irradiate: float, t_decay: float, t_count: float):
+        self = super().__new__(cls, half_life, t_irradiate, t_decay, t_count)
+        fields = self._asdict()
+        _require_finite(**fields)
+        for name, value in fields.items():
             if value <= 0:
                 raise ValueError(f"{name} must be > 0")
+        return self
 
     @property
     def decay_constant(self) -> float:
@@ -131,19 +137,23 @@ def comparator_concentration(
     return ppm
 
 
-@dataclass(frozen=True)
-class AttenuationEntry:
-    """Linear gamma attenuation in lead at one energy (per cm)."""
-
+class _AttenuationFields(NamedTuple):
     energy_kev: float
     mu_linear_per_cm: float
 
-    def __post_init__(self) -> None:
-        _require_finite(**vars(self))
-        if self.energy_kev <= 0:
+
+class AttenuationEntry(Checked, _AttenuationFields):
+    """Linear gamma attenuation in lead at one energy (per cm)."""
+
+    __slots__ = ()
+
+    def __new__(cls, energy_kev: float, mu_linear_per_cm: float):
+        _require_finite(energy_kev=energy_kev, mu_linear_per_cm=mu_linear_per_cm)
+        if energy_kev <= 0:
             raise ValueError("energy must be > 0")
-        if self.mu_linear_per_cm <= 0:
+        if mu_linear_per_cm <= 0:
             raise ValueError("mu_linear must be > 0")
+        return super().__new__(cls, energy_kev, mu_linear_per_cm)
 
 
 #: Linear attenuation coefficients of bullet lead at the four indicator

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -1131,11 +1132,51 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
-def _python(code: str, *argv: str, cwd: Path) -> subprocess.CompletedProcess:
+# The cabl modules a job leaves loaded, as the last line of stderr: exit
+# code, sorted module names, and whether dataclasses was imported
+_LOADED = """
+import json, sys
+from cabl.cli import main
+code = main(sys.argv[1:])
+cabl = sorted(m for m in sys.modules if m.split(".")[0] == "cabl")
+print(json.dumps([code, cabl, "dataclasses" in sys.modules]), file=sys.stderr)
+"""
+
+_CLI_MODULES = ["cabl", "cabl.cli", "cabl.errors", "cabl.ingest", "cabl.model", "cabl.uncertainty"]
+_STATS = ["cabl.stats", "cabl.stats.special"]
+_GROUPING = ["cabl.grouping", "cabl.matching"]
+# case -> the modules its command loads beyond those of `import cabl.cli`
+LOADS = {
+    "naa-decay": [],
+    "naa-conc": [],
+    "naa-selfabs": [],
+    "evidence": ["cabl.evidence"],
+    "distfit": [*_STATS, "cabl.stats.fitting"],
+    "hetero-ttest": [*_STATS, "cabl.stats.ttest"],
+    "match": ["cabl.matching"],
+    "group": _GROUPING,
+    "group-clique": _GROUPING,
+    "group-nrc2": _GROUPING,
+    "report": _GROUPING,
+    "group-bad-input": [],
+}
+
+
+def _write_inputs(folder: Path) -> None:
+    """The files NO_NUMPY_CASES read: 40 values and a CSV with a bad header."""
+    (folder / "values.txt").write_text(
+        "\n".join(str(1.0 + (7 * i) % 13 / 3.0) for i in range(40)) + "\n"
+    )
+    (folder / "bad.csv").write_text("id,element,value\nx,Sb,1\n")
+
+
+def _python(
+    code: str, *argv: str, cwd: Path, flags: Sequence[str] = ()
+) -> subprocess.CompletedProcess:
     src = str(Path(cabl.__file__).parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-c", code, *argv],
+        [sys.executable, *flags, "-c", code, *argv],
         cwd=cwd,
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
@@ -1148,15 +1189,26 @@ class TestImportContract:
     @pytest.mark.parametrize("case", sorted(NO_NUMPY_CASES))
     def test_runs_without_numpy(self, capsys, tmp_path, monkeypatch, case):
         argv = NO_NUMPY_CASES[case]
-        (tmp_path / "values.txt").write_text(
-            "\n".join(str(1.0 + (7 * i) % 13 / 3.0) for i in range(40)) + "\n"
-        )
-        (tmp_path / "bad.csv").write_text("id,element,value\nx,Sb,1\n")
+        _write_inputs(tmp_path)
         monkeypatch.chdir(tmp_path)
         code, out, err = run(capsys, *argv)
         assert code == (2 if case == "group-bad-input" else 0), err
         blocked = _python(_WITHOUT_NUMPY, *argv, cwd=tmp_path)
         assert (blocked.returncode, blocked.stdout) == (code, out), blocked.stderr
+
+    @pytest.mark.parametrize("case", sorted(NO_NUMPY_CASES))
+    def test_each_command_loads_only_its_own_modules(self, tmp_path, case):
+        _write_inputs(tmp_path)
+        # -S keeps the environment's .pth files, and what they import, out
+        probe = _python(_LOADED, *NO_NUMPY_CASES[case], cwd=tmp_path, flags=["-S"])
+        code, loaded, dataclasses = json.loads(probe.stderr.splitlines()[-1])
+        assert code == (2 if case == "group-bad-input" else 0), probe.stderr
+        assert loaded == sorted(_CLI_MODULES + LOADS[case])
+        assert not dataclasses
+
+    def test_source_names_no_dataclasses(self):
+        for path in sorted(Path(cabl.__file__).parent.rglob("*.py")):
+            assert "dataclasses" not in path.read_text(encoding="utf-8"), path
 
     def test_import_leaves_numpy_unloaded(self, tmp_path):
         for module in ("cabl.cli", "cabl.grouping"):
@@ -1227,6 +1279,15 @@ class TestNonFiniteInputs:
         code, out, err = run(capsys, "group", "--fixture", "table1", "--k", k, "--format", fmt)
         assert (code, out) == (2, "")
         assert "k must be finite" in err
+
+    @pytest.mark.parametrize("command", ["match", "group", "report"])
+    def test_interval_beyond_float_range_exits_2(self, capsys, command):
+        # +/- 1e308 standard errors overflow every antimony interval of table1
+        message = "k=1e+308 and se=9.0 put an interval endpoint beyond the float range"
+        refused = (2, "", f"error: {message}\n")
+        for fmt in ("text", "json"):
+            argv = [command, "--fixture", "table1", "--k", "1e308", "--format", fmt]
+            assert run(capsys, *argv) == refused, fmt
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize("row", sorted(ROWS))

@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -175,7 +174,7 @@ class TestWithinBoxMatchRate:
         a = specimen("a", (100.0, 5.0), lot="6000")
         b = specimen("b", (102.0, 5.0), lot="6000")
         criterion = MatchCriterion(k=4.0, elements=(Element.SB,))
-        for others in ([a], [a, b, replace(b, id="c")], [a, b, b]):
+        for others in ([a], [a, b, b._replace(id="c")], [a, b, b]):
             with pytest.raises(ValueError, match="same specimens"):
                 within_box_match_rate(others, group([a, b], criterion))
 
@@ -388,7 +387,7 @@ class TestSweepAtScale:
     @pytest.mark.parametrize("shape", sorted(SHAPES))
     def test_group_matches_brute_force(self, shape, preset, boundary):
         specimens = lot_population(11, 300, **SHAPES[shape])
-        criterion = replace(criterion_preset(preset), boundary=boundary)
+        criterion = criterion_preset(preset)._replace(boundary=boundary)
         adjacency = scalar_adjacency(specimens, criterion)
         result = group(specimens, criterion)
         assert dict(result.adjacency) == sorted_neighbors(adjacency)

@@ -176,12 +176,11 @@ class TestMatchAgainstTheDictTree:
         refused = (2, "", "error: specimen 'a' has no Ag series\n")
         assert actual(argv) == expected(argv) == {"json": refused, "text": refused}
 
-    def test_out_of_range_overlap_refused_in_json_only(self, tmp_path):
-        # 1e308 +/- 4e308 overflows both ends, and the overlap is printed
-        # only in JSON, which refuses the first bound as the writer does
+    def test_out_of_range_interval_refused_in_both_formats(self, tmp_path):
+        # 1e308 +/- 4e308 overflows both ends: the interval is refused
+        # before any output, so text and JSON exit alike
         rows = [f"{s},bullet,,,Sb,1e308,1e308,poisson_single" for s in ("a", "b")]
         argv = ["match", "--input", write_csv(tmp_path / "in.csv", rows), "--elements", "Sb"]
-        outputs = actual(argv)
-        refused = "error: Out of range float values are not JSON compliant: -inf\n"
-        assert outputs["json"] == (2, "", refused)
-        assert outputs["text"] == expected(argv)["text"]
+        message = "k=4.0 and se=1e+308 put an interval endpoint beyond the float range"
+        refused = (2, "", f"error: {message}\n")
+        assert actual(argv) == expected(argv) == {"json": refused, "text": refused}

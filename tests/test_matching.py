@@ -1,5 +1,4 @@
 import itertools
-from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -212,7 +211,7 @@ class TestMatchSpecimens:
         specimens = [*table1, *table2]
         for preset in PRESET_NAMES:
             for boundary in Boundary:
-                criterion = replace(criterion_preset(preset), boundary=boundary)
+                criterion = criterion_preset(preset)._replace(boundary=boundary)
                 panel = criterion.elements
                 for a, b in itertools.product(specimens, repeat=2):
                     if any(e not in s.series for s in (a, b) for e in panel):
@@ -241,7 +240,7 @@ class TestMatchSpecimens:
         assert result.matched is False
         # uncorrected, or with the sides swapped, Sb does not match
         for a, b, criterion in (
-            (table2.get("bullet-1"), table1.get("CE 567"), replace(nrc2, bias=None)),
+            (table2.get("bullet-1"), table1.get("CE 567"), nrc2._replace(bias=None)),
             (table1.get("CE 567"), table2.get("bullet-1"), nrc2),
         ):
             assert match_specimens(a, b, criterion).overlaps[1] is None

@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from cabl.errors import DomainError
+from cabl.evidence import BoxModel
 from cabl.model import (
     Basis,
     BiasCorrection,
@@ -17,6 +20,9 @@ from cabl.model import (
     criterion_preset,
     series_interval,
 )
+from cabl.stats.manova import FactorialObservation
+from cabl.stats.ttest import TwoSampleInput
+from cabl.uncertainty import AttenuationEntry, DecaySchedule
 
 
 def series(mean, se, n=1):
@@ -69,6 +75,19 @@ class TestSeriesInterval:
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError):
             series_interval(series(10.0, 1.0), 0.0)
+
+    @pytest.mark.parametrize(
+        "s, k, bias",
+        [
+            (series(100.0, 9.0), 1e308, None),  # k * se overflows
+            (series(1e308, 1e308), 4.0, None),  # mean +/- k * se overflows
+            (series(1e308, 0.0), 1.0, BiasCorrection(0.5, 1.0)),  # only the bias hull does
+        ],
+    )
+    def test_endpoint_beyond_float_range_refused(self, s, k, bias):
+        message = f"k={k!r} and se={s.se!r} put an interval endpoint beyond the float range"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            series_interval(s, k, bias)
 
     @given(
         mean=st.floats(0.01, 1e5),
@@ -207,3 +226,48 @@ class TestCriterion:
     def test_unknown_preset(self):
         with pytest.raises(ValueError):
             criterion_preset("fbi7")
+
+
+# checked type -> (a valid value, field changes its constructor refuses)
+CHECKED = {
+    "AttenuationEntry": (AttenuationEntry(511.0, 1.78), {"mu_linear_per_cm": float("nan")}),
+    "BiasCorrection": (BiasCorrection(0.02, 0.054), {"c_lo": 0.06}),
+    "BoxModel": (BoxModel((6, 4)), {"group_sizes": (6, 0)}),
+    "DecaySchedule": (DecaySchedule(24.0, 60.0, 30.0, 180.0), {"t_decay": 0.0}),
+    "ElementSeries": (ElementSeries(100.0, 1.0), {"se": -1.0}),
+    "FactorialObservation": (FactorialObservation("b1", "outer", (1.0,)), {"responses": ()}),
+    "MatchCriterion": (criterion_preset("guinn4"), {"k": -1.0}),
+    "Specimen": (Specimen("x", Kind.BULLET), {"id": ""}),
+    "TwoSampleInput": (TwoSampleInput(10.0, 1.0, 4), {"n": 1}),
+}
+
+
+class TestCheckedReplace:
+    @pytest.mark.parametrize("name", sorted(CHECKED))
+    def test_replace_checks_as_the_constructor(self, name):
+        value, changes = CHECKED[name]
+        assert type(value).__name__ == name
+        with pytest.raises(Exception) as built:
+            type(value)(**{**value._asdict(), **changes})
+        with pytest.raises(type(built.value)) as replaced:
+            value._replace(**changes)
+        assert str(replaced.value) == str(built.value)
+
+    def test_replace_normalises_as_the_constructor(self):
+        criterion = criterion_preset("guinn4")._replace(
+            elements=(Element.SB, Element.AG, Element.SB), bias={Element.SB: BiasCorrection(0, 0)}
+        )
+        assert criterion.elements == (Element.AG, Element.SB)
+        specimen = Specimen("x", Kind.BULLET)._replace(series={Element.SB: series(1.0, 0.1)})
+        for table in (criterion.bias, specimen.series):
+            with pytest.raises(TypeError):
+                table[Element.AG] = None
+
+    def test_values_are_tuples_without_attributes_of_their_own(self):
+        value = ElementSeries(100.0, 1.0)
+        assert value == (100.0, 1.0, None, 1)
+        mean, se, df, n = value
+        assert (value[0], value.se) == (mean, se)
+        assert value._asdict() == {"mean": 100.0, "se": 1.0, "df": None, "n": 1}
+        with pytest.raises(AttributeError):
+            value.note = "x"
