@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 
 # Public names by defining module.  Each name loads its module on first
 # use (PEP 562), so importing the package loads no submodule.  None of
-# them needs numpy; only ``cabl.stats.manova_two_way`` loads it.
+# them needs a package outside the standard library.
 _EXPORTS = {
     "errors": (
         "CablError",

@@ -27,11 +27,8 @@ Each command imports its own modules inside its function, naming the
 module that defines each function, so a job loads only the code of the
 command it runs.  At the top this module imports only ``errors``, and
 ``model`` and ``ingest`` (which loads ``uncertainty``), whose names give
-``build_parser`` its choices.
-numpy loads only where a command works on arrays: ``hetero --manova``
-imports the MANOVA module after its input is validated, so a bad-input
-job exits 2 without loading it, and every other command, ``group`` and
-``report`` included, runs on the standard library alone.
+``build_parser`` its choices.  Every command, ``hetero --manova``
+included, runs on the standard library alone.
 """
 
 from __future__ import annotations

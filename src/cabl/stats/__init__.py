@@ -3,8 +3,7 @@
 import importlib
 
 # Public names by defining module.  Each name loads its module on first
-# use (PEP 562), so the fitting and t-test names load without numpy and
-# only MANOVA brings it in.
+# use (PEP 562), so a job loads only the statistics it runs.
 _EXPORTS = {
     "fitting": (
         "FAMILIES",

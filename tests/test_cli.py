@@ -472,7 +472,8 @@ MANOVA_CSV = HEADER + "\n" + "".join(
 
 # JSON stdout, byte for byte: the match report's bias_used and overlap
 # arrays and null overlaps; the group report's groups, adjacency and
-# witness triple.
+# witness triple; the MANOVA report's statistics, whose lambda and trace
+# are exact rationals rounded once, so they are the same on every platform.
 MATCH_NRC2_JSON = """\
 {
   "command": "match",
@@ -829,6 +830,72 @@ GROUP_CLIQUE_JSON = """\
 }
 """
 
+HETERO_MANOVA_JSON = """\
+{
+  "command": "hetero",
+  "decisions": {
+    "log_note": "responses are natural-log concentrations",
+    "pairing_note": "replicates pair by row order within each (bullet, location) cell; unlabeled rows are excluded"
+  },
+  "effects": {
+    "bullet": {
+      "hl_df": [
+        2.0,
+        11.0
+      ],
+      "hl_f": 141.8803369137014,
+      "hl_p": 1.3982257462806006e-08,
+      "hotelling_lawley": 25.796424893400257,
+      "wilks_df": [
+        2,
+        11.0
+      ],
+      "wilks_f": 141.8803369137014,
+      "wilks_lambda": 0.037318411093201165,
+      "wilks_p": 1.3982257462806006e-08
+    },
+    "interaction": {
+      "hl_df": [
+        4.0,
+        20.0
+      ],
+      "hl_f": 0.334666218185346,
+      "hl_p": 0.8513467104445467,
+      "hotelling_lawley": 0.13386648727413838,
+      "wilks_df": [
+        4,
+        22.0
+      ],
+      "wilks_f": 0.3653236708525154,
+      "wilks_lambda": 0.8793087861997615,
+      "wilks_p": 0.830641124242124
+    },
+    "location": {
+      "hl_df": [
+        4.0,
+        20.0
+      ],
+      "hl_f": 9.012925826092806,
+      "hl_p": 0.00024860489171680004,
+      "hotelling_lawley": 3.6051703304371223,
+      "wilks_df": [
+        4,
+        22.0
+      ],
+      "wilks_f": 6.344135700384116,
+      "wilks_lambda": 0.21563469055730453,
+      "wilks_p": 0.001492096492663327
+    }
+  },
+  "n_observations": 18,
+  "responses": [
+    "Ag",
+    "As"
+  ],
+  "test": "manova_two_way"
+}
+"""
+
 # Literal stdout, one case per report shape.  Paths in argv are
 # relative to a temporary directory holding the files named in the case.
 TEXT_CASES = {
@@ -864,6 +931,11 @@ nontransitive triples (a-b and b-c match, a-c does not):
          "--boundary", "open", "--mode", "clique", "--format", "json"],
         {},
         GROUP_CLIQUE_JSON,
+    ),
+    "hetero-manova-json": (
+        ["hetero", "--manova", "--input", "raw.csv", "--responses", "Ag,As", "--format", "json"],
+        {"raw.csv": MANOVA_CSV},
+        HETERO_MANOVA_JSON,
     ),
     "match": (
         ["match", "--fixture", "table1", "--criterion", "guinn4"],
@@ -1114,6 +1186,7 @@ NO_NUMPY_CASES = {
     "distfit": ["distfit", "--input", "values.txt", "--families", "all"],
     "hetero-ttest": ["hetero", "--fixture", "table2", "--element", "Ag",
                      "--locations", "outer,middle", "--format", "json"],
+    "hetero-manova": ["hetero", "--manova", "--input", "raw.csv", "--responses", "Ag,As"],
     "match": ["match", "--fixture", "table1", "--criterion", "guinn4"],
     "group": ["group", "--fixture", "table1", "--criterion", "guinn4", "--format", "json"],
     "group-clique": ["group", "--fixture", "table1", "--mode", "clique", "--boundary", "open"],
@@ -1153,6 +1226,7 @@ LOADS = {
     "evidence": ["cabl.evidence"],
     "distfit": [*_STATS, "cabl.stats.fitting"],
     "hetero-ttest": [*_STATS, "cabl.stats.ttest"],
+    "hetero-manova": [*_STATS, "cabl.stats.manova"],
     "match": ["cabl.matching"],
     "group": _GROUPING,
     "group-clique": _GROUPING,
@@ -1163,10 +1237,11 @@ LOADS = {
 
 
 def _write_inputs(folder: Path) -> None:
-    """The files NO_NUMPY_CASES read: 40 values and a CSV with a bad header."""
+    """The files NO_NUMPY_CASES read: 40 values, MANOVA rows and a CSV with a bad header."""
     (folder / "values.txt").write_text(
         "\n".join(str(1.0 + (7 * i) % 13 / 3.0) for i in range(40)) + "\n"
     )
+    (folder / "raw.csv").write_text(MANOVA_CSV)
     (folder / "bad.csv").write_text("id,element,value\nx,Sb,1\n")
 
 
@@ -1210,8 +1285,12 @@ class TestImportContract:
         for path in sorted(Path(cabl.__file__).parent.rglob("*.py")):
             assert "dataclasses" not in path.read_text(encoding="utf-8"), path
 
+    def test_source_names_no_numpy(self):
+        for path in sorted(Path(cabl.__file__).parent.rglob("*.py")):
+            assert "numpy" not in path.read_text(encoding="utf-8"), path
+
     def test_import_leaves_numpy_unloaded(self, tmp_path):
-        for module in ("cabl.cli", "cabl.grouping"):
+        for module in ("cabl.cli", "cabl.grouping", "cabl.stats.manova"):
             probe = _python(f"import sys, {module}; sys.exit('numpy' in sys.modules)", cwd=tmp_path)
             assert probe.returncode == 0, (module, probe.stderr)
 

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from manova_reference import exact_regression, numpy_manova
 
 from cabl.errors import DesignError, DomainError
 from cabl.stats import (
@@ -90,19 +91,57 @@ def build_design(effect_b=(0.55, 0.35), seed=0, a=2, b=3, r=3):
     return obs, y, bullets, locs
 
 
+@st.composite
+def unbalanced_designs(draw, max_cells=20):
+    """Observations of an a×b design with 2-4 replicates a cell and 1-3 responses."""
+    a = draw(st.integers(2, 5 if max_cells >= 10 else max_cells // 2))
+    b = draw(st.integers(2, min(4, max_cells // a)))
+    p = draw(st.integers(1, 3))
+    counts = draw(st.lists(st.integers(2, 4), min_size=a * b, max_size=a * b))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    offsets = rng.normal(0.0, draw(st.sampled_from([0.0, 0.3, 2.0])), size=(a, b, p))
+    return [
+        FactorialObservation(f"b{i}", f"l{j}", tuple(map(float, y)))
+        for (i, j), n in zip(np.ndindex(a, b), counts)
+        for y in 2.0 + offsets[i, j] + rng.normal(0.0, 1.0, (n, p))
+    ]
+
+
 class TestManova:
+    @settings(max_examples=60, deadline=None)
+    @given(unbalanced_designs())
+    def test_agrees_with_numpy_regression(self, obs):
+        got, want = manova_two_way(obs), numpy_manova(obs)
+        assert got.keys() == want.keys()
+        for name, test in got.items():
+            assert test.wilks_df == want[name].wilks_df and test.hl_df == want[name].hl_df
+            for field in ("wilks_lambda", "wilks_f", "wilks_p", "hotelling_lawley", "hl_f", "hl_p"):
+                assert getattr(test, field) == pytest.approx(
+                    getattr(want[name], field), rel=1e-10, abs=1e-300
+                ), (name, field)
+
+    @settings(max_examples=25, deadline=None)
+    @given(unbalanced_designs(max_cells=9))
+    def test_lambda_and_trace_are_the_exact_regression_rounded_once(self, obs):
+        got = manova_two_way(obs)
+        for name, (lmbda, trace) in exact_regression(obs).items():
+            assert got[name].wilks_lambda == float(lmbda)
+            assert got[name].hotelling_lawley == float(trace)
+
     def test_no_variation_is_trivially_null(self):
-        obs = [
-            FactorialObservation(str(bl), str(loc), (3.0, 7.0))
-            for bl in range(2)
-            for loc in range(3)
-            for _ in range(2)
-        ]
-        for effect in manova_two_way(obs).values():
-            assert effect.wilks_lambda == 1.0
-            assert effect.wilks_p == 1.0
-            assert effect.hotelling_lawley == 0.0
-            assert effect.hl_p == 1.0
+        # twelve 0.1s do not sum to exactly 1.2 in floats; no variation is exact
+        for responses in ((3.0, 7.0), (0.1, 0.7)):
+            obs = [
+                FactorialObservation(str(bl), str(loc), responses)
+                for bl in range(2)
+                for loc in range(3)
+                for _ in range(2)
+            ]
+            for effect in manova_two_way(obs).values():
+                assert effect.wilks_lambda == 1.0
+                assert effect.wilks_p == 1.0
+                assert effect.hotelling_lawley == 0.0
+                assert effect.hl_p == 1.0
 
     def test_matches_reference_implementation(self):
         # frozen from statsmodels MANOVA (sum-coded, Type III) on this design
@@ -192,6 +231,11 @@ class TestManova:
         ]
         with pytest.raises(DesignError, match="singular|rank"):
             manova_two_way(doubled)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_response_refused(self, bad):
+        with pytest.raises(ValueError, match="responses must be finite"):
+            FactorialObservation("b0", "outer", (1.0, bad))
 
     def test_response_length_must_agree(self):
         obs, *_ = build_design(seed=4)
