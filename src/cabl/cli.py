@@ -15,7 +15,8 @@ means, for one, exits 2 in both).  Reports carry a ``decisions`` block
 echoing the conventions behind the numbers (boundary handling, bias
 ranges, table semantics), and all output is deterministic for fixed
 inputs.  JSON comes from ``render_json``, this module's own writer,
-byte-identical to ``json.dumps(indent=2, sort_keys=True)``.  The one
+byte-identical to ``json.dumps(indent=2, sort_keys=True)``; it joins a
+list of strings in one C pass, with no Python call per item.  The one
 payload value that is not plain data is ``match``'s pair list: a tuple
 of ``(a, b, overlaps)`` rows (``_MatchRows``), each ``overlaps`` the
 pair's ``match_specimens`` result, with each element's ``bias_used``
@@ -78,7 +79,10 @@ def render_json(payload: dict) -> str:
     large ``match`` and ``group`` payloads.  This writer gives the same
     bytes, building each container's text as one string from its
     children's and quoting strings with the C escaper ``json.dumps``
-    uses.  Dict keys must be ``str``.
+    uses.  A list or tuple of strings (a witness triple, a group's
+    members) is quoted and joined in one C pass; at its first
+    non-string item the escaper raises ``TypeError`` and the list is
+    written item by item.  Dict keys must be ``str``.
     """
     return _encode(payload, "\n") + "\n"
 
@@ -111,6 +115,13 @@ def _encode(value: object, newline: str) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
+        if isinstance(value[0], str):
+            try:
+                body = ("," + inner).join(map(_quote, value))
+            except TypeError:  # _quote met a non-string item
+                pass
+            else:
+                return f"[{inner}{body}{newline}]"
         return _lines("[", [_encode(v, inner) for v in value], newline, "]")
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 

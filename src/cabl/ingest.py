@@ -100,26 +100,38 @@ def _table_rows(text: str, header: list[str]) -> Iterator[tuple[int, list[str]]]
 
     The first row must be ``header`` and every data row must be as wide.
     Cells come stripped; ``line`` counts CSV records, the header being 1.
+    A record the ``csv`` module refuses (a field over its size limit; a
+    NUL byte before Python 3.11) is a ``ParseError`` at that record.
     """
     rows = csv.reader(io.StringIO(text))
-    first = next(rows, None)
-    if first is None:
-        raise ParseError("empty input: header row required")
-    if [c.strip() for c in first] != header:
-        raise ParseError(f"header must be {','.join(header)}, got {','.join(first)}")
-    for line, row in enumerate(rows, start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != len(header):
-            raise ParseError(f"expected {len(header)} columns, got {len(row)}", line=line)
-        yield line, [c.strip() for c in row]
+    line = 0  # the last record read
+    try:
+        first = next(rows, None)
+        if first is None:
+            raise ParseError("empty input: header row required")
+        line = 1
+        if [c.strip() for c in first] != header:
+            raise ParseError(f"header must be {','.join(header)}, got {','.join(first)}")
+        for line, row in enumerate(rows, start=2):
+            cells = [c.strip() for c in row]
+            if not any(cells):
+                continue
+            if len(cells) != len(header):
+                raise ParseError(f"expected {len(header)} columns, got {len(cells)}", line=line)
+            yield line, cells
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=line + 1) from None
 
 
 def _token(cls, text: str, line: int):
-    try:
-        return cls(text)
-    except ValueError as exc:
-        raise ParseError(str(exc), line=line) from None
+    """The member of vocabulary enum ``cls`` whose value is ``text``."""
+    member = cls._value2member_map_.get(text)
+    if member is None:
+        try:
+            member = cls(text)  # the enum's refusal names the valid values
+        except ValueError as exc:
+            raise ParseError(str(exc), line=line) from None
+    return member
 
 
 def _parse_float(text: str, field: str, line: int) -> float:

@@ -46,7 +46,7 @@ def match_specimens(a: Specimen, b: Specimen, criterion: MatchCriterion) -> Matc
     the first missing one raises ``IncompletePanelError``, for ``a``
     before ``b``.
     """
-    k, admits = criterion.k, criterion.boundary.admits
+    k, admits, bias = criterion.k, criterion.boundary.admits, criterion.bias
     first_series, second_series = a.series, b.series
     overlaps = []
     for element in criterion.elements:
@@ -56,9 +56,11 @@ def match_specimens(a: Specimen, b: Specimen, criterion: MatchCriterion) -> Matc
         second = second_series.get(element)
         if second is None:
             raise IncompletePanelError(b.id, element.value)
-        a_lo, a_hi = series_interval(first, k, criterion.bias_for(element))
+        a_lo, a_hi = series_interval(first, k, None if bias is None else bias.get(element))
         b_lo, b_hi = series_interval(second, k)
-        # max and min keep the first of two equal endpoints, as 0.0 and -0.0 print apart
-        lo, hi = max(a_lo, b_lo), min(a_hi, b_hi)
+        # max and min written out (a builtin call per element shows in time);
+        # of two equal ends the first is kept, as 0.0 and -0.0 print apart
+        lo = a_lo if a_lo >= b_lo else b_lo
+        hi = a_hi if a_hi <= b_hi else b_hi
         overlaps.append((lo, hi) if admits(lo, hi) else None)
     return MatchResult(tuple(overlaps))

@@ -1447,6 +1447,43 @@ class TestNonFiniteInputs:
         assert "line 2" in err and message in err
 
 
+class TestCsvModuleRefusals:
+    """A record the ``csv`` module refuses exits 2 with its line.
+
+    A field over the module's 131,072-character limit raises ``csv.Error``
+    on Python 3.10 to 3.13; a NUL byte does on 3.10, and from 3.11 the
+    NUL reaches the cell, whose token or number is then refused.  Either
+    way the third record is named.
+    """
+
+    GOOD_ROW = {
+        "measurement": "b,bullet,6003,outer,Ag,8.8,,replicate_member",
+        "attenuation": "600,1.4165",
+    }
+    BAD_ROW = {
+        ("measurement", "over_limit"): "x" * 131_073 + ",bullet,6003,outer,Ag,8.9,,replicate_member",
+        ("measurement", "nul"): "b,bul\0let,6003,outer,Ag,8.9,,replicate_member",
+        ("attenuation", "over_limit"): "1" * 131_073 + ",1.2",
+        ("attenuation", "nul"): "6\x0057,1.2",
+    }
+    COMMANDS = {
+        "group": ("measurement", ["group", "--input"]),
+        "hetero_manova": ("measurement", ["hetero", "--manova", "--responses", "Ag", "--input"]),
+        "naa_selfabs": ("attenuation", ["naa", "selfabs", "--dimension-mm", "0.4", "--table"]),
+    }
+
+    @pytest.mark.parametrize("bad", ["over_limit", "nul"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_refused_record_exits_2(self, capsys, tmp_path, command, bad):
+        table, argv = self.COMMANDS[command]
+        header = "energy_kev,mu_linear_per_cm" if table == "attenuation" else HEADER
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{header}\n{self.GOOD_ROW[table]}\n{self.BAD_ROW[table, bad]}\n")
+        code, out, err = run(capsys, *argv, str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: line 3: "), err[:200]
+
+
 class TestConfigAndDeterminism:
     @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize("source", ["flag_comma", "flag_blank", "config"])

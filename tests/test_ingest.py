@@ -168,8 +168,12 @@ class TestParseCsv:
             ("x,pellet,,unlabeled,Ag,8.8,0.5,poisson_single", "unknown kind 'pellet' (have: "),
             ("x,fragment,,rim,Ag,8.8,0.5,poisson_single", "unknown location 'rim' (have: "),
             ("x,fragment,,unlabeled,Ag,8.8,0.5,bayesian", "unknown basis 'bayesian' (have: "),
+            # tokens are case sensitive
+            ("x,fragment,,unlabeled,sb,600,4,poisson_single", "unknown element 'sb' (have: "),
+            ("x,BULLET,,unlabeled,Ag,8.8,0.5,poisson_single", "unknown kind 'BULLET' (have: "),
+            ("x,fragment,,Outer,Ag,8.8,0.5,poisson_single", "unknown location 'Outer' (have: "),
         ],
-        ids=["kind", "location", "basis"],
+        ids=["kind", "location", "basis", "element-case", "kind-case", "location-case"],
     )
     def test_unknown_token_reports_line(self, row, message):
         text = csv_text("CE 399,fragment,,unlabeled,Ag,8.8,0.5,poisson_single", row)
@@ -272,6 +276,30 @@ class TestParseRows:
         assert len(rows) == 2
         assert rows[0].value == 6.30
         assert rows[1].location is Location.OUTER
+
+    @pytest.mark.parametrize("cls", [Kind, Location, Element, Basis])
+    def test_every_token_reads_as_its_member(self, cls):
+        tokens = {Kind: "fragment", Location: "unlabeled", Element: "Ag", Basis: "poisson_single"}
+        field = {Kind: "kind", Location: "location", Element: "element", Basis: "basis"}[cls]
+        for member in cls:
+            cells = {**tokens, cls: member.value}
+            sigma = "0.5" if cells[Basis] == "poisson_single" else ""
+            row = f"x,{cells[Kind]},,{cells[Location]},{cells[Element]},8.8,{sigma},{cells[Basis]}"
+            (parsed,) = parse_rows(csv_text(row))
+            assert getattr(parsed, field) is cls(member.value)
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("x" * 131_073 + "\n", 1),
+            (csv_text("x,fragment,,unlabeled,Ag,8.8,0.5,poisson_single", "", "y" * 131_073), 4),
+        ],
+        ids=["header", "after-blank-line"],
+    )
+    def test_csv_module_refusal_names_its_record(self, text, line):
+        with pytest.raises(ParseError, match="field larger than field limit") as info:
+            parse_rows(text)
+        assert info.value.line == line
 
 
 class TestFixtures:

@@ -245,6 +245,17 @@ class TestMatchSpecimens:
         ):
             assert match_specimens(a, b, criterion).overlaps[1] is None
 
+    def test_equal_ends_keep_the_first_specimens(self):
+        # a's corrected lower end underflows to -0.0, b's is 0.0: the two are
+        # equal, the overlap keeps a's, and the JSON report prints it as -0.0
+        a = Specimen("a", Kind.FRAGMENT, series={Element.SB: ElementSeries(5e-324, 1e-323)})
+        b = Specimen("b", Kind.FRAGMENT, series={Element.SB: ElementSeries(5e-324, 5e-324)})
+        criterion = MatchCriterion(
+            k=1.0, elements=(Element.SB,), bias={Element.SB: BiasCorrection(-0.6, -0.6)}
+        )
+        ((lo, hi),) = match_specimens(a, b, criterion).overlaps
+        assert (repr(lo), repr(hi)) == ("-0.0", "5e-324")
+
 
 @pytest.mark.parametrize("k", [float("inf"), float("-inf"), float("nan")])
 def test_non_finite_k_refused(k):

@@ -1,6 +1,7 @@
 """``render_json`` against its oracle, ``json.dumps(indent=2, sort_keys=True)``."""
 
 import json
+import operator
 
 import pytest
 from hypothesis import given, settings
@@ -28,15 +29,32 @@ _SCALARS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([0.0, -0.0, 5e-324, 1e16, 1e-7, 0.1, 2.0**53]),
 )
+# Lists that start with strings: all strings take the writer's one-join
+# path; a later non-string sends the list back to the per-item path.
+_STRING_LISTS = st.one_of(
+    st.lists(_TEXT, min_size=1, max_size=6),
+    st.lists(_TEXT, min_size=1, max_size=6).map(tuple),
+    st.lists(st.tuples(_TEXT, _TEXT, _TEXT), max_size=4),
+)
 _VALUES = st.recursive(
     _SCALARS,
     lambda inner: st.one_of(
         st.lists(inner, max_size=5),
         st.lists(inner, max_size=5).map(tuple),
         st.dictionaries(_TEXT, inner, max_size=5),
+        _STRING_LISTS,
+        st.builds(
+            operator.add,
+            st.lists(_TEXT, min_size=1, max_size=4),
+            st.lists(inner, min_size=1, max_size=3),
+        ),
     ),
     max_leaves=20,
 )
+
+
+class _Tag(str):
+    """A ``str`` subclass, which ``json.dumps`` writes as its text."""
 
 
 def _nest(value, keys: list[str]):
@@ -84,8 +102,14 @@ def test_matches_json_dumps_deeply_nested(value, keys):
         ],
         # witness triples
         [[f"id{i}", f"id{i + 1}", f"id{i + 2}"] for i in range(1000)],
+        # strings first, then a nested list: the one-join path falls back
+        ["a", ["b", "c"], "d", ("e",)],
+        [_Tag("x"), "y", _Tag("\u2028"), [_Tag('"')]],
     ],
-    ids=["dict", "list", "tuple", "str", "mixed", "str-tuple", "pairs", "triples"],
+    ids=[
+        "dict", "list", "tuple", "str", "mixed", "str-tuple", "pairs", "triples",
+        "str-then-nested", "str-subclass",
+    ],
 )
 def test_fixed_cases(value):
     # a bare bool: pytest's diff of two multi-megabyte strings runs for minutes
@@ -99,6 +123,11 @@ def test_non_finite_float_raises_value_error(number):
         render_json({"x": [1.0, number]})
 
 
+def test_non_finite_float_after_strings_raises_value_error():
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        render_json({"x": ["a", "b", float("nan")]})
+
+
 @pytest.mark.parametrize("key", [1, 2.5, None, True, ("a",)])
 def test_non_str_key_raises_type_error(key):
     with pytest.raises(TypeError):
@@ -108,3 +137,8 @@ def test_non_str_key_raises_type_error(key):
 def test_unknown_type_raises_type_error():
     with pytest.raises(TypeError, match="not JSON serializable"):
         render_json({"x": {1, 2}})
+
+
+def test_unknown_type_after_strings_raises_type_error():
+    with pytest.raises(TypeError, match="Object of type set is not JSON serializable"):
+        render_json({"x": ["a", "b", {1, 2}]})
