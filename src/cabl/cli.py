@@ -16,8 +16,11 @@ echoing the conventions behind the numbers (boundary handling, bias
 ranges, table semantics), and all output is deterministic for fixed
 inputs.  JSON comes from ``render_json``, this module's own writer,
 byte-identical to ``json.dumps(indent=2, sort_keys=True)``; it joins a
-list of strings in one C pass, with no Python call per item.  The one
-payload value that is not plain data is ``match``'s pair list: a tuple
+list of strings, and a list of equal-width rows of strings (``group``'s
+witness triples), in C passes, with no Python call per item.  ``group``
+and ``report`` count every nontransitive triple and list the first
+``--witnesses N`` of them (100 unless told, ``all`` for every one).  The
+one payload value that is not plain data is ``match``'s pair list: a tuple
 of ``(a, b, overlaps)`` rows (``_MatchRows``), each ``overlaps`` the
 pair's ``match_specimens`` result, with each element's ``bias_used``
 read off the criterion once per report.  The writer asks the rows for
@@ -38,6 +41,7 @@ import argparse
 import json
 import math
 import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -79,10 +83,12 @@ def render_json(payload: dict) -> str:
     large ``match`` and ``group`` payloads.  This writer gives the same
     bytes, building each container's text as one string from its
     children's and quoting strings with the C escaper ``json.dumps``
-    uses.  A list or tuple of strings (a witness triple, a group's
-    members) is quoted and joined in one C pass; at its first
-    non-string item the escaper raises ``TypeError`` and the list is
-    written item by item.  Dict keys must be ``str``.
+    uses.  A list or tuple of strings (a group's members) is quoted and
+    joined in one C pass; at its first non-string item the escaper
+    raises ``TypeError`` and the list is written item by item.  A list
+    or tuple of equal-width lists or tuples of strings (the witness
+    triples) is quoted in one pass and its rows laid out by one ``%``
+    template, falling back the same way.  Dict keys must be ``str``.
     """
     return _encode(payload, "\n") + "\n"
 
@@ -122,8 +128,38 @@ def _encode(value: object, newline: str) -> str:
                 pass
             else:
                 return f"[{inner}{body}{newline}]"
+        elif type(value[0]) in _ROW_TYPES:
+            body = _string_rows(value, inner)
+            if body is not None:
+                return f"[{inner}{body}{newline}]"
         return _lines("[", [_encode(v, inner) for v in value], newline, "]")
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+_ROW_TYPES = frozenset((list, tuple))
+
+
+def _string_rows(value: Sequence, newline: str) -> Optional[str]:
+    """The items of a list of rows, each a list or tuple of ``width`` strings,
+    joined at ``newline``; None when ``value`` is not such a list.
+
+    Every string is quoted in one ``map`` over the chained rows, and each
+    row is one ``%`` of a template over ``width`` of them: no Python call
+    per item.  A zero width, rows of other types or widths, or a cell
+    that is not a string (``_quote`` raises ``TypeError``) give None.
+    """
+    width = len(value[0])
+    if not width or not _ROW_TYPES.issuperset(map(type, value)):
+        return None
+    if not all(map(width.__eq__, map(len, value))):
+        return None
+    try:
+        quoted = list(map(_quote, chain.from_iterable(value)))
+    except TypeError:
+        return None
+    cell = newline + "  "
+    row = f"[{cell}" + f",{cell}".join(["%s"] * width) + f"{newline}]"
+    return f",{newline}".join(map(row.__mod__, zip(*[iter(quoted)] * width)))
 
 
 def _lines(opening: str, body: list[str], newline: str, closing: str) -> str:
@@ -282,6 +318,29 @@ def _add_criterion_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config path (criterion defaults)")
 
 
+def _witness_limit(text: str) -> Optional[int]:
+    """``--witnesses``: ``all`` (None) or a count of at least 0."""
+    if text == "all":
+        return None
+    try:
+        limit = int(text)
+    except ValueError:
+        limit = -1
+    if limit < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0 or 'all', got {text!r}")
+    return limit
+
+
+def _add_witness_option(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--witnesses",
+        type=_witness_limit,
+        default=100,
+        metavar="N|all",
+        help="list the first N nontransitive triples (default 100) or all; all are counted",
+    )
+
+
 def _add_common_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("json", "text"), default="text")
 
@@ -395,7 +454,7 @@ def _grouped(args: argparse.Namespace, mode: str) -> tuple:
     criterion = _build_criterion(args, config)
     from .grouping import group
 
-    return dataset, criterion, group(dataset, criterion, mode=mode)
+    return dataset, criterion, group(dataset, criterion, mode=mode, witnesses=args.witnesses)
 
 
 def cmd_group(args: argparse.Namespace) -> dict:
@@ -419,13 +478,21 @@ def _groups_text(groups: list) -> Iterable[str]:
         yield f"  group {i}: {', '.join(members)}"
 
 
+def _triples_text(grouping: dict) -> Iterable[str]:
+    total, listed = grouping["nontransitive_triples_total"], grouping["nontransitive_triples"]
+    if total:
+        yield (
+            "nontransitive triples (a-b and b-c match, a-c does not): "
+            f"{total} in all, {len(listed)} listed"
+        )
+        for a, b, c in listed:
+            yield f"  {a} - {b} - {c}"
+
+
 def _group_text(p: dict) -> Iterable[str]:
     yield f"{len(p['groups'])} group(s), mode={p['mode']}"
     yield from _groups_text(p["groups"])
-    if p["nontransitive_triples"]:
-        yield "nontransitive triples (a-b and b-c match, a-c does not):"
-        for a, b, c in p["nontransitive_triples"]:
-            yield f"  {a} - {b} - {c}"
+    yield from _triples_text(p)
 
 
 # ------------------------------------------------------------- evidence
@@ -835,6 +902,7 @@ def _report_text(p: dict) -> Iterable[str]:
         yield f"  {s['id']:<18} {s['kind']}{lot}: {parts}"
     yield f"groups under k={p['criterion']['k']}:"
     yield from _groups_text(p["grouping"]["groups"])
+    yield from _triples_text(p["grouping"])
     within = p["within_lot"]
     if within["pairs_total"]:
         yield (
@@ -864,6 +932,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_options(p_group)
     _add_criterion_options(p_group)
     p_group.add_argument("--mode", choices=("cc", "clique"), default="cc")
+    _add_witness_option(p_group)
     _add_common_options(p_group)
     p_group.set_defaults(func=cmd_group, text=_group_text)
 
@@ -922,6 +991,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep = sub.add_parser("report", help="full pipeline report")
     _add_input_options(p_rep)
     _add_criterion_options(p_rep)
+    _add_witness_option(p_rep)
     _add_common_options(p_rep)
     p_rep.set_defaults(func=cmd_report, text=_report_text)
 

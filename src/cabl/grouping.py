@@ -4,23 +4,25 @@ The pairwise match relation is not transitive (intervals can chain), so
 two grouping modes exist: connected components of the match graph,
 which reproduces the published two-group classification, and maximal
 cliques, which surface the chaining artifacts.  Every output is
-deterministically ordered, and each nontransitive triple (a matched to
-b, b matched to c, a unmatched to c) is reported as a witness.
+deterministically ordered.  Every nontransitive triple (a matched to
+b, b matched to c, a unmatched to c) is counted exactly, and the first
+of them, up to a caller's limit, are listed as witnesses.
 
 The match graph is built as neighbour sets over the specimens in
 sorted-id order by a sort-and-sweep over interval hulls, and each pair
 the sweep meets gets ``match_specimens``' verdict from the same interval
 endpoints; under a bias table the smaller id of each pair is the
-corrected side.  That sweep decides each pair once: witnesses walk the
-neighbours of each middle specimen, and the within-lot rate counts edges.
+corrected side.  That sweep decides each pair once: the triple count
+and the witnesses read per-specimen neighbour bitmasks, and the
+within-lot rate counts edges.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
-from itertools import chain
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .matching import match_specimens
 from .model import MatchCriterion, Specimen, series_interval
@@ -33,13 +35,16 @@ class GroupingResult(NamedTuple):
 
     In ``connected_components`` mode the groups partition the specimen
     set; in ``maximal_cliques`` mode they may overlap, and that overlap
-    is itself informative.
+    is itself informative.  ``nontransitive_total`` counts every
+    nontransitive triple; ``nontransitive_triples`` lists the first of
+    them in (a, b, c) order, as many as ``group``'s ``witnesses`` asked.
     """
 
     groups: tuple[tuple[str, ...], ...]
     adjacency: Mapping[str, tuple[str, ...]]
     mode: str
     nontransitive_triples: tuple[tuple[str, str, str], ...]
+    nontransitive_total: int
 
     def as_dict(self) -> dict:
         return {
@@ -47,6 +52,7 @@ class GroupingResult(NamedTuple):
             "groups": self.groups,
             "adjacency": self.adjacency,
             "nontransitive_triples": self.nontransitive_triples,
+            "nontransitive_triples_total": self.nontransitive_total,
         }
 
 
@@ -132,12 +138,13 @@ def _maximal_cliques(adjacency: list[set[int]]) -> list[set[int]]:
     """
     cliques: list[set[int]] = []
     frames: list[list] = []
+    degree = list(map(len, adjacency))
 
     def enter(r: set[int], p: set[int], x: set[int]) -> None:
         if not p and not x:
             cliques.append(r)
             return
-        pivot = max(p | x, key=lambda v: len(adjacency[v]))
+        pivot = max(p | x, key=degree.__getitem__)
         branches = sorted(p - adjacency[pivot], reverse=True)
         if branches:
             frames.append([r, p, x, branches])
@@ -155,32 +162,81 @@ def _maximal_cliques(adjacency: list[set[int]]) -> list[set[int]]:
     return cliques
 
 
-def _nontransitive_triples(
-    ids: list[str], adjacency: list[set[int]], around: list[list[int]]
-) -> tuple[tuple[str, str, str], ...]:
-    # wedges a - b - c around each middle b whose ends a < c do not match;
-    # b rises and then c within each a's bucket, so the buckets are sorted
-    buckets: list[list[tuple[str, str, str]]] = [[] for _ in ids]
-    for b, ends in enumerate(around):
-        middle = ids[b]
-        for x, a in enumerate(ends):
-            near, first = adjacency[a], ids[a]
-            buckets[a] += [(first, middle, ids[c]) for c in ends[x + 1 :] if c not in near]
-    return tuple(chain.from_iterable(buckets))
+_BIT = (1).__lshift__
+
+
+def _masks(adjacency: list[set[int]]) -> list[int]:
+    """Each specimen's neighbours as a bitmask: bit j of ``masks[i]`` is set
+    when specimens i and j match.  A row with more neighbours than not is
+    built, in fewer shifts, from the specimens it does not match, itself
+    among them."""
+    n = len(adjacency)
+    everyone, full = set(range(n)), (1 << n) - 1
+    return [
+        sum(map(_BIT, near)) if 2 * len(near) < n else full - sum(map(_BIT, everyone - near))
+        for near in adjacency
+    ]
+
+
+def _nontransitive(
+    ids: list[str], around: list[list[int]], masks: list[int], limit: Optional[int]
+) -> tuple[int, tuple[tuple[str, str, str], ...]]:
+    """The number of nontransitive triples and the first ``limit`` of them
+    (all of them when ``limit`` is None).
+
+    A triple is a wedge a - b - c around a middle b whose ends a < c do not
+    match, listed by a, then b, then c; ``around`` holds each specimen's
+    sorted neighbours and ``masks`` the same as bitmasks.  Each b is the
+    middle of C(deg b, 2) wedges, and a triangle closes three wedges, so
+    the count is their difference (Chiba & Nishizeki, *Arboricity and
+    subgraph listing algorithms*, 1985); the triangle v < u < w is counted
+    once, at its edge (u, v), as a bit of ``masks[v]`` above u in
+    ``masks[u]``.
+    """
+    wedges = sum(len(ends) * (len(ends) - 1) // 2 for ends in around)
+    triangles = 0
+    for u, ends in enumerate(around):
+        above = masks[u] >> (u + 1) << (u + 1)
+        below = map(masks.__getitem__, ends[: bisect_left(ends, u)])
+        triangles += sum(map(int.bit_count, map(above.__and__, below)))
+    total = wedges - 3 * triangles
+    room = total if limit is None else min(limit, total)
+    return total, tuple(islice(_witnesses(ids, around, masks), room))
+
+
+def _witnesses(ids: list[str], around: list[list[int]], masks: list[int]) -> Iterator[tuple]:
+    """Every nontransitive triple in (a, b, c) order: for each a and each of
+    its neighbours b, the neighbours c of b above a that a does not match."""
+    everyone = (1 << len(ids)) - 1
+    for a, ends in enumerate(around):
+        # the ends c > a that do not match a, as a nonnegative mask
+        far = everyone & ~(masks[a] | ((2 << a) - 1))
+        first = ids[a]
+        for b in ends:
+            rest = masks[b] & far
+            while rest:
+                low = rest & -rest
+                yield first, ids[b], ids[low.bit_length() - 1]
+                rest ^= low
 
 
 def group(
     specimens: Iterable[Specimen],
     criterion: MatchCriterion,
     mode: str = "connected_components",
+    witnesses: Optional[int] = None,
 ) -> GroupingResult:
     """Group specimens by the pairwise match relation.
 
     Groups are ordered by their smallest member id and each group's
-    members are sorted, so results are independent of input order.
+    members are sorted, so results are independent of input order.  Every
+    nontransitive triple is counted; the first ``witnesses`` of them are
+    listed, or all of them when ``witnesses`` is None.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    if witnesses is not None and (type(witnesses) is not int or witnesses < 0):
+        raise ValueError(f"witnesses must be None or an integer >= 0, got {witnesses!r}")
     # canonical pair order (smaller id first) keeps biased criteria deterministic
     ordered = sorted(specimens, key=lambda s: s.id)
     ids = [s.id for s in ordered]
@@ -194,11 +250,13 @@ def group(
     # index order is id order, so sorted indices name sorted ids
     groups = tuple(sorted(tuple(ids[i] for i in sorted(g)) for g in raw_groups))
     around = [sorted(near) for near in adjacency]
+    total, triples = _nontransitive(ids, around, _masks(adjacency), witnesses)
     return GroupingResult(
         groups=groups,
-        adjacency={sid: tuple(ids[j] for j in ends) for sid, ends in zip(ids, around)},
+        adjacency={sid: tuple(map(ids.__getitem__, ends)) for sid, ends in zip(ids, around)},
         mode=mode,
-        nontransitive_triples=_nontransitive_triples(ids, adjacency, around),
+        nontransitive_triples=triples,
+        nontransitive_total=total,
     )
 
 

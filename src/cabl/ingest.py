@@ -100,10 +100,14 @@ def _table_rows(text: str, header: list[str]) -> Iterator[tuple[int, list[str]]]
 
     The first row must be ``header`` and every data row must be as wide.
     Cells come stripped; ``line`` counts CSV records, the header being 1.
-    A record the ``csv`` module refuses (a field over its size limit; a
-    NUL byte before Python 3.11) is a ``ParseError`` at that record.
+    A record the ``csv`` module refuses (a field over its size limit) is a
+    ``ParseError`` at that record, and so is one holding a NUL byte, on
+    every Python version: the module refuses it before 3.11 and passes it
+    on from then, so it is refused here as the module refused it.
     """
     rows = csv.reader(io.StringIO(text))
+    if "\0" in text:
+        rows = map(_without_nul, rows)
     line = 0  # the last record read
     try:
         first = next(rows, None)
@@ -121,6 +125,12 @@ def _table_rows(text: str, header: list[str]) -> Iterator[tuple[int, list[str]]]
             yield line, cells
     except csv.Error as exc:
         raise ParseError(str(exc), line=line + 1) from None
+
+
+def _without_nul(row: list[str]) -> list[str]:
+    if any("\0" in cell for cell in row):
+        raise csv.Error("line contains NUL")
+    return row
 
 
 def _token(cls, text: str, line: int):

@@ -95,6 +95,72 @@ class TestGroupCommand:
         assert code == 0
         assert "CE 399, CE 842" in out
         assert "CE 567, CE 840, CE 843" in out
+        assert "nontransitive" not in out
+
+
+# sixty Sb specimens 1 ppm apart, each matching those within 2 ppm: a
+# middle with four neighbours has three pairs of ends 3 or 4 ppm apart,
+# and the second and second-last specimens one each, 56 * 3 + 2 in all
+CHAIN_CSV = HEADER + "\n" + "".join(
+    f"s{i:02d},bullet,6003,outer,Sb,{100 + i},0.3,poisson_single\n" for i in range(60)
+)
+CHAIN_TOTAL = 170
+HEADING = "nontransitive triples (a-b and b-c match, a-c does not)"
+
+
+class TestWitnessLimit:
+    @pytest.fixture
+    def chain(self, tmp_path):
+        path = tmp_path / "chain.csv"
+        path.write_text(CHAIN_CSV)
+        return ["--input", str(path), "--elements", "Sb", "--k", "4"]
+
+    @staticmethod
+    def grouping(payload):
+        return payload.get("grouping", payload)
+
+    @pytest.mark.parametrize("command", ["group", "report"])
+    def test_default_lists_the_first_100(self, capsys, chain, command):
+        capped, _ = run_json(capsys, command, *chain)
+        full, _ = run_json(capsys, command, *chain, "--witnesses", "all")
+        capped, full = self.grouping(capped), self.grouping(full)
+        assert capped["nontransitive_triples_total"] == full["nontransitive_triples_total"]
+        assert full["nontransitive_triples_total"] == CHAIN_TOTAL
+        assert len(full["nontransitive_triples"]) == CHAIN_TOTAL
+        assert capped["nontransitive_triples"] == full["nontransitive_triples"][:100]
+
+    @pytest.mark.parametrize("command", ["group", "report"])
+    def test_zero_lists_none(self, capsys, chain, command):
+        payload, _ = run_json(capsys, command, *chain, "--witnesses", "0")
+        grouping = self.grouping(payload)
+        assert grouping["nontransitive_triples"] == []
+        assert grouping["nontransitive_triples_total"] == CHAIN_TOTAL
+        code, out, _ = run(capsys, command, *chain, "--witnesses", "0")
+        assert code == 0
+        lines = out.splitlines()
+        assert f"{HEADING}: {CHAIN_TOTAL} in all, 0 listed" in lines
+        assert not [line for line in lines if line.count(" - ") == 2]
+
+    def test_text_lists_what_it_counts(self, capsys, chain):
+        code, out, _ = run(capsys, "group", *chain, "--witnesses", "3")
+        assert code == 0
+        tail = out.splitlines()[-4:]
+        assert tail == [
+            f"{HEADING}: {CHAIN_TOTAL} in all, 3 listed",
+            "  s00 - s01 - s03",
+            "  s00 - s02 - s03",
+            "  s00 - s02 - s04",
+        ]
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("value", ["-1", "1.5", "x", "", "All"])
+    @pytest.mark.parametrize("command", ["group", "report"])
+    def test_bad_value_exits_2(self, capsys, command, value, fmt):
+        code, out, err = run(
+            capsys, command, "--fixture", "table1", "--witnesses", value, "--format", fmt
+        )
+        assert (code, out) == (2, "")
+        assert "argument --witnesses: expected an integer >= 0 or 'all'" in err
 
 
 class TestEvidenceCommand:
@@ -826,7 +892,8 @@ GROUP_CLIQUE_JSON = """\
       "CE 843",
       "CE 840"
     ]
-  ]
+  ],
+  "nontransitive_triples_total": 1
 }
 """
 
@@ -917,7 +984,7 @@ TEXT_CASES = {
   group 1: CE 399, CE 842
   group 2: CE 567, CE 843
   group 3: CE 840, CE 843
-nontransitive triples (a-b and b-c match, a-c does not):
+nontransitive triples (a-b and b-c match, a-c does not): 1 in all, 1 listed
   CE 567 - CE 843 - CE 840
 """,
     ),
@@ -1451,9 +1518,10 @@ class TestCsvModuleRefusals:
     """A record the ``csv`` module refuses exits 2 with its line.
 
     A field over the module's 131,072-character limit raises ``csv.Error``
-    on Python 3.10 to 3.13; a NUL byte does on 3.10, and from 3.11 the
-    NUL reaches the cell, whose token or number is then refused.  Either
-    way the third record is named.
+    on Python 3.10 to 3.13.  A NUL byte raises it on 3.10; from 3.11 the
+    module passes the NUL on, and ``_table_rows`` refuses the record with
+    the same message, so a NUL in a free-text cell (a specimen id) is
+    refused too.  Either way the third record is named.
     """
 
     GOOD_ROW = {
@@ -1482,6 +1550,16 @@ class TestCsvModuleRefusals:
         code, out, err = run(capsys, *argv, str(path))
         assert (code, out) == (2, "")
         assert err.startswith("error: line 3: "), err[:200]
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("command", ["group", "hetero_manova"])
+    def test_nul_in_specimen_id_exits_2(self, capsys, tmp_path, command, fmt):
+        _, argv = self.COMMANDS[command]
+        path = tmp_path / "bad.csv"
+        bad = "a\0b,bullet,6003,outer,Ag,8.9,,replicate_member"
+        path.write_text(f"{HEADER}\n{self.GOOD_ROW['measurement']}\n{bad}\n")
+        code, out, err = run(capsys, *argv, str(path), "--format", fmt)
+        assert (code, out, err) == (2, "", "error: line 3: line contains NUL\n")
 
 
 class TestConfigAndDeterminism:

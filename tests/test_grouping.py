@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 from strategies import populations, spread_populations
 
 from cabl.errors import IncompletePanelError
-from cabl.grouping import _maximal_cliques, group, within_box_match_rate
+from cabl.grouping import (
+    MODES,
+    _masks,
+    _maximal_cliques,
+    _nontransitive,
+    group,
+    within_box_match_rate,
+)
 from cabl.ingest import Dataset, fixture
 from cabl.matching import match_specimens
 from cabl.model import (
@@ -45,6 +52,7 @@ class TestGroup:
             ("CE 567", "CE 840", "CE 843"),
         )
         assert result.nontransitive_triples == ()
+        assert result.nontransitive_total == 0
 
     def test_single_specimen(self):
         only = specimen("solo", (100.0, 1.0), (10.0, 0.5))
@@ -58,6 +66,14 @@ class TestGroup:
             ("CE 567", "CE 840", "CE 843"),
         )
         assert result.nontransitive_triples == (("CE 567", "CE 843", "CE 840"),)
+        assert result.nontransitive_total == 1
+        capped = group(table1, OPEN4, witnesses=0)
+        assert (capped.nontransitive_triples, capped.nontransitive_total) == ((), 1)
+
+    @pytest.mark.parametrize("witnesses", [-1, 1.0, True, "5"])
+    def test_bad_witness_limit(self, table1, witnesses):
+        with pytest.raises(ValueError, match="witnesses"):
+            group(table1, GUINN4, witnesses=witnesses)
 
     def test_input_order_invariance(self, table1):
         reordered = Dataset(
@@ -272,8 +288,8 @@ def outcome(fn, *args):
 
 class TestArrayEngineAgainstScalarRule:
     @settings(max_examples=150, deadline=None)
-    @given(populations())
-    def test_group_matches_brute_force(self, case):
+    @given(populations(), st.integers(0, 40))
+    def test_group_matches_brute_force(self, case, witnesses):
         specimens, criterion = case
         adjacency = scalar_adjacency(specimens, criterion)
         cc = group(specimens, criterion)
@@ -284,6 +300,12 @@ class TestArrayEngineAgainstScalarRule:
         assert cliques.groups == scalar_cliques(adjacency)
         triples = scalar_triples(adjacency)
         assert cc.nontransitive_triples == cliques.nontransitive_triples == triples
+        assert cc.nontransitive_total == cliques.nontransitive_total == len(triples)
+        capped = group(specimens, criterion, witnesses=witnesses)
+        assert (capped.nontransitive_triples, capped.nontransitive_total) == (
+            triples[:witnesses],
+            len(triples),
+        )
 
     @settings(max_examples=100, deadline=None)
     @given(spread_populations())
@@ -294,7 +316,44 @@ class TestArrayEngineAgainstScalarRule:
         assert dict(result.adjacency) == sorted_neighbors(adjacency)
         assert result.groups == scalar_components(adjacency)
         assert result.nontransitive_triples == scalar_triples(adjacency)
+        assert result.nontransitive_total == len(result.nontransitive_triples)
         assert engine_lot_rate(specimens, criterion) == scalar_lot_rate(specimens, criterion)
+
+    @settings(max_examples=50, deadline=None)
+    @given(populations(), st.data())
+    def test_far_specimens_leave_the_rest_unchanged(self, case, data):
+        """Adding specimens whose hulls meet no other specimen's hull leaves
+        every group, edge, listed witness and the triple count as they were."""
+        specimens, criterion = case
+        taken = {s.id for s in specimens}
+        extra = data.draw(
+            st.lists(st.text("abcxyz", min_size=1, max_size=3).filter(lambda i: i not in taken),
+                     min_size=1, max_size=5, unique=True)
+        )
+        witnesses = data.draw(st.one_of(st.none(), st.integers(0, 20)))
+        # every hull lies within [-top, top]; a bias scales a point by 0.5 to
+        # 1.8, so far points 10x apart, from 40 top up, keep their hulls apart
+        top = max(
+            abs(end)
+            for s in specimens
+            for e in criterion.elements
+            for bias in (None, criterion.bias_for(e))
+            for end in series_interval(s.series[e], criterion.k, bias)
+        )
+        far = [
+            Specimen(id=sid, kind=Kind.BULLET, lot=None, series={
+                e: ElementSeries(4.0 * top * 10.0 ** (j + 1) + 1.0, 0.0)
+                for e in criterion.elements
+            })
+            for j, sid in enumerate(extra)
+        ]
+        for mode in MODES:
+            before = group(specimens, criterion, mode, witnesses)
+            after = group(specimens + far, criterion, mode, witnesses)
+            assert after.groups == tuple(sorted(before.groups + tuple((s.id,) for s in far)))
+            assert dict(after.adjacency) == {**before.adjacency, **{s.id: () for s in far}}
+            assert after.nontransitive_triples == before.nontransitive_triples
+            assert after.nontransitive_total == before.nontransitive_total
 
     @settings(max_examples=100, deadline=None)
     @given(populations())
@@ -343,6 +402,21 @@ def graphs(draw):
     return adjacency
 
 
+class TestNontransitiveTriples:
+    """The bitset count and listing against ``scalar_triples`` on any graph."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(graphs(), st.one_of(st.none(), st.integers(0, 60)))
+    def test_count_and_list_match_the_wedge_oracle(self, adjacency, limit):
+        ids = [f"s{i:02d}" for i in range(len(adjacency))]
+        named = {ids[v]: {ids[u] for u in near} for v, near in enumerate(adjacency)}
+        triples = scalar_triples(named)
+        around = [sorted(near) for near in adjacency]
+        total, listed = _nontransitive(ids, around, _masks(adjacency), limit)
+        assert total == len(triples)
+        assert listed == (triples if limit is None else triples[:limit])
+
+
 class TestMaximalCliques:
     @settings(max_examples=200, deadline=None)
     @given(graphs())
@@ -353,6 +427,13 @@ class TestMaximalCliques:
         n = 1200
         adjacency = [set(range(n)) - {v} for v in range(n)]
         assert _maximal_cliques(adjacency) == [set(range(n))]
+
+    def test_thousand_matching_specimens_are_one_clique_without_witnesses(self):
+        specimens = [specimen(f"s{i:04d}", (600.0 + i % 7 / 10, 5.0)) for i in range(1000)]
+        criterion = MatchCriterion(k=4.0, elements=(Element.SB,))
+        result = group(specimens, criterion, mode="maximal_cliques")
+        assert result.groups == (tuple(s.id for s in specimens),)
+        assert (result.nontransitive_total, result.nontransitive_triples) == (0, ())
 
 
 def lot_population(seed, n, log_span, per_lot, lot_spread, rel_se):
@@ -394,6 +475,8 @@ class TestSweepAtScale:
         assert result.groups == scalar_components(adjacency)
         triples = scalar_triples(adjacency)
         assert result.nontransitive_triples == triples
+        assert result.nontransitive_total == len(triples)
+        assert group(specimens, criterion, witnesses=100).nontransitive_triples == triples[:100]
         assert engine_lot_rate(specimens, criterion) == scalar_lot_rate(specimens, criterion)
         # not a graph without edges; dense lots chain into witnesses
         assert len(result.groups) < len(specimens)
@@ -417,3 +500,4 @@ class TestIncompletePanels:
         result = group([lone], GUINN4)
         assert result.groups == (("solo",),)
         assert result.nontransitive_triples == ()
+        assert result.nontransitive_total == 0
