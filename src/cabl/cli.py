@@ -16,8 +16,7 @@ echoing the conventions behind the numbers (boundary handling, bias
 ranges, table semantics), and all output is deterministic for fixed
 inputs.  JSON comes from ``render_json``, this module's own writer,
 byte-identical to ``json.dumps(indent=2, sort_keys=True)``; it joins a
-list of strings, and a list of equal-width rows of strings (``group``'s
-witness triples), in C passes, with no Python call per item.  ``group``
+list of strings in one C pass, with no Python call per item.  ``group``
 and ``report`` count every nontransitive triple and list the first
 ``--witnesses N`` of them (100 unless told, ``all`` for every one).  The
 one payload value that is not plain data is ``match``'s pair list: a tuple
@@ -41,7 +40,6 @@ import argparse
 import json
 import math
 import sys
-from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -83,12 +81,10 @@ def render_json(payload: dict) -> str:
     large ``match`` and ``group`` payloads.  This writer gives the same
     bytes, building each container's text as one string from its
     children's and quoting strings with the C escaper ``json.dumps``
-    uses.  A list or tuple of strings (a group's members) is quoted and
-    joined in one C pass; at its first non-string item the escaper
-    raises ``TypeError`` and the list is written item by item.  A list
-    or tuple of equal-width lists or tuples of strings (the witness
-    triples) is quoted in one pass and its rows laid out by one ``%``
-    template, falling back the same way.  Dict keys must be ``str``.
+    uses.  A list or tuple of strings (a witness triple, a group's
+    members) is quoted and joined in one C pass; at its first
+    non-string item the escaper raises ``TypeError`` and the list is
+    written item by item.  Dict keys must be ``str``.
     """
     return _encode(payload, "\n") + "\n"
 
@@ -128,38 +124,8 @@ def _encode(value: object, newline: str) -> str:
                 pass
             else:
                 return f"[{inner}{body}{newline}]"
-        elif type(value[0]) in _ROW_TYPES:
-            body = _string_rows(value, inner)
-            if body is not None:
-                return f"[{inner}{body}{newline}]"
         return _lines("[", [_encode(v, inner) for v in value], newline, "]")
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-_ROW_TYPES = frozenset((list, tuple))
-
-
-def _string_rows(value: Sequence, newline: str) -> Optional[str]:
-    """The items of a list of rows, each a list or tuple of ``width`` strings,
-    joined at ``newline``; None when ``value`` is not such a list.
-
-    Every string is quoted in one ``map`` over the chained rows, and each
-    row is one ``%`` of a template over ``width`` of them: no Python call
-    per item.  A zero width, rows of other types or widths, or a cell
-    that is not a string (``_quote`` raises ``TypeError``) give None.
-    """
-    width = len(value[0])
-    if not width or not _ROW_TYPES.issuperset(map(type, value)):
-        return None
-    if not all(map(width.__eq__, map(len, value))):
-        return None
-    try:
-        quoted = list(map(_quote, chain.from_iterable(value)))
-    except TypeError:
-        return None
-    cell = newline + "  "
-    row = f"[{cell}" + f",{cell}".join(["%s"] * width) + f"{newline}]"
-    return f",{newline}".join(map(row.__mod__, zip(*[iter(quoted)] * width)))
 
 
 def _lines(opening: str, body: list[str], newline: str, closing: str) -> str:
@@ -322,13 +288,9 @@ def _witness_limit(text: str) -> Optional[int]:
     """``--witnesses``: ``all`` (None) or a count of at least 0."""
     if text == "all":
         return None
-    try:
-        limit = int(text)
-    except ValueError:
-        limit = -1
-    if limit < 0:
+    if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(f"expected an integer >= 0 or 'all', got {text!r}")
-    return limit
+    return int(text)
 
 
 def _add_witness_option(parser: argparse.ArgumentParser) -> None:

@@ -13,8 +13,8 @@ sorted-id order by a sort-and-sweep over interval hulls, and each pair
 the sweep meets gets ``match_specimens``' verdict from the same interval
 endpoints; under a bias table the smaller id of each pair is the
 corrected side.  That sweep decides each pair once: the triple count
-and the witnesses read per-specimen neighbour bitmasks, and the
-within-lot rate counts edges.
+and the witnesses read the neighbour sets, or on a dense graph
+per-specimen neighbour bitmasks, and the within-lot rate counts edges.
 """
 
 from __future__ import annotations
@@ -167,44 +167,40 @@ _BIT = (1).__lshift__
 
 def _masks(adjacency: list[set[int]]) -> list[int]:
     """Each specimen's neighbours as a bitmask: bit j of ``masks[i]`` is set
-    when specimens i and j match.  A row with more neighbours than not is
-    built, in fewer shifts, from the specimens it does not match, itself
-    among them."""
-    n = len(adjacency)
-    everyone, full = set(range(n)), (1 << n) - 1
-    return [
-        sum(map(_BIT, near)) if 2 * len(near) < n else full - sum(map(_BIT, everyone - near))
-        for near in adjacency
-    ]
+    when specimens i and j match."""
+    return [sum(map(_BIT, near)) for near in adjacency]
 
 
 def _nontransitive(
-    ids: list[str], around: list[list[int]], masks: list[int], limit: Optional[int]
+    ids: list[str], adjacency: list[set[int]], around: list[list[int]], limit: Optional[int],
+    bits: bool,
 ) -> tuple[int, tuple[tuple[str, str, str], ...]]:
     """The number of nontransitive triples and the first ``limit`` of them
     (all of them when ``limit`` is None).
 
     A triple is a wedge a - b - c around a middle b whose ends a < c do not
     match, listed by a, then b, then c; ``around`` holds each specimen's
-    sorted neighbours and ``masks`` the same as bitmasks.  Each b is the
-    middle of C(deg b, 2) wedges, and a triangle closes three wedges, so
-    the count is their difference (Chiba & Nishizeki, *Arboricity and
-    subgraph listing algorithms*, 1985); the triangle v < u < w is counted
-    once, at its edge (u, v), as a bit of ``masks[v]`` above u in
-    ``masks[u]``.
+    sorted neighbours.  Each b is the middle of C(deg b, 2) wedges, and the
+    closed ones, whose ends match, are the common neighbours of each edge,
+    so the count is their difference (Chiba & Nishizeki, *Arboricity and
+    subgraph listing algorithms*, 1985).  With ``bits`` the common
+    neighbours and the witnesses are read off neighbour bitmasks, one n-bit
+    AND an edge, else off the neighbour sets, in O(sum of deg^2) steps.
     """
+    rows = _masks(adjacency) if bits else adjacency
+    size = int.bit_count if bits else len
     wedges = sum(len(ends) * (len(ends) - 1) // 2 for ends in around)
-    triangles = 0
+    closed = 0
     for u, ends in enumerate(around):
-        above = masks[u] >> (u + 1) << (u + 1)
-        below = map(masks.__getitem__, ends[: bisect_left(ends, u)])
-        triangles += sum(map(int.bit_count, map(above.__and__, below)))
-    total = wedges - 3 * triangles
+        below = map(rows.__getitem__, ends[: bisect_left(ends, u)])
+        closed += sum(map(size, map(rows[u].__and__, below)))
+    total = wedges - closed
     room = total if limit is None else min(limit, total)
-    return total, tuple(islice(_witnesses(ids, around, masks), room))
+    listing = _bit_witnesses(ids, around, rows) if bits else _set_witnesses(ids, around, rows)
+    return total, tuple(islice(listing, room))
 
 
-def _witnesses(ids: list[str], around: list[list[int]], masks: list[int]) -> Iterator[tuple]:
+def _bit_witnesses(ids: list[str], around: list[list[int]], masks: list[int]) -> Iterator[tuple]:
     """Every nontransitive triple in (a, b, c) order: for each a and each of
     its neighbours b, the neighbours c of b above a that a does not match."""
     everyone = (1 << len(ids)) - 1
@@ -218,6 +214,19 @@ def _witnesses(ids: list[str], around: list[list[int]], masks: list[int]) -> Ite
                 low = rest & -rest
                 yield first, ids[b], ids[low.bit_length() - 1]
                 rest ^= low
+
+
+def _set_witnesses(
+    ids: list[str], around: list[list[int]], adjacency: list[set[int]]
+) -> Iterator[tuple]:
+    """``_bit_witnesses``' triples, in its order, from the neighbour sets."""
+    for a, ends in enumerate(around):
+        near, first = adjacency[a], ids[a]
+        for b in ends:
+            beyond, middle = around[b], ids[b]
+            for c in beyond[bisect_right(beyond, a) :]:
+                if c not in near:
+                    yield first, middle, ids[c]
 
 
 def group(
@@ -250,7 +259,10 @@ def group(
     # index order is id order, so sorted indices name sorted ids
     groups = tuple(sorted(tuple(ids[i] for i in sorted(g)) for g in raw_groups))
     around = [sorted(near) for near in adjacency]
-    total, triples = _nontransitive(ids, around, _masks(adjacency), witnesses)
+    # n bitmasks take n^2/8 bytes: read them only when that is at most 32
+    # bytes a neighbour entry, less than each entry already takes in its set
+    bits = len(ids) ** 2 <= 256 * sum(map(len, around))
+    total, triples = _nontransitive(ids, adjacency, around, witnesses, bits)
     return GroupingResult(
         groups=groups,
         adjacency={sid: tuple(map(ids.__getitem__, ends)) for sid, ends in zip(ids, around)},

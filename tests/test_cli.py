@@ -153,7 +153,7 @@ class TestWitnessLimit:
         ]
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
-    @pytest.mark.parametrize("value", ["-1", "1.5", "x", "", "All"])
+    @pytest.mark.parametrize("value", ["-1", "1.5", "x", "", "All", "+5", "1_0", " 5", "\u0665"])
     @pytest.mark.parametrize("command", ["group", "report"])
     def test_bad_value_exits_2(self, capsys, command, value, fmt):
         code, out, err = run(

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from strategies import populations, spread_populations
 
 from cabl.errors import IncompletePanelError
+from cabl import grouping
 from cabl.grouping import (
     MODES,
-    _masks,
     _maximal_cliques,
     _nontransitive,
     group,
@@ -403,18 +403,29 @@ def graphs(draw):
 
 
 class TestNontransitiveTriples:
-    """The bitset count and listing against ``scalar_triples`` on any graph."""
+    """The count and listing, off bitmasks and off sets, against
+    ``scalar_triples`` on any graph."""
 
-    @settings(max_examples=200, deadline=None)
+    @pytest.mark.parametrize("bits", [True, False], ids=["bits", "sets"])
+    @settings(max_examples=150, deadline=None)
     @given(graphs(), st.one_of(st.none(), st.integers(0, 60)))
-    def test_count_and_list_match_the_wedge_oracle(self, adjacency, limit):
+    def test_count_and_list_match_the_wedge_oracle(self, bits, adjacency, limit):
         ids = [f"s{i:02d}" for i in range(len(adjacency))]
         named = {ids[v]: {ids[u] for u in near} for v, near in enumerate(adjacency)}
         triples = scalar_triples(named)
         around = [sorted(near) for near in adjacency]
-        total, listed = _nontransitive(ids, around, _masks(adjacency), limit)
+        total, listed = _nontransitive(ids, adjacency, around, limit, bits)
         assert total == len(triples)
         assert listed == (triples if limit is None else triples[:limit])
+
+    def test_sparse_graph_builds_no_bitmasks(self, monkeypatch):
+        # a chain of 600 has 1,198 neighbour entries, under 600^2 / 256
+        specimens = [specimen(f"s{i:04d}", (100.0 + 5.0 * i, 1.0)) for i in range(600)]
+        monkeypatch.setattr(grouping, "_masks", None)
+        result = group(specimens, MatchCriterion(k=4.0, elements=(Element.SB,)), witnesses=3)
+        ids = [s.id for s in specimens]
+        assert result.nontransitive_total == 598
+        assert result.nontransitive_triples == tuple(zip(ids, ids[1:], ids[2:]))[:3]
 
 
 class TestMaximalCliques:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cabl.cli import _string_rows, render_json
+from cabl.cli import render_json
 
 
 def oracle(value) -> str:
@@ -36,15 +36,6 @@ _STRING_LISTS = st.one_of(
     st.lists(_TEXT, min_size=1, max_size=6).map(tuple),
     st.lists(st.tuples(_TEXT, _TEXT, _TEXT), max_size=4),
 )
-# Lists of rows: equal-width rows of strings take the writer's row path;
-# a row of another width, type or cell sends the list to the per-item path.
-_ROW_LISTS = st.integers(0, 3).flatmap(
-    lambda width: st.lists(
-        st.one_of(st.lists(_TEXT, min_size=width, max_size=width),
-                  st.tuples(*[_TEXT] * width)),
-        min_size=1, max_size=5,
-    )
-)
 _VALUES = st.recursive(
     _SCALARS,
     lambda inner: st.one_of(
@@ -52,10 +43,6 @@ _VALUES = st.recursive(
         st.lists(inner, max_size=5).map(tuple),
         st.dictionaries(_TEXT, inner, max_size=5),
         _STRING_LISTS,
-        _ROW_LISTS,
-        st.builds(
-            operator.add, _ROW_LISTS, st.lists(inner, min_size=1, max_size=2)
-        ),
         st.builds(
             operator.add,
             st.lists(_TEXT, min_size=1, max_size=4),
@@ -116,37 +103,19 @@ def test_matches_json_dumps_deeply_nested(value, keys):
         # witness triples, as lists and as the tuples group() returns
         [[f"id{i}", f"id{i + 1}", f"id{i + 2}"] for i in range(1000)],
         tuple((f"id{i}", "\u2028", f'"{i}"') for i in range(1000)),
-        # rows of strings the row path must hand back to the per-item path
-        [["a", "b"], ["c"], ["d", "e"]],
-        [("a", "b", "c"), ("d", 5, "f")],
-        [("a", "b"), ("c", None)],
-        [[], []],
-        [["a"], []],
-        [["a", "b"], "cd"],
-        [["a", "b"], ["c", ["d"]]],
-        # lists and tuples of one width mix; a single column
-        [["a", "b"], ("c", "d")],
-        [["x"], ["y"]],
         # strings first, then a nested list: the one-join path falls back
         ["a", ["b", "c"], "d", ("e",)],
         [_Tag("x"), "y", _Tag("\u2028"), [_Tag('"')]],
     ],
     ids=[
         "dict", "list", "tuple", "str", "mixed", "str-tuple", "pairs", "triples",
-        "triple-tuples", "mixed-widths", "non-str-cell", "none-cell", "empty-inner",
-        "row-then-empty", "str-row", "nested-cell", "list-and-tuple-rows", "one-column",
-        "str-then-nested", "str-subclass",
+        "triple-tuples", "str-then-nested", "str-subclass",
     ],
 )
 def test_fixed_cases(value):
     # a bare bool: pytest's diff of two multi-megabyte strings runs for minutes
     same = render_json(value) == oracle(value)
     assert same
-
-
-def test_row_path_takes_equal_width_string_rows():
-    rows = [("a", "b"), ["c", "\u2028"]]
-    assert _string_rows(rows, "\n  ") == render_json(rows)[4:-3]
 
 
 @pytest.mark.parametrize("number", [float("nan"), float("inf"), float("-inf")])
