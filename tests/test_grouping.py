@@ -402,13 +402,27 @@ def graphs(draw):
     return adjacency
 
 
+@st.composite
+def pair_graphs(draw):
+    """Graphs of up to 14 vertices with each pair drawn, so many are dense."""
+    n = draw(st.integers(0, 14))
+    adjacency = [set() for _ in range(n)]
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    joins = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    for (a, b), joined in zip(pairs, joins):
+        if joined:
+            adjacency[a].add(b)
+            adjacency[b].add(a)
+    return adjacency
+
+
 class TestNontransitiveTriples:
     """The count and listing, off bitmasks and off sets, against
     ``scalar_triples`` on any graph."""
 
     @pytest.mark.parametrize("bits", [True, False], ids=["bits", "sets"])
     @settings(max_examples=150, deadline=None)
-    @given(graphs(), st.one_of(st.none(), st.integers(0, 60)))
+    @given(st.one_of(graphs(), pair_graphs()), st.one_of(st.none(), st.integers(0, 60)))
     def test_count_and_list_match_the_wedge_oracle(self, bits, adjacency, limit):
         ids = [f"s{i:02d}" for i in range(len(adjacency))]
         named = {ids[v]: {ids[u] for u in near} for v, near in enumerate(adjacency)}
