@@ -700,12 +700,9 @@ def _schedule_from(args: argparse.Namespace, prefix: str = ""):
     from .uncertainty import DecaySchedule
 
     def pick(name: str) -> str:
+        # argparse requires the sample's flags; each --std-* one falls back to them
         value = getattr(args, prefix + name, None)
-        if value is None:
-            value = getattr(args, name, None)
-        if value is None:
-            raise ValueError(f"missing --{(prefix + name).replace('_', '-')}")
-        return value
+        return getattr(args, name) if value is None else value
 
     return DecaySchedule(
         half_life=_parse_duration(pick("half_life")),

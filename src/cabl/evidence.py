@@ -22,24 +22,21 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .errors import DomainError
-from .model import Checked
+from .model import checked
 
 
-class _BoxFields(NamedTuple):
-    group_sizes: tuple[int, ...]
-
-
-class BoxModel(Checked, _BoxFields):
+@checked
+class BoxModel(NamedTuple):
     """Compositional group sizes within one box of cartridges."""
 
-    __slots__ = ()
+    group_sizes: tuple[int, ...]
 
-    def __new__(cls, group_sizes: tuple[int, ...]):
-        if not group_sizes:
+    def _checked(self):
+        if not self.group_sizes:
             raise ValueError("need at least one group")
-        if any(not isinstance(s, int) or s <= 0 for s in group_sizes):
-            raise ValueError(f"group sizes must be positive integers, got {group_sizes}")
-        return super().__new__(cls, group_sizes)
+        # a bool is an int, but True is not a group of one
+        if any(type(s) is not int or s <= 0 for s in self.group_sizes):
+            raise ValueError(f"group sizes must be positive integers, got {self.group_sizes}")
 
     @property
     def total(self) -> int:

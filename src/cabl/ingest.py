@@ -243,8 +243,10 @@ def _specimen(sid: str, rows: list[RawRow]) -> Specimen:
                 f"specimen {sid!r} {element.value} has replicate groups at several locations"
             )
         # canonical summation order makes aggregation exactly row-order independent
-        summary = replicate_summary(sorted(values))
-        series[element] = ElementSeries(summary.mean, summary.se, summary.df, summary.n)
+        try:
+            series[element] = replicate_summary(sorted(values))
+        except DomainError as exc:
+            raise DomainError(f"specimen {sid!r} {element.value}: {exc}") from None
     locations = {row.location for row in rows}
     location = locations.pop() if len(locations) == 1 else None
     if location is Location.UNLABELED:

@@ -2,13 +2,16 @@
 
 Concentrations are plain ppm throughout; there is no unit-conversion
 layer.  Every type here is an immutable value object, safe to share
-between threads: a named tuple, whose constructor checks its fields
-where the type has checks (see :class:`Checked`).
+between threads: one ``typing.NamedTuple`` class.  A type with checks
+is decorated with :func:`checked` and defines ``_checked``, which runs
+on every value built, whether by the constructor, ``_make``,
+``_replace``, copying or unpickling.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import operator
 from types import MappingProxyType
@@ -17,20 +20,30 @@ from typing import Mapping, NamedTuple, Optional
 from .errors import DomainError
 
 
-class Checked:
-    """Base for a named tuple whose ``__new__`` checks its fields.
+def checked(cls):
+    """Make every value of the named tuple ``cls`` pass ``cls._checked``.
 
-    ``_make``, and so ``_replace``, goes through the constructor, so a
-    replaced field is checked as a constructed one is.  A checked type
-    is ``class T(Checked, _TFields)`` with ``__slots__ = ()`` and a
-    ``__new__`` that checks and then calls ``super().__new__``.
+    ``_checked(self)`` raises on bad fields, or returns the normalised
+    fields, or ``None`` when the fields stand as given.  The wrapped
+    ``__new__`` keeps the fields' signature and defaults; ``_make``,
+    hence ``_replace``, calls the constructor, and so do copying and
+    unpickling, which pass a read-only table on as a plain dict.
     """
+    make, width = cls.__new__, len(cls._fields)
 
-    __slots__ = ()
+    @functools.wraps(make)
+    def __new__(cls, *args, **kwargs):
+        whole = len(args) == width and not kwargs  # every field in order: no default to fill
+        self = tuple.__new__(cls, args) if whole else make(cls, *args, **kwargs)
+        fields = self._checked()
+        return self if fields is None else tuple.__new__(cls, fields)
 
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
+    cls.__new__ = __new__
+    cls._make = classmethod(lambda cls, iterable: cls(*iterable))
+    cls.__getnewargs__ = lambda self: tuple(
+        dict(f) if isinstance(f, MappingProxyType) else f for f in self
+    )
+    return cls
 
 
 class _Token(enum.Enum):
@@ -107,14 +120,8 @@ class Boundary(_Token):
         return operator.le if self is Boundary.CLOSED else operator.lt
 
 
-class _SeriesFields(NamedTuple):
-    mean: float
-    se: float
-    df: Optional[int] = None
-    n: int = 1
-
-
-class ElementSeries(Checked, _SeriesFields):
+@checked
+class ElementSeries(NamedTuple):
     """Summary of one element's measurements on one specimen.
 
     ``se`` is the standard error of the mean.  ``df`` is ``n - 1`` for
@@ -125,9 +132,13 @@ class ElementSeries(Checked, _SeriesFields):
     :attr:`Specimen.series`.
     """
 
-    __slots__ = ()
+    mean: float
+    se: float
+    df: Optional[int] = None
+    n: int = 1
 
-    def __new__(cls, mean: float, se: float, df: Optional[int] = None, n: int = 1):
+    def _checked(self):
+        mean, se, df, n = self
         if not (math.isfinite(mean) and math.isfinite(se)):
             raise DomainError(f"mean and se must be finite, got {mean} and {se}")
         if mean <= 0:
@@ -138,7 +149,6 @@ class ElementSeries(Checked, _SeriesFields):
             raise ValueError(f"n must be >= 1, got {n}")
         if df is not None and df != n - 1:
             raise ValueError(f"df must be n-1 or None, got df={df} n={n}")
-        return super().__new__(cls, mean, se, df, n)
 
 
 def series_interval(
@@ -170,15 +180,8 @@ def series_interval(
     return (lo, hi)
 
 
-class _SpecimenFields(NamedTuple):
-    id: str
-    kind: Kind
-    lot: Optional[str] = None
-    series: Mapping[Element, ElementSeries] = MappingProxyType({})
-    location: Optional[Location] = None
-
-
-class Specimen(Checked, _SpecimenFields):
+@checked
+class Specimen(NamedTuple):
     """A fragment, bullet or bullet section with its per-element series.
 
     ``location`` is set when every underlying row shares one labeled
@@ -188,27 +191,21 @@ class Specimen(Checked, _SpecimenFields):
     mapping given.
     """
 
-    __slots__ = ()
+    id: str
+    kind: Kind
+    lot: Optional[str] = None
+    series: Mapping[Element, ElementSeries] = MappingProxyType({})
+    location: Optional[Location] = None
 
-    def __new__(
-        cls,
-        id: str,
-        kind: Kind,
-        lot: Optional[str] = None,
-        series: Mapping[Element, ElementSeries] = MappingProxyType({}),
-        location: Optional[Location] = None,
-    ):
+    def _checked(self):
+        id, kind, lot, series, location = self
         if not id:
             raise ValueError("specimen id must be nonempty")
-        return super().__new__(cls, id, kind, lot, MappingProxyType(dict(series)), location)
+        return id, kind, lot, MappingProxyType(dict(series)), location
 
 
-class _BiasFields(NamedTuple):
-    c_lo: float
-    c_hi: float
-
-
-class BiasCorrection(Checked, _BiasFields):
+@checked
+class BiasCorrection(NamedTuple):
     """A relative correction range ``[c_lo, c_hi]`` for one element.
 
     A correction ``c`` rescales a series by ``(1 + c)``; the range
@@ -217,16 +214,17 @@ class BiasCorrection(Checked, _BiasFields):
     table.
     """
 
-    __slots__ = ()
+    c_lo: float
+    c_hi: float
 
-    def __new__(cls, c_lo: float, c_hi: float):
+    def _checked(self):
+        c_lo, c_hi = self
         if not (math.isfinite(c_lo) and math.isfinite(c_hi)):
             raise DomainError(f"corrections must be finite, got [{c_lo}, {c_hi}]")
         if c_lo > c_hi:
             raise ValueError(f"c_lo {c_lo} > c_hi {c_hi}")
         if c_lo <= -1:
             raise ValueError("corrections must stay > -1")
-        return super().__new__(cls, c_lo, c_hi)
 
 
 #: Default corrections: antimony measurements read low by 2% to 5.4%
@@ -239,14 +237,8 @@ DEFAULT_BIAS: Mapping[Element, BiasCorrection] = MappingProxyType(
 )
 
 
-class _CriterionFields(NamedTuple):
-    k: float
-    elements: tuple[Element, ...]
-    bias: Optional[Mapping[Element, BiasCorrection]] = None
-    boundary: Boundary = Boundary.CLOSED
-
-
-class MatchCriterion(Checked, _CriterionFields):
+@checked
+class MatchCriterion(NamedTuple):
     """A configured indistinguishability rule.
 
     Two specimens match when, for every element of the panel, their
@@ -257,15 +249,13 @@ class MatchCriterion(Checked, _CriterionFields):
     by symbol without repeats, and a bias table as a read-only copy.
     """
 
-    __slots__ = ()
+    k: float
+    elements: tuple[Element, ...]
+    bias: Optional[Mapping[Element, BiasCorrection]] = None
+    boundary: Boundary = Boundary.CLOSED
 
-    def __new__(
-        cls,
-        k: float,
-        elements: tuple[Element, ...],
-        bias: Optional[Mapping[Element, BiasCorrection]] = None,
-        boundary: Boundary = Boundary.CLOSED,
-    ):
+    def _checked(self):
+        k, elements, bias, boundary = self
         if not math.isfinite(k):
             raise DomainError(f"k must be finite, got {k}")
         if k <= 0:
@@ -275,7 +265,7 @@ class MatchCriterion(Checked, _CriterionFields):
         ordered = tuple(sorted(set(elements), key=lambda e: e.value))
         if bias is not None:
             bias = MappingProxyType(dict(bias))
-        return super().__new__(cls, k, ordered, bias, boundary)
+        return k, ordered, bias, boundary
 
     def bias_for(self, element: Element) -> Optional[BiasCorrection]:
         if self.bias is None:

@@ -33,29 +33,25 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
 from ..errors import DesignError
-from ..model import Checked
+from ..model import checked
 from .special import f_sf
 
 Matrix = list[list[Fraction]]
 
 
-class _ObservationFields(NamedTuple):
+@checked
+class FactorialObservation(NamedTuple):
+    """One multivariate observation in the bullet-by-location layout."""
+
     bullet: str
     location: str
     responses: tuple[float, ...]
 
-
-class FactorialObservation(Checked, _ObservationFields):
-    """One multivariate observation in the bullet-by-location layout."""
-
-    __slots__ = ()
-
-    def __new__(cls, bullet: str, location: str, responses: tuple[float, ...]):
-        if not responses:
+    def _checked(self):
+        if not self.responses:
             raise ValueError("responses must be nonempty")
-        if not all(map(math.isfinite, responses)):
-            raise ValueError(f"responses must be finite, got {responses}")
-        return super().__new__(cls, bullet, location, responses)
+        if not all(map(math.isfinite, self.responses)):
+            raise ValueError(f"responses must be finite, got {self.responses}")
 
 
 class EffectTest(NamedTuple):

@@ -13,7 +13,7 @@ import math
 from typing import NamedTuple, Sequence
 
 from .errors import DomainError
-from .model import Checked
+from .model import ElementSeries, checked
 
 
 def _require_finite(**values: float) -> None:
@@ -22,53 +22,43 @@ def _require_finite(**values: float) -> None:
             raise DomainError(f"{name} must be finite, got {value}")
 
 
-class ReplicateSummary(NamedTuple):
-    """Mean, standard error of the mean, df and n of replicate values."""
-
-    mean: float
-    se: float
-    df: int
-    n: int
-
-
-def replicate_summary(values: Sequence[float]) -> ReplicateSummary:
-    """Summarize n >= 2 replicate measurements.
+def replicate_summary(values: Sequence[float]) -> ElementSeries:
+    """Summarize n >= 2 replicate measurements as an element series.
 
     ``se`` is the sample standard deviation divided by ``sqrt(n)``;
-    ``df`` is ``n - 1``.
+    ``df`` is ``n - 1``.  A mean <= 0 is refused as the series refuses
+    it, and a mean or spread beyond the float range with ``DomainError``.
     """
     n = len(values)
     if n < 2:
         raise ValueError(f"need at least 2 replicates, got {n}")
     mean = sum(values) / n
-    var = sum((v - mean) ** 2 for v in values) / (n - 1)
-    return ReplicateSummary(mean=mean, se=math.sqrt(var / n), df=n - 1, n=n)
+    try:
+        var = sum((v - mean) ** 2 for v in values) / (n - 1)
+    except OverflowError:  # the series refuses the infinite se
+        var = math.inf
+    return ElementSeries(mean, math.sqrt(var / n), n - 1, n)
 
 
-class _ScheduleFields(NamedTuple):
-    half_life: float
-    t_irradiate: float
-    t_decay: float
-    t_count: float
-
-
-class DecaySchedule(Checked, _ScheduleFields):
+@checked
+class DecaySchedule(NamedTuple):
     """Irradiate/decay/count timing for one activation product.
 
     All durations in seconds: ``t_irradiate`` in flux, ``t_decay``
     between removal and counting, ``t_count`` on the detector.
     """
 
-    __slots__ = ()
+    half_life: float
+    t_irradiate: float
+    t_decay: float
+    t_count: float
 
-    def __new__(cls, half_life: float, t_irradiate: float, t_decay: float, t_count: float):
-        self = super().__new__(cls, half_life, t_irradiate, t_decay, t_count)
+    def _checked(self):
         fields = self._asdict()
         _require_finite(**fields)
         for name, value in fields.items():
             if value <= 0:
                 raise ValueError(f"{name} must be > 0")
-        return self
 
     @property
     def decay_constant(self) -> float:
@@ -137,23 +127,19 @@ def comparator_concentration(
     return ppm
 
 
-class _AttenuationFields(NamedTuple):
+@checked
+class AttenuationEntry(NamedTuple):
+    """Linear gamma attenuation in lead at one energy (per cm)."""
+
     energy_kev: float
     mu_linear_per_cm: float
 
-
-class AttenuationEntry(Checked, _AttenuationFields):
-    """Linear gamma attenuation in lead at one energy (per cm)."""
-
-    __slots__ = ()
-
-    def __new__(cls, energy_kev: float, mu_linear_per_cm: float):
-        _require_finite(energy_kev=energy_kev, mu_linear_per_cm=mu_linear_per_cm)
-        if energy_kev <= 0:
+    def _checked(self):
+        _require_finite(**self._asdict())
+        if self.energy_kev <= 0:
             raise ValueError("energy must be > 0")
-        if mu_linear_per_cm <= 0:
+        if self.mu_linear_per_cm <= 0:
             raise ValueError("mu_linear must be > 0")
-        return super().__new__(cls, energy_kev, mu_linear_per_cm)
 
 
 #: Linear attenuation coefficients of bullet lead at the four indicator

@@ -1446,6 +1446,49 @@ class TestNonFiniteInputs:
         assert (code, out) == (2, "")
         assert "line 2" in err and "must be finite" in err
 
+    # specimen a's Ag replicates 1e200 and 1e-300: the spread's square overflows
+    OVERFLOW_CSV = "".join(
+        f"\n{sid},bullet,L1,,Ag,{value},,replicate_member"
+        for sid, value in (("a", "1e200"), ("a", "1e-300"), ("b", "5.0"), ("b", "6.0"))
+    )
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["group", "--elements", "Ag"],
+            ["match", "--elements", "Ag"],
+            ["report", "--elements", "Ag"],
+            ["hetero", "--element", "Ag", "--ids", "a,b"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_replicate_spread_overflow_exits_2(self, capsys, tmp_path, fmt, argv):
+        path = tmp_path / "spread.csv"
+        path.write_text(HEADER + self.OVERFLOW_CSV + "\n")
+        assert run(capsys, *argv, "--input", str(path), "--format", fmt) == (
+            2,
+            "",
+            "error: specimen 'a' Ag: mean and se must be finite, got 5e+199 and inf\n",
+        )
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_t_test_pooled_variance_overflow_exits_2(self, capsys, tmp_path, fmt):
+        # the means differ; an unrefused overflowing pooled variance would read t=0, p=1
+        rows = [
+            f"{sid},bullet,L1,,Ag,{value},,replicate_member"
+            for sid, first in (("a", "1.3e154"), ("b", "1.2e154"))
+            for value in (first, "1e-300", "1e-300", "1e-300")
+        ]
+        path = tmp_path / "wide.csv"
+        path.write_text("\n".join([HEADER, *rows]) + "\n")
+        argv = ["hetero", "--input", str(path), "--element", "Ag", "--ids", "a,b"]
+        assert run(capsys, *argv, "--format", fmt) == (
+            2,
+            "",
+            "error: samples a and b: the pooled variance or the t statistic overflows\n",
+        )
+
     NAA_BASE = {
         "decay": ["naa", "decay", "--half-life", "24s", "--ti", "60", "--td", "30", "--tc", "180"],
         "conc": ["naa", "conc", "--sample-counts", "5000", "--sample-mass-mg", "20",

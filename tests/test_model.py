@@ -1,3 +1,6 @@
+import copy
+import inspect
+import pickle
 import re
 
 import numpy as np
@@ -240,6 +243,71 @@ CHECKED = {
     "Specimen": (Specimen("x", Kind.BULLET), {"id": ""}),
     "TwoSampleInput": (TwoSampleInput(10.0, 1.0, 4), {"n": 1}),
 }
+
+
+# more field changes the constructors refuse, checked types only
+REFUSED = [
+    ("TwoSampleInput", {"mean": float("nan")}, DomainError),
+    ("TwoSampleInput", {"mean": float("inf")}, DomainError),
+    ("TwoSampleInput", {"se": float("inf")}, DomainError),
+    ("BoxModel", {"group_sizes": (True, 2)}, ValueError),  # True is no group of one
+]
+
+
+@pytest.mark.parametrize("name, changes, error", REFUSED)
+def test_constructor_refuses(name, changes, error):
+    value, _ = CHECKED[name]
+    with pytest.raises(error):
+        type(value)(**{**value._asdict(), **changes})
+    with pytest.raises(error):
+        value._replace(**changes)
+
+
+class TestOneClass:
+    """Each checked type is one named tuple class that declares its fields once."""
+
+    @pytest.mark.parametrize("name", sorted(CHECKED))
+    def test_signature_is_the_fields(self, name):
+        cls = type(CHECKED[name][0])
+        assert cls.__bases__ == (tuple,)
+        parameters = inspect.signature(cls).parameters
+        assert tuple(parameters) == cls._fields
+        defaults = {k: p.default for k, p in parameters.items() if p.default is not p.empty}
+        assert defaults == cls._field_defaults
+
+    def test_arguments_bind_as_the_fields(self):
+        full = ElementSeries(100.0, 1.0, 2, 3)
+        assert full == ElementSeries(mean=100.0, se=1.0, n=3, df=2) == ElementSeries(100.0, 1.0, 2, n=3)
+        assert ElementSeries(100.0, 1.0) == (100.0, 1.0, None, 1)
+        for args, kwargs in (((100.0, 1.0, 2, 3), {"n": 3}), ((100.0, 1.0, 2, 3, 4), {}), ((), {})):
+            with pytest.raises(TypeError):
+                ElementSeries(*args, **kwargs)
+
+    @pytest.mark.parametrize("name", sorted(CHECKED))
+    def test_copies_and_unpickling_check(self, name):
+        value, changes = CHECKED[name]
+        cls = type(value)
+        assert copy.deepcopy(value) == value
+        assert pickle.loads(pickle.dumps(value)) == value
+        fields = {**value._asdict(), **changes}
+        with pytest.raises(Exception) as built:
+            cls(**fields)
+        # the refused fields in a tuple made without the constructor, as
+        # a pickle written by other code could hold
+        forged = tuple.__new__(cls, [fields[f] for f in cls._fields])
+        for clone in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+            with pytest.raises(type(built.value)) as cloned:
+                clone(forged)
+            assert str(cloned.value) == str(built.value)
+
+    def test_copies_keep_tables_read_only(self):
+        specimen = Specimen("x", Kind.BULLET, series={Element.SB: series(1.0, 0.1)})
+        criterion = criterion_preset("nrc2")
+        for value, table in ((specimen, "series"), (criterion, "bias")):
+            for clone in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+                assert clone == value
+                with pytest.raises(TypeError):
+                    getattr(clone, table)[Element.AG] = None
 
 
 class TestCheckedReplace:

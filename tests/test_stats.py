@@ -76,6 +76,23 @@ class TestPooledTTest:
         with pytest.raises(ValueError):
             TwoSampleInput(mean=1.0, se=0.1, n=1)
 
+    def test_overflowing_pooled_variance_refused(self):
+        # each squared sd is finite, their pooled sum is not; t would read 0
+        a = TwoSampleInput(mean=3.25e153, se=3.25e153, n=4, label="left")
+        b = TwoSampleInput(mean=3.0e153, se=3.0e153, n=4, label="right")
+        with pytest.raises(DomainError, match="left and right: the pooled variance"):
+            pooled_t_test(a, b)
+
+    @pytest.mark.parametrize(
+        "means, se",
+        [((1e308, -1e308), 1.0), ((1e300, 2e300), 1e-150)],
+        ids=["mean_difference", "ratio"],
+    )
+    def test_overflowing_t_refused(self, means, se):
+        a, b = (TwoSampleInput(mean=m, se=se, n=4) for m in means)
+        with pytest.raises(DomainError, match="a and b: .* the t statistic overflows"):
+            pooled_t_test(a, b)
+
 
 def build_design(effect_b=(0.55, 0.35), seed=0, a=2, b=3, r=3):
     rng = np.random.default_rng(seed)

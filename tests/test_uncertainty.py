@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cabl.errors import ParseError
+from cabl.errors import DomainError, ParseError
 from cabl.ingest import parse_attenuation_csv
+from cabl.model import ElementSeries
 from cabl.uncertainty import (
     DEFAULT_ATTENUATION,
     AttenuationEntry,
@@ -40,6 +41,22 @@ class TestReplicateSummary:
     def test_needs_two(self):
         with pytest.raises(ValueError):
             replicate_summary([1.0])
+
+    def test_is_an_element_series(self):
+        assert replicate_summary([4.0, 6.0]) == ElementSeries(5.0, 1.0, df=1, n=2)
+        assert type(replicate_summary([4.0, 6.0])) is ElementSeries
+
+    @pytest.mark.parametrize(
+        "values, error",
+        [
+            ([1e200, 1e-300], DomainError),  # the squared spread overflows
+            ([1.5e308, 1.5e308], DomainError),  # the sum overflows
+            ([-1.0, 0.5], ValueError),  # mean <= 0, as ElementSeries refuses
+        ],
+    )
+    def test_refuses_what_the_series_refuses(self, values, error):
+        with pytest.raises(error):
+            replicate_summary(values)
 
     @given(
         values=st.lists(st.floats(1.0, 100.0), min_size=10, max_size=20),
