@@ -20,11 +20,11 @@ list of strings in one C pass, with no Python call per item.  ``group``
 and ``report`` count every nontransitive triple and list the first
 ``--witnesses N`` of them (100 unless told, ``all`` for every one).  The
 one payload value that is not plain data is ``match``'s pair list: a tuple
-of ``(a, b, overlaps)`` rows (``_MatchRows``), each ``overlaps`` the
-pair's ``match_specimens`` result, with each element's ``bias_used``
-read off the criterion once per report.  The writer asks the rows for
-their text, that of one ``{"a", "b", "matched", "per_element"}`` dict a
-pair, so the n(n-1)/2 pairs never exist as a tree of dicts.
+of ``match_pairs``' ``(a, b, overlaps)`` rows (``_MatchRows``), with each
+element's ``bias_used`` read off the criterion once per report.  The
+writer asks the rows for their text, that of one ``{"a", "b", "matched",
+"per_element"}`` dict a pair, so the n(n-1)/2 pairs never exist as a
+tree of dicts.
 
 Each command imports its own modules inside its function, naming the
 module that defines each function, so a job loads only the code of the
@@ -174,10 +174,19 @@ def _parse_bias_spec(text: str) -> dict[str, list[float]]:
     return spec
 
 
+def _read_text(path: str) -> str:
+    """A UTF-8 input file's text, without the byte-order mark spreadsheets write."""
+    return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
+
+
 def _load_config(path: Optional[str]) -> dict:
     if path is None:
         return {}
-    config = json.loads(Path(path).read_text(encoding="utf-8"))
+    text = _read_text(path)
+    try:
+        config = json.loads(text)
+    except RecursionError:
+        raise ValueError(f"config {path}: JSON nested too deeply to read") from None
     if not isinstance(config, dict):
         raise ValueError("config file must hold a JSON object")
     return config
@@ -222,7 +231,7 @@ def _build_criterion(args: argparse.Namespace, config: dict) -> MatchCriterion:
         raise ValueError(f"config criterion.elements must be a list, got {json.dumps(symbols)}")
     elements = None if symbols is None else tuple(map(Element, symbols))
     bias_spec = _parse_bias_spec(args.bias) if args.bias else conf.get("bias")
-    bias = None if bias_spec is None else _bias_table(bias_spec) or None
+    bias = None if bias_spec is None else _bias_table(bias_spec)
     preset = _config_string(conf, "preset", "guinn4") if args.criterion is None else args.criterion
     criterion = criterion_preset(preset, elements=elements, bias=bias)
     k = args.k if args.k is not None else conf.get("k")
@@ -258,8 +267,7 @@ def _load_dataset(args: argparse.Namespace) -> Dataset:
     if args.fixture:
         return fixture(args.fixture)
     if args.input:
-        text = Path(args.input).read_text(encoding="utf-8")
-        return parse_csv(text, provenance=args.input)
+        return parse_csv(_read_text(args.input), provenance=args.input)
     raise ValueError("an input is required: --fixture NAME or --input PATH")
 
 
@@ -364,17 +372,12 @@ class _MatchRows(tuple):
 
 
 def cmd_match(args: argparse.Namespace) -> dict:
-    from .matching import match_specimens
+    from .matching import match_pairs
 
     config = _load_config(args.config)
     dataset = _load_dataset(args)
     criterion = _build_criterion(args, config)
-    specimens = sorted(dataset, key=lambda s: s.id)
-    rows = []
-    for i, a in enumerate(specimens):
-        for b in specimens[i + 1 :]:
-            rows.append((a.id, b.id, match_specimens(a, b, criterion).overlaps))
-    pairs = _MatchRows(rows, criterion)
+    pairs = _MatchRows(match_pairs(dataset, criterion), criterion)
     return {
         "command": "match",
         "dataset": dataset.provenance,
@@ -570,7 +573,7 @@ def _hetero_manova(args: argparse.Namespace) -> dict:
     elements = tuple(dict.fromkeys(map(Element, _split(args.responses))))
     if not elements:
         raise ValueError("--responses must name at least one element")
-    rows = parse_rows(Path(args.input).read_text(encoding="utf-8"))
+    rows = parse_rows(_read_text(args.input))
     cells: dict[tuple[str, str], dict[Element, list[float]]] = {}
     for row in rows:
         if row.basis is not Basis.REPLICATE_MEMBER or row.element not in elements:
@@ -640,7 +643,7 @@ def _hetero_text(p: dict) -> Iterable[str]:
 
 def _read_values(path: str) -> list[float]:
     values = []
-    for i, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for i, line in enumerate(_read_text(path).splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -716,7 +719,7 @@ def _attenuation_entries(args: argparse.Namespace, config: dict) -> tuple:
     from .uncertainty import DEFAULT_ATTENUATION, AttenuationEntry
 
     if getattr(args, "table", None):
-        return parse_attenuation_csv(Path(args.table).read_text(encoding="utf-8"))
+        return parse_attenuation_csv(_read_text(args.table))
     # only an absent or null table takes the default; [] and {} are refused
     spec = config.get("attenuation")
     if spec is None:

@@ -8,13 +8,10 @@ deterministically ordered.  Every nontransitive triple (a matched to
 b, b matched to c, a unmatched to c) is counted exactly, and the first
 of them, up to a caller's limit, are listed as witnesses.
 
-The match graph is built as neighbour sets over the specimens in
-sorted-id order by a sort-and-sweep over interval hulls, and each pair
-the sweep meets gets ``match_specimens``' verdict from the same interval
-endpoints; under a bias table the smaller id of each pair is the
-corrected side.  That sweep decides each pair once: the triple count
-and the witnesses read the neighbour sets, or on a dense graph
-per-specimen neighbour bitmasks, and the within-lot rate counts edges.
+The match graph is ``matching.match_graph``'s, which holds the pair
+rule and decides each pair once: the triple count and the witnesses
+read its neighbour sets, or on a dense graph per-specimen neighbour
+bitmasks, and the within-lot rate counts edges.
 """
 
 from __future__ import annotations
@@ -22,10 +19,10 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from itertools import islice
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
-from .matching import match_specimens
-from .model import MatchCriterion, Specimen, series_interval
+from .matching import match_graph
+from .model import MatchCriterion, Specimen
 
 MODES = ("connected_components", "maximal_cliques")
 
@@ -54,58 +51,6 @@ class GroupingResult(NamedTuple):
             "nontransitive_triples": self.nontransitive_triples,
             "nontransitive_triples_total": self.nontransitive_total,
         }
-
-
-def _neighbours(specimens: Sequence[Specimen], criterion: MatchCriterion) -> list[set[int]]:
-    """Neighbour index sets of the match graph over ``specimens``.
-
-    ``specimens`` must be in sorted-id order: for ``i < j`` specimen ``i``
-    is the first (bias-corrected) side, as in canonical pair order.  The
-    endpoints come from the ``series_interval`` calls ``match_specimens``
-    makes, biased for the first side and plain for the other, once per
-    specimen and element.  A matching pair's hulls (the union of both
-    intervals) meet on every element, so a sweep over sorted hull starts
-    on the element with the fewest meeting pairs finds every match, and
-    each gets the scalar overlap and ``Boundary.admits``.  A missing
-    panel element raises what the scalar rule raises on its first
-    failing pair.
-    """
-    n = len(specimens)
-    neighbours: list[set[int]] = [set() for _ in range(n)]
-    if n < 2:
-        return neighbours
-    for i, s in enumerate(specimens):
-        if any(e not in s.series for e in criterion.elements):
-            # pairs run (0, 1), (0, 2), ...: the first to fail holds 0 and i
-            match_specimens(specimens[0], specimens[max(i, 1)], criterion)
-    panel = []
-    for element in criterion.elements:
-        bias = criterion.bias_for(element)
-        series = [s.series[element] for s in specimens]
-        first_lo, first_hi = zip(*(series_interval(s, criterion.k, bias) for s in series))
-        lo, hi = zip(*(series_interval(s, criterion.k) for s in series))
-        hull_lo, hull_hi = list(map(min, first_lo, lo)), list(map(max, first_hi, hi))
-        order = sorted(range(n), key=hull_lo.__getitem__)
-        starts = [hull_lo[i] for i in order]
-        # the sweep from order[p] meets the hulls of order[p + 1 : stops[p]]
-        stops = [bisect_right(starts, hull_hi[i]) for i in order]
-        panel.append((sum(stops) - n * (n + 1) // 2, order, stops, (first_lo, first_hi, lo, hi)))
-    (_, order, stops, swept), *others = sorted(panel, key=lambda column: column[0])
-    # candidates' hulls meet on the swept element, so test the others first;
-    # max and min are written out, as a builtin call per test shows in time
-    checks = [column[3] for column in others] + [swept]
-    admits = criterion.boundary.admits
-    for p, i in enumerate(order):
-        for j in order[p + 1 : stops[p]]:
-            a, b = (i, j) if i < j else (j, i)
-            for first_lo, first_hi, lo, hi in checks:
-                low, high = first_lo[a], first_hi[a]
-                if not admits(low if low > lo[b] else lo[b], high if high < hi[b] else hi[b]):
-                    break
-            else:
-                neighbours[a].add(b)
-                neighbours[b].add(a)
-    return neighbours
 
 
 def _connected_components(adjacency: list[set[int]]) -> list[set[int]]:
@@ -246,12 +191,11 @@ def group(
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if witnesses is not None and (type(witnesses) is not int or witnesses < 0):
         raise ValueError(f"witnesses must be None or an integer >= 0, got {witnesses!r}")
-    # canonical pair order (smaller id first) keeps biased criteria deterministic
     ordered = sorted(specimens, key=lambda s: s.id)
     ids = [s.id for s in ordered]
     if len(set(ids)) != len(ids):
         raise ValueError("specimen ids must be unique within a grouping run")
-    adjacency = _neighbours(ordered, criterion)
+    adjacency = match_graph(ordered, criterion)
     if mode == "connected_components":
         raw_groups = _connected_components(adjacency)
     else:

@@ -246,7 +246,8 @@ class MatchCriterion(NamedTuple):
     exactly touching intervals as a match; ``open`` does not.  When a
     bias table is present, the corrections are applied to the first
     (questioned) specimen of a comparison.  The panel is stored sorted
-    by symbol without repeats, and a bias table as a read-only copy.
+    by symbol without repeats, and a bias table as a read-only copy (an
+    empty one as None, the same rule).
     """
 
     k: float
@@ -263,9 +264,7 @@ class MatchCriterion(NamedTuple):
         if not elements:
             raise ValueError("element panel must be nonempty")
         ordered = tuple(sorted(set(elements), key=lambda e: e.value))
-        if bias is not None:
-            bias = MappingProxyType(dict(bias))
-        return k, ordered, bias, boundary
+        return k, ordered, MappingProxyType(dict(bias)) if bias else None, boundary
 
     def bias_for(self, element: Element) -> Optional[BiasCorrection]:
         if self.bias is None:

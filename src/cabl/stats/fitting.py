@@ -280,11 +280,9 @@ def _cdf_triangular(p: Mapping[str, float], x: float) -> float:
         return 0.0
     if x >= b:
         return 1.0
-    if c > a and x <= c:
+    if x <= c:
         return (x - a) ** 2 / ((b - a) * (c - a))
-    if c < b:
-        return 1.0 - (b - x) ** 2 / ((b - a) * (b - c))
-    return (x - a) ** 2 / ((b - a) * (b - a))
+    return 1.0 - (b - x) ** 2 / ((b - a) * (b - c))
 
 
 def _cdf_chi_squared(p: Mapping[str, float], x: float) -> float:

@@ -497,13 +497,13 @@ class TestReportCommand:
         import cabl.grouping
 
         calls = []
-        sweep = cabl.grouping._neighbours
+        sweep = cabl.grouping.match_graph
 
         def counted(*args):
             calls.append(len(args[0]))
             return sweep(*args)
 
-        monkeypatch.setattr(cabl.grouping, "_neighbours", counted)
+        monkeypatch.setattr(cabl.grouping, "match_graph", counted)
         payload, _ = run_json(capsys, "report", "--fixture", "table3", "--criterion", "guinn4")
         assert calls == [len(payload["specimens"])]
         assert payload["within_lot"]["pairs_matched"] == 24
@@ -1766,3 +1766,144 @@ class TestConfigAndDeterminism:
         _, first = run_json(capsys, "group", "--fixture", "table1", "--criterion", "guinn4")
         _, second = run_json(capsys, "group", "--fixture", "table1", "--criterion", "guinn4")
         assert first == second
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("match", "--fixture", "table1"),
+            ("group", "--fixture", "table1"),
+            ("report", "--fixture", "table1"),
+            ("naa", "selfabs", "--dimension-mm", "0.4"),
+        ],
+    )
+    def test_deeply_nested_config_exits_2(self, capsys, tmp_path, argv, fmt):
+        # json.loads recurses once a level and gives up with RecursionError
+        path = tmp_path / "deep.json"
+        path.write_text('{"criterion": ' + "[" * 2000 + "]" * 2000 + "}")
+        code, out, err = run(capsys, *argv, "--config", str(path), "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err == f"error: config {path}: JSON nested too deeply to read\n"
+
+
+# case -> (argv, with {d} the folder of the files below; error message)
+REFUSALS = {
+    "fixture_and_input": (("match", "--fixture", "table1", "--input", "{d}/a.csv"),
+                          "give either --fixture or --input, not both"),
+    "empty_csv": (("group", "--input", "{d}/empty.csv"), "empty input: header row required"),
+    "value_not_a_number": (("group", "--input", "{d}/abc.csv"),
+                           "line 2: value_ppm is not a number: 'abc'"),
+    "empty_specimen_id": (("group", "--input", "{d}/noid.csv"),
+                          "line 2: specimen_id must be nonempty"),
+    "hetero_one_id": (("hetero", "--fixture", "table2", "--element", "Ag", "--ids", "bullet-1"),
+                      "--ids needs exactly two specimen ids"),
+    "hetero_one_location": (
+        ("hetero", "--fixture", "table2", "--element", "Ag", "--locations", "outer"),
+        "--locations needs exactly two locations",
+    ),
+    "hetero_no_sides": (("hetero", "--fixture", "table2", "--element", "Ag"),
+                        "give --locations a,b or --ids id1,id2"),
+    "hetero_no_element": (("hetero", "--fixture", "table2", "--locations", "outer,middle"),
+                          "--element is required for the t-test"),
+    "hetero_location_without_element": (
+        ("hetero", "--fixture", "table2", "--element", "Cu", "--locations", "outer,middle"),
+        "no specimen at location 'outer' carrying Cu",
+    ),
+    "hetero_id_without_element": (
+        ("hetero", "--fixture", "table2", "--element", "Cu", "--ids",
+         "bullet-1-outer,bullet-1-middle"),
+        "specimen 'bullet-1-outer' has no Cu series",
+    ),
+    "manova_no_input": (("hetero", "--manova", "--responses", "Ag,As"),
+                        "--manova needs --input with raw replicate rows"),
+    "manova_no_responses": (("hetero", "--manova", "--input", "{d}/unequal.csv"),
+                            "--manova needs --responses, e.g. Ag,As"),
+    "manova_blank_responses": (
+        ("hetero", "--manova", "--input", "{d}/unequal.csv", "--responses", ","),
+        "--responses must name at least one element",
+    ),
+    "manova_unequal_counts": (
+        ("hetero", "--manova", "--input", "{d}/unequal.csv", "--responses", "Ag,As"),
+        "cell (b1, outer) has unequal replicate counts per element: "
+        "{<Element.AG: 'Ag'>: 2, <Element.AS: 'As'>: 1}",
+    ),
+    "half_life_not_a_number": (
+        ("naa", "decay", "--half-life", "abc", "--ti", "60", "--td", "30", "--tc", "180"),
+        "cannot parse duration 'abc'",
+    ),
+    "half_life_negative": (
+        ("naa", "decay", "--half-life", "-5", "--ti", "60", "--td", "30", "--tc", "180"),
+        "duration must be > 0, got -5.0",
+    ),
+    "prior_odds_not_a_number": (
+        ("evidence", "--box", "6,4", "--draws-t", "2", "--draws-not-t", "3",
+         "--groups-observed", "2", "--prior-odds", "x"),
+        "cannot parse prior odds 'x'",
+    ),
+    "distfit_not_a_number": (("distfit", "--input", "{d}/values.txt"),
+                             "{d}/values.txt:3: not a number: 'x'"),
+    "selfabs_blank_energies": (("naa", "selfabs", "--dimension-mm", "0.4", "--energies", ","),
+                               "no attenuation entries selected"),
+    "config_list": (("match", "--fixture", "table1", "--config", "{d}/list.json"),
+                    "config file must hold a JSON object"),
+}
+
+
+class TestRefusals:
+    """Bad input that exits 2 with one message, in both formats."""
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("case", sorted(REFUSALS))
+    def test_exits_2(self, capsys, tmp_path, case, fmt):
+        (tmp_path / "a.csv").write_text(f"{HEADER}\n")
+        (tmp_path / "empty.csv").write_text("")
+        row = ",bullet,6003,outer,Ag,{},0.5,poisson_single\n"
+        (tmp_path / "abc.csv").write_text(HEADER + "\na" + row.format("abc"))
+        (tmp_path / "noid.csv").write_text(HEADER + "\n" + row.format("8.8"))
+        (tmp_path / "unequal.csv").write_text(
+            HEADER + "\n" + "".join(
+                f"b1,bullet,6003,outer,{element},{value},,replicate_member\n"
+                for element, value in (("Ag", 6.1), ("Ag", 6.2), ("As", 3.1))
+            )
+        )
+        (tmp_path / "values.txt").write_text("1\n2\nx\n")
+        (tmp_path / "list.json").write_text("[1]")
+        argv, message = REFUSALS[case]
+        argv = [arg.replace("{d}", str(tmp_path)) for arg in argv]
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert (code, out, err) == (2, "", f"error: {message.replace('{d}', str(tmp_path))}\n")
+
+
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark, as spreadsheet exports begin, is not part of the text."""
+
+    MEASUREMENTS = HEADER + "\n" + "".join(
+        f"{sid},bullet,6003,,{element},{value},{sigma},poisson_single\n"
+        for sid, sb, ag in (("a", 600.0, 10.0), ("b", 610.0, 10.4), ("c", 700.0, 12.0))
+        for element, value, sigma in (("Sb", sb, 4.0), ("Ag", ag, 0.2))
+    )
+    # case -> (file name, its text, argv with {f} the file's path)
+    CASES = {
+        "config": ("config.json", '{"criterion": {"k": 3}}',
+                   ("match", "--fixture", "table1", "--config", "{f}")),
+        "measurements": ("m.csv", MEASUREMENTS, ("group", "--input", "{f}")),
+        "manova": ("raw.csv", MANOVA_CSV,
+                   ("hetero", "--manova", "--input", "{f}", "--responses", "Ag,As")),
+        "distfit": ("values.txt", "\n".join(str(1 + i % 7 / 3) for i in range(40)),
+                    ("distfit", "--input", "{f}", "--families", "normal,gamma")),
+        "attenuation": ("mu.csv", "energy_kev,mu_linear_per_cm\n600,1.4165\n",
+                        ("naa", "selfabs", "--dimension-mm", "0.4", "--table", "{f}")),
+    }
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_marked_file_reads_as_unmarked(self, capsys, tmp_path, case, fmt):
+        name, text, argv = self.CASES[case]
+        path = tmp_path / name
+        argv = [arg.format(f=path) for arg in argv] + ["--format", fmt]
+        path.write_text(text, encoding="utf-8")
+        plain = run(capsys, *argv)
+        path.write_text("\ufeff" + text, encoding="utf-8")
+        assert path.read_bytes()[:3] == b"\xef\xbb\xbf"
+        assert run(capsys, *argv) == plain
+        assert plain[0] == 0, plain[2]

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from cabl.errors import FitError
 from cabl.stats import FAMILIES, FitFailure, FitReport, chi2_gof, fit_distribution, rank_families
-from cabl.stats.fitting import _triangular_loglik
+from cabl.stats.fitting import _cdf_triangular, _triangular_loglik
 
 
 def ranked_families(entries):
@@ -85,6 +85,17 @@ class TestFitters:
 
         best = max(sorted(set(data)), key=lambda c: (loglik(c), -c))
         assert fit_distribution(data, "triangular").params["c"] == best
+
+    # mode -> the CDF at 1, 2 and 3 on [0, 4]: x^2 / 4c up to c, 1 - (4-x)^2 / 4(4-c) above
+    @pytest.mark.parametrize(
+        "c, cdf",
+        [(0.0, (7 / 16, 12 / 16, 15 / 16)), (1.0, (1 / 4, 8 / 12, 11 / 12)),
+         (4.0, (1 / 16, 4 / 16, 9 / 16))],
+    )
+    def test_triangular_cdf_with_the_mode_anywhere(self, c, cdf):
+        p = {"a": 0.0, "c": c, "b": 4.0}
+        assert [_cdf_triangular(p, x) for x in (-1.0, 0.0, 4.0, 5.0)] == [0.0, 0.0, 1.0, 1.0]
+        assert [_cdf_triangular(p, x) for x in (1.0, 2.0, 3.0)] == pytest.approx(cdf, abs=1e-15)
 
     def test_degenerate_data_rejected(self):
         with pytest.raises(FitError):

@@ -230,6 +230,11 @@ class TestCriterion:
         with pytest.raises(ValueError):
             criterion_preset("fbi7")
 
+    def test_empty_bias_table_is_no_table(self):
+        # one rule, one form: an empty table is stored as None
+        assert criterion_preset("guinn4", bias={}) == criterion_preset("guinn4")
+        assert MatchCriterion(k=2, elements=(Element.SB,), bias={}).bias is None
+
 
 # checked type -> (a valid value, field changes its constructor refuses)
 CHECKED = {
