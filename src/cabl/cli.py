@@ -586,12 +586,13 @@ def _hetero_manova(args: argparse.Namespace) -> dict:
 
     observations = []
     for (bullet, location), by_element in sorted(cells.items()):
-        counts = {e: len(v) for e, v in by_element.items()}
-        if len(set(counts.values())) != 1:
+        counts = [len(by_element[e]) for e in elements]
+        if len(set(counts)) != 1:
+            listed = ", ".join(f"{e.value}: {c}" for e, c in zip(elements, counts))
             raise ValueError(
-                f"cell ({bullet}, {location}) has unequal replicate counts per element: {counts}"
+                f"cell ({bullet}, {location}) has unequal replicate counts per element: {{{listed}}}"
             )
-        for i in range(counts[elements[0]]):
+        for i in range(counts[0]):
             responses = tuple(math.log(by_element[e][i]) for e in elements)
             observations.append(
                 FactorialObservation(bullet=bullet, location=location, responses=responses)

@@ -9,9 +9,9 @@ b, b matched to c, a unmatched to c) is counted exactly, and the first
 of them, up to a caller's limit, are listed as witnesses.
 
 The match graph is ``matching.match_graph``'s, which holds the pair
-rule and decides each pair once: the triple count and the witnesses
-read its neighbour sets, or on a dense graph per-specimen neighbour
-bitmasks, and the within-lot rate counts edges.
+rule, orders the vertices by id and decides each pair once: the triple
+count and the witnesses read its neighbour sets, or on a dense graph
+per-specimen neighbour bitmasks, and the within-lot rate counts edges.
 """
 
 from __future__ import annotations
@@ -191,11 +191,7 @@ def group(
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if witnesses is not None and (type(witnesses) is not int or witnesses < 0):
         raise ValueError(f"witnesses must be None or an integer >= 0, got {witnesses!r}")
-    ordered = sorted(specimens, key=lambda s: s.id)
-    ids = [s.id for s in ordered]
-    if len(set(ids)) != len(ids):
-        raise ValueError("specimen ids must be unique within a grouping run")
-    adjacency = match_graph(ordered, criterion)
+    ids, adjacency = match_graph(specimens, criterion)
     if mode == "connected_components":
         raw_groups = _connected_components(adjacency)
     else:

@@ -19,7 +19,7 @@ the same ``series_interval`` endpoints and ``Boundary.admits`` test.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import IncompletePanelError
 from .model import MatchCriterion, Specimen, series_interval
@@ -68,19 +68,27 @@ def match_specimens(a: Specimen, b: Specimen, criterion: MatchCriterion) -> Matc
     return MatchResult(tuple(overlaps))
 
 
+def _canonical(specimens: Iterable[Specimen]) -> list[Specimen]:
+    """Specimens sorted by id: of each pair ``i < j``, ``i`` is the corrected side."""
+    return sorted(specimens, key=lambda s: s.id)
+
+
 def match_pairs(specimens: Iterable[Specimen], criterion: MatchCriterion) -> Iterator[tuple]:
     """``(a.id, b.id, overlaps)`` for every pair, in canonical order."""
-    ordered = sorted(specimens, key=lambda s: s.id)
+    ordered = _canonical(specimens)
     for i, a in enumerate(ordered):
         for b in ordered[i + 1 :]:
             yield a.id, b.id, match_specimens(a, b, criterion).overlaps
 
 
-def match_graph(specimens: Sequence[Specimen], criterion: MatchCriterion) -> list[set[int]]:
-    """Neighbour index sets of the match graph over ``specimens``.
+def match_graph(
+    specimens: Iterable[Specimen], criterion: MatchCriterion
+) -> tuple[list[str], list[set[int]]]:
+    """The sorted ids of ``specimens`` and the match graph's neighbour index sets.
 
-    ``specimens`` must be in sorted-id order, so specimen ``i`` is the first
-    (corrected) side of each pair ``i < j``.  The endpoints come from the
+    Ids must be unique.  Index ``i`` names ``ids[i]`` and ids are in
+    canonical order, so specimen ``i`` is the first (corrected) side of
+    each pair ``i < j``.  The endpoints come from the
     ``series_interval`` calls ``match_specimens`` makes, biased for the
     first side and plain for the other, once per specimen and element.  A
     matching pair's hulls (the union of both intervals) meet on every
@@ -89,10 +97,14 @@ def match_graph(specimens: Sequence[Specimen], criterion: MatchCriterion) -> lis
     and ``Boundary.admits``.  A missing panel element raises what the scalar
     rule raises on its first failing pair.
     """
+    specimens = _canonical(specimens)
+    ids = [s.id for s in specimens]
+    if len(set(ids)) != len(ids):
+        raise ValueError("specimen ids must be unique within a grouping run")
     n = len(specimens)
     neighbours: list[set[int]] = [set() for _ in range(n)]
     if n < 2:
-        return neighbours
+        return ids, neighbours
     for i, s in enumerate(specimens):
         if any(e not in s.series for e in criterion.elements):
             # pairs run (0, 1), (0, 2), ...: the first to fail holds 0 and i
@@ -124,4 +136,4 @@ def match_graph(specimens: Sequence[Specimen], criterion: MatchCriterion) -> lis
             else:
                 neighbours[a].add(b)
                 neighbours[b].add(a)
-    return neighbours
+    return ids, neighbours

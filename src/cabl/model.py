@@ -264,7 +264,8 @@ class MatchCriterion(NamedTuple):
         if not elements:
             raise ValueError("element panel must be nonempty")
         ordered = tuple(sorted(set(elements), key=lambda e: e.value))
-        return k, ordered, MappingProxyType(dict(bias)) if bias else None, boundary
+        table = None if bias is None else MappingProxyType(dict(bias))
+        return k, ordered, table or None, boundary
 
     def bias_for(self, element: Element) -> Optional[BiasCorrection]:
         if self.bias is None:

@@ -1778,9 +1778,10 @@ class TestConfigAndDeterminism:
         ],
     )
     def test_deeply_nested_config_exits_2(self, capsys, tmp_path, argv, fmt):
-        # json.loads recurses once a level and gives up with RecursionError
+        # json.loads recurses once a level and gives up with RecursionError;
+        # Python 3.13 decodes 2,000 levels, and no supported one 100,000
         path = tmp_path / "deep.json"
-        path.write_text('{"criterion": ' + "[" * 2000 + "]" * 2000 + "}")
+        path.write_text('{"criterion": ' + "[" * 100_000 + "]" * 100_000 + "}")
         code, out, err = run(capsys, *argv, "--config", str(path), "--format", fmt)
         assert (code, out) == (2, "")
         assert err == f"error: config {path}: JSON nested too deeply to read\n"
@@ -1824,8 +1825,7 @@ REFUSALS = {
     ),
     "manova_unequal_counts": (
         ("hetero", "--manova", "--input", "{d}/unequal.csv", "--responses", "Ag,As"),
-        "cell (b1, outer) has unequal replicate counts per element: "
-        "{<Element.AG: 'Ag'>: 2, <Element.AS: 'As'>: 1}",
+        "cell (b1, outer) has unequal replicate counts per element: {Ag: 2, As: 1}",
     ),
     "half_life_not_a_number": (
         ("naa", "decay", "--half-life", "abc", "--ti", "60", "--td", "30", "--tc", "180"),

@@ -256,6 +256,7 @@ REFUSED = [
     ("TwoSampleInput", {"mean": float("inf")}, DomainError),
     ("TwoSampleInput", {"se": float("inf")}, DomainError),
     ("BoxModel", {"group_sizes": (True, 2)}, ValueError),  # True is no group of one
+    ("MatchCriterion", {"bias": 0}, TypeError),  # only an empty table reads as no bias
 ]
 
 
