@@ -176,7 +176,10 @@ def _parse_bias_spec(text: str) -> dict[str, list[float]]:
 
 def _read_text(path: str) -> str:
     """A UTF-8 input file's text, without the byte-order mark spreadsheets write."""
-    return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
+    try:
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def _load_config(path: Optional[str]) -> dict:
@@ -187,6 +190,8 @@ def _load_config(path: Optional[str]) -> dict:
         config = json.loads(text)
     except RecursionError:
         raise ValueError(f"config {path}: JSON nested too deeply to read") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"config {path}: not valid JSON: {exc}") from None
     if not isinstance(config, dict):
         raise ValueError("config file must hold a JSON object")
     return config

@@ -1,17 +1,18 @@
 """Maximum-likelihood fitting, goodness of fit, and family ranking.
 
-Eight candidate families are supported.  Parameters are closed-form
-where they exist (exponential, lognormal, normal) and one-dimensional
-deterministic root finds otherwise (gamma, Weibull, Gumbel,
-chi-squared); the triangular family is profiled over its mode with the
-support pinned to the data extremes, observations sitting exactly on
-the extremes being excluded from every candidate's likelihood so the
-profiles stay comparable.  Each candidate mode c is scored in O(log n)
-from prefix sums of log(2(v-a)) and suffix sums of log(2(b-v)) over the
-sorted interior, split at c by bisection, so the whole profile costs
-O(n log n); candidates within 1e-9 (relative) of the best score are
-re-scored by the direct per-point sum, which keeps the first strict
-maximum in ascending c.
+Eight candidate families are supported; the family table ``_FAMILIES``
+holds each one's support (x > 0) and spread (not all equal) rules.
+Parameters are closed-form where they exist (exponential, lognormal,
+normal) and otherwise (gamma, Weibull, Gumbel, chi-squared) come from
+``_root``, the one bracket-and-bisect root step.  The triangular family
+is profiled over its mode with the support pinned to the data extremes,
+observations sitting exactly on the extremes being excluded from every
+candidate's likelihood so the profiles stay comparable.  Each candidate
+mode c is scored in O(log n) from prefix sums of log(2(v-a)) and suffix
+sums of log(2(b-v)) over the sorted interior, split at c by bisection,
+so the whole profile costs O(n log n); candidates within 1e-9
+(relative) of the best score are re-scored by the direct per-point sum,
+which keeps the first strict maximum in ascending c.
 
 Goodness of fit is a chi-squared test on equal-probability bins under
 the fitted distribution (``max(5, n // 5)`` bins, built by binning the
@@ -36,7 +37,8 @@ class FittedDistribution(NamedTuple):
     params: Mapping[str, float]
 
     def cdf(self, x: float) -> float:
-        return _FAMILIES[self.family].cdf(self.params, x)
+        rules = _FAMILIES[self.family]
+        return 0.0 if rules.positive and x <= 0 else rules.cdf(self.params, x)
 
 
 class GofResult(NamedTuple):
@@ -62,65 +64,48 @@ class FitFailure(NamedTuple):
     error: str
 
 
-def _bisect(f: Callable[[float], float], lo: float, hi: float) -> float:
-    flo = f(lo)
-    if flo == 0.0:
-        return lo
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if fmid == 0.0 or (hi - lo) <= 1e-14 * max(1.0, abs(mid)):
-            return mid
-        if (fmid < 0.0) == (flo < 0.0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _expand_bracket(
-    f: Callable[[float], float], lo: float, hi: float, what: str
-) -> tuple[float, float]:
+def _root(f: Callable[[float], float], lo: float, hi: float, what: str) -> float:
+    """Root of an increasing f: widen [lo, hi] until f(lo) < 0 < f(hi), then bisect."""
     # each f call is an O(n) pass: evaluate only the end that moved
     flo, fhi = f(lo), f(hi)
     for _ in range(200):
         if flo < 0.0 < fhi:
-            return lo, hi
+            break
         if flo >= 0.0:
             lo /= 2.0
             flo = f(lo)
         if fhi <= 0.0:
             hi *= 2.0
             fhi = f(hi)
-    raise FitError(f"could not bracket the {what} likelihood equation")
-
-
-def _require_spread(values: Sequence[float], family: str) -> None:
-    if min(values) == max(values):
-        raise FitError(f"{family} requires data with spread; all values are equal")
+    else:
+        raise FitError(f"could not bracket the {what} likelihood equation")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        fmid = f(mid)
+        if fmid == 0.0 or (hi - lo) <= 1e-14 * max(1.0, abs(mid)):
+            return mid
+        if fmid < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def _fit_exponential(x: Sequence[float]) -> dict:
     return {"rate": len(x) / sum(x)}
 
 
-def _fit_lognormal(x: Sequence[float]) -> dict:
-    _require_spread(x, "lognormal")
-    logs = [math.log(v) for v in x]
-    mu = sum(logs) / len(logs)
-    sigma = math.sqrt(sum((v - mu) ** 2 for v in logs) / len(logs))
-    return {"mu": mu, "sigma": sigma}
-
-
 def _fit_normal(x: Sequence[float]) -> dict:
-    _require_spread(x, "normal")
     mu = sum(x) / len(x)
     sigma = math.sqrt(sum((v - mu) ** 2 for v in x) / len(x))
     return {"mu": mu, "sigma": sigma}
 
 
+def _fit_lognormal(x: Sequence[float]) -> dict:
+    return _fit_normal([math.log(v) for v in x])
+
+
 def _fit_gamma(x: Sequence[float]) -> dict:
-    _require_spread(x, "gamma")
     mean = sum(x) / len(x)
     mean_log = sum(math.log(v) for v in x) / len(x)
     s = math.log(mean) - mean_log
@@ -132,13 +117,11 @@ def _fit_gamma(x: Sequence[float]) -> dict:
 
     # f decreases from +inf to 0 as shape grows; standard starting guess
     guess = (3.0 - s + math.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
-    lo, hi = _expand_bracket(lambda k: -f(k), guess / 8.0, guess * 8.0, "gamma")
-    shape = _bisect(lambda k: -f(k), lo, hi)
+    shape = _root(lambda k: -f(k), guess / 8.0, guess * 8.0, "gamma")
     return {"shape": shape, "scale": mean / shape}
 
 
 def _fit_weibull(x: Sequence[float]) -> dict:
-    _require_spread(x, "weibull")
     n = len(x)
     top = max(x)
     scaled = [v / top for v in x]
@@ -151,14 +134,12 @@ def _fit_weibull(x: Sequence[float]) -> dict:
         den = sum(wk)
         return num / den - 1.0 / k - mean_log
 
-    lo, hi = _expand_bracket(f, 1.0, 2.0, "weibull")
-    shape = _bisect(f, lo, hi)
+    shape = _root(f, 1.0, 2.0, "weibull")
     scale = top * (sum(u**shape for u in scaled) / n) ** (1.0 / shape)
     return {"shape": shape, "scale": scale}
 
 
 def _fit_gumbel(x: Sequence[float]) -> dict:
-    _require_spread(x, "gumbel")
     n = len(x)
     mean = sum(x) / n
     low = min(x)
@@ -170,22 +151,19 @@ def _fit_gumbel(x: Sequence[float]) -> dict:
         weighted = sum(v * w for v, w in zip(x, weights)) / sum(weights)
         return beta - mean + weighted
 
-    lo, hi = _expand_bracket(f, start / 8.0, start * 8.0, "gumbel")
-    scale = _bisect(f, lo, hi)
+    scale = _root(f, start / 8.0, start * 8.0, "gumbel")
     total = sum(math.exp(-(v - low) / scale) for v in x)
     loc = low - scale * (math.log(total) - math.log(n))
     return {"loc": loc, "scale": scale}
 
 
 def _fit_chi_squared(x: Sequence[float]) -> dict:
-    _require_spread(x, "chi_squared")
     mean_log = sum(math.log(v) for v in x) / len(x)
 
     def f(df: float) -> float:
         return digamma(df / 2.0) + math.log(2.0) - mean_log
 
-    lo, hi = _expand_bracket(f, 1.0, 2.0, "chi-squared")
-    return {"df": _bisect(f, lo, hi)}
+    return {"df": _root(f, 1.0, 2.0, "chi-squared")}
 
 
 def _triangular_loglik(interior: Sequence[float], a: float, c: float, b: float) -> float:
@@ -202,7 +180,6 @@ def _triangular_loglik(interior: Sequence[float], a: float, c: float, b: float) 
 
 
 def _fit_triangular(x: Sequence[float]) -> dict:
-    _require_spread(x, "triangular")
     a, b = min(x), max(x)
     if not math.isfinite(b - a):
         raise FitError(f"triangular needs a finite data range; b - a overflows for [{a!r}, {b!r}]")
@@ -251,22 +228,18 @@ def _fit_triangular(x: Sequence[float]) -> dict:
 
 
 def _cdf_exponential(p: Mapping[str, float], x: float) -> float:
-    return -math.expm1(-p["rate"] * x) if x > 0 else 0.0
+    return -math.expm1(-p["rate"] * x)
 
 
 def _cdf_weibull(p: Mapping[str, float], x: float) -> float:
-    if x <= 0:
-        return 0.0
     return -math.expm1(-((x / p["scale"]) ** p["shape"]))
 
 
 def _cdf_gamma(p: Mapping[str, float], x: float) -> float:
-    return gammainc_p(p["shape"], x / p["scale"]) if x > 0 else 0.0
+    return gammainc_p(p["shape"], x / p["scale"])
 
 
 def _cdf_lognormal(p: Mapping[str, float], x: float) -> float:
-    if x <= 0:
-        return 0.0
     return normal_cdf((math.log(x) - p["mu"]) / p["sigma"])
 
 
@@ -286,7 +259,7 @@ def _cdf_triangular(p: Mapping[str, float], x: float) -> float:
 
 
 def _cdf_chi_squared(p: Mapping[str, float], x: float) -> float:
-    return gammainc_p(p["df"] / 2.0, x / 2.0) if x > 0 else 0.0
+    return gammainc_p(p["df"] / 2.0, x / 2.0)
 
 
 def _cdf_normal(p: Mapping[str, float], x: float) -> float:
@@ -296,18 +269,19 @@ def _cdf_normal(p: Mapping[str, float], x: float) -> float:
 class _Family(NamedTuple):
     fit: Callable[[Sequence[float]], dict]
     cdf: Callable[[Mapping[str, float], float], float]
-    positive: bool  # support is x > 0
+    positive: bool  # support is x > 0: the fit refuses x <= 0, the CDF is 0 there
+    spread: bool  # the fit refuses data whose values are all equal
 
 
 _FAMILIES: Mapping[str, _Family] = {
-    "chi_squared": _Family(_fit_chi_squared, _cdf_chi_squared, True),
-    "exponential": _Family(_fit_exponential, _cdf_exponential, True),
-    "gamma": _Family(_fit_gamma, _cdf_gamma, True),
-    "gumbel": _Family(_fit_gumbel, _cdf_gumbel, False),
-    "lognormal": _Family(_fit_lognormal, _cdf_lognormal, True),
-    "normal": _Family(_fit_normal, _cdf_normal, False),
-    "triangular": _Family(_fit_triangular, _cdf_triangular, False),
-    "weibull": _Family(_fit_weibull, _cdf_weibull, True),
+    "chi_squared": _Family(_fit_chi_squared, _cdf_chi_squared, True, True),
+    "exponential": _Family(_fit_exponential, _cdf_exponential, True, False),
+    "gamma": _Family(_fit_gamma, _cdf_gamma, True, True),
+    "gumbel": _Family(_fit_gumbel, _cdf_gumbel, False, True),
+    "lognormal": _Family(_fit_lognormal, _cdf_lognormal, True, True),
+    "normal": _Family(_fit_normal, _cdf_normal, False, True),
+    "triangular": _Family(_fit_triangular, _cdf_triangular, False, True),
+    "weibull": _Family(_fit_weibull, _cdf_weibull, True, True),
 }
 
 FAMILIES = tuple(_FAMILIES)
@@ -322,9 +296,12 @@ def fit_distribution(data: Sequence[float], family: str) -> FittedDistribution:
         raise ValueError(f"unknown family {family!r} (have: {', '.join(FAMILIES)})")
     if len(data) < 8:
         raise ValueError(f"need at least 8 observations, got {len(data)}")
-    if _FAMILIES[family].positive and min(data) <= 0:
+    rules = _FAMILIES[family]
+    if rules.positive and min(data) <= 0:
         raise FitError(f"{family} requires strictly positive data")
-    params = _FAMILIES[family].fit(data)
+    if rules.spread and min(data) == max(data):
+        raise FitError(f"{family} requires data with spread; all values are equal")
+    params = rules.fit(data)
     for name, value in params.items():
         if not math.isfinite(value):
             raise FitError(f"{family} fit overflows: {name} = {value}")
@@ -339,11 +316,8 @@ def chi2_gof(data: Sequence[float], fitted: FittedDistribution) -> GofResult:
     if n < 8:
         raise ValueError(f"need at least 8 observations, got {n}")
     bins = max(5, n // 5)
+    # no family has more than 3 parameters, so df >= 1
     df = bins - 1 - len(fitted.params)
-    if df <= 0:
-        raise FitError(
-            f"too few bins for {fitted.family}: {bins} bins leave df={df}"
-        )
     counts = [0] * bins
     for v in data:
         u = fitted.cdf(v)
@@ -375,21 +349,12 @@ def rank_families(
             fitted = fit_distribution(data, family)
             gof = chi2_gof(data, fitted)
         except FitError as exc:
-            failures.append(FitFailure(family=family, error=str(exc)))
-            continue
+            failures.append(FitFailure(family, str(exc)))
         except ArithmeticError as exc:
             error = f"numeric overflow or underflow in the {family} fit or its goodness of fit: {exc}"
-            failures.append(FitFailure(family=family, error=error))
-            continue
-        reports.append(
-            FitReport(
-                family=family,
-                params=fitted.params,
-                gof_stat=gof.stat,
-                gof_df=gof.df,
-                p_value=gof.p,
-            )
-        )
+            failures.append(FitFailure(family, error))
+        else:
+            reports.append(FitReport(*fitted, *gof))
     reports.sort(key=lambda r: (-r.p_value, r.family))
     failures.sort(key=lambda f: f.family)
     return [*reports, *failures]

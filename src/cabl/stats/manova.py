@@ -105,18 +105,19 @@ def _sscp(vectors: Sequence[Sequence[Fraction]], weights: Sequence[Fraction]) ->
 
 
 def _gauss_jordan(m: Matrix, rhs: Matrix) -> tuple[Fraction, Matrix]:
-    """det(m) and m⁻¹·rhs by exact elimination; the solution is [] when det(m) is 0."""
+    """det(m) and m⁻¹·rhs by exact elimination; the solution is [] when det(m) is 0.
+
+    m is symmetric positive semidefinite (E, E + H, the interaction's reduced normal
+    matrix), and so is each Schur complement elimination leaves, whose zero diagonal
+    entries have only zeros beneath: a zero pivot means m is singular, never a row exchange.
+    """
     n = len(m)
     rows = [[*m[i], *rhs[i]] for i in range(n)]
     det = Fraction(1)
     for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col]), None)
-        if pivot is None:
-            return Fraction(0), []
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
         lead = rows[col][col]
+        if not lead:
+            return Fraction(0), []
         det *= lead
         rows[col] = [x / lead for x in rows[col]]
         for r in range(n):

@@ -180,11 +180,7 @@ def normal_cdf(z: float, mu: float = 0.0, sigma: float = 1.0) -> float:
 
 def t_cdf(t: float, df: float) -> float:
     """Student t distribution function."""
-    if df <= 0:
-        raise ValueError(f"df must be > 0, got {df}")
-    if t == 0.0:
-        return 0.5
-    tail = 0.5 * betainc(df / 2.0, 0.5, df / (df + t * t))
+    tail = 0.5 * t_two_sided_p(t, df)
     return tail if t < 0 else 1.0 - tail
 
 

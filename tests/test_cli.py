@@ -324,6 +324,25 @@ class TestHeteroCommand:
         assert (code, err) == (0, "")
         assert run(capsys, *argv, once) == (0, out, "")
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_manova_excludes_unlabeled_rows(self, capsys, tmp_path, fmt):
+        # unequal Ag and As counts, and a third bullet, that would each
+        # change the test if unlabeled rows were counted
+        unlabeled = "".join(
+            f"{bullet},bullet,6003,,{element},{value},,replicate_member\n"
+            for bullet, element, value in (
+                ("b1", "Ag", 9.5), ("b1", "Ag", 9.7), ("b1", "As", 1.1),
+                ("b2", "As", 5.0), ("b3", "Ag", 6.0), ("b3", "As", 3.0),
+            )
+        )
+        plain, extra = tmp_path / "plain.csv", tmp_path / "extra.csv"
+        plain.write_text(MANOVA_CSV)
+        extra.write_text(MANOVA_CSV + unlabeled)
+        argv = ("hetero", "--manova", "--responses", "Ag,As", "--format", fmt, "--input")
+        code, out, err = run(capsys, *argv, str(plain))
+        assert (code, err) == (0, "")
+        assert run(capsys, *argv, str(extra)) == (0, out, "")
+
 
 class TestDistfitCommand:
     def test_ranking_shape(self, capsys, tmp_path):
@@ -335,6 +354,25 @@ class TestDistfitCommand:
         assert len(payload["ranking"]) == 8
         top_two = [e["family"] for e in payload["ranking"][:2]]
         assert "lognormal" in top_two
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_comments_and_blank_lines_are_skipped(self, capsys, tmp_path, monkeypatch, fmt):
+        values = [str(1 + i % 7 / 3) for i in range(20)]
+        texts = (
+            "\n".join(values) + "\n",
+            "# fragment masses\n\n"
+            + "\n".join(f"{v}  # row {i}" if i % 3 else f"{v}\n   " for i, v in enumerate(values))
+            + "\n\n# end\n",
+        )
+        reports = []
+        # the same relative path in two folders, since JSON names the input
+        for folder, text in enumerate(texts):
+            (tmp_path / str(folder)).mkdir()
+            (tmp_path / str(folder) / "values.txt").write_text(text)
+            monkeypatch.chdir(tmp_path / str(folder))
+            reports.append(run(capsys, "distfit", "--input", "values.txt", "--format", fmt))
+        assert reports[0][0] == 0, reports[0][2]
+        assert reports[1] == reports[0]
 
     def test_unknown_family_exits_2(self, capsys, tmp_path):
         path = tmp_path / "vals.csv"
@@ -963,6 +1001,118 @@ HETERO_MANOVA_JSON = """\
 }
 """
 
+# 40 positive values on which all eight families fit: every parameter,
+# statistic and p-value to the last digit
+DISTFIT_VALUES = "".join(f"{0.5 + (i * 37) % 101 / 17:.4f}\n" for i in range(1, 41))
+# From Python 3.12 on, sum() adds floats with compensation, so these
+# eight figures read differently in their last digits there.
+DISTFIT_ALL_312 = (
+    ('"gof_stat": 1.5999999999999999', '"gof_stat": 1.6'),
+    ('"mu": 3.529407499999999', '"mu": 3.5294075'),
+    ('"scale": 1.0011960343397361', '"scale": 1.001196034339738'),
+    ('"shape": 3.52519125021061', '"shape": 3.5251912502106046'),
+    ('"loc": 2.695703124809814', '"loc": 2.695703124809813'),
+    ('"gof_stat": 7.6,', '"gof_stat": 7.6000000000000005,'),
+    ('"sigma": 0.5932071094636822', '"sigma": 0.593207109463682'),
+    ('"rate": 0.2833336756948582', '"rate": 0.2833336756948581'),
+)
+DISTFIT_ALL_JSON = """\
+{
+  "command": "distfit",
+  "decisions": {
+    "gof_note": "chi-squared on max(5, n//5) equal-probability bins; df = bins - 1 - #params"
+  },
+  "input": "values40.txt",
+  "n": 40,
+  "ranking": [
+    {
+      "family": "normal",
+      "gof_df": 5,
+      "gof_stat": 1.5999999999999999,
+      "p_value": 0.9012493445012737,
+      "params": {
+        "mu": 3.529407499999999,
+        "sigma": 1.6753400292757736
+      }
+    },
+    {
+      "family": "gamma",
+      "gof_df": 5,
+      "gof_stat": 3.2,
+      "p_value": 0.6691829020332434,
+      "params": {
+        "scale": 1.0011960343397361,
+        "shape": 3.52519125021061
+      }
+    },
+    {
+      "family": "gumbel",
+      "gof_df": 5,
+      "gof_stat": 3.2,
+      "p_value": 0.6691829020332434,
+      "params": {
+        "loc": 2.695703124809814,
+        "scale": 1.5157593966936505
+      }
+    },
+    {
+      "family": "weibull",
+      "gof_df": 5,
+      "gof_stat": 3.2,
+      "p_value": 0.6691829020332434,
+      "params": {
+        "scale": 3.9882753091500334,
+        "shape": 2.258392360452749
+      }
+    },
+    {
+      "family": "chi_squared",
+      "gof_df": 6,
+      "gof_stat": 8.4,
+      "p_value": 0.21023798702309748,
+      "params": {
+        "df": 3.989808818597492
+      }
+    },
+    {
+      "family": "lognormal",
+      "gof_df": 5,
+      "gof_stat": 7.6,
+      "p_value": 0.17970193899600076,
+      "params": {
+        "mu": 1.1126399382910432,
+        "sigma": 0.5932071094636822
+      }
+    },
+    {
+      "family": "triangular",
+      "gof_df": 4,
+      "gof_stat": 14.4,
+      "p_value": 0.00612200362868877,
+      "params": {
+        "a": 0.6765,
+        "b": 6.3824,
+        "c": 3.2647
+      }
+    },
+    {
+      "family": "exponential",
+      "gof_df": 6,
+      "gof_stat": 22.8,
+      "p_value": 0.0008663066171196867,
+      "params": {
+        "rate": 0.2833336756948582
+      }
+    }
+  ]
+}
+"""
+
+if sys.version_info >= (3, 12):
+    for before, after in DISTFIT_ALL_312:
+        assert DISTFIT_ALL_JSON.count(before) == 1, before
+        DISTFIT_ALL_JSON = DISTFIT_ALL_JSON.replace(before, after)
+
 # Literal stdout, one case per report shape.  Paths in argv are
 # relative to a temporary directory holding the files named in the case.
 TEXT_CASES = {
@@ -1003,6 +1153,11 @@ nontransitive triples (a-b and b-c match, a-c does not): 1 in all, 1 listed
         ["hetero", "--manova", "--input", "raw.csv", "--responses", "Ag,As", "--format", "json"],
         {"raw.csv": MANOVA_CSV},
         HETERO_MANOVA_JSON,
+    ),
+    "distfit-all-json": (
+        ["distfit", "--input", "values40.txt", "--families", "all", "--format", "json"],
+        {"values40.txt": DISTFIT_VALUES},
+        DISTFIT_ALL_JSON,
     ),
     "match": (
         ["match", "--fixture", "table1", "--criterion", "guinn4"],
@@ -1872,6 +2027,80 @@ class TestRefusals:
         argv = [arg.replace("{d}", str(tmp_path)) for arg in argv]
         code, out, err = run(capsys, *argv, "--format", fmt)
         assert (code, out, err) == (2, "", f"error: {message.replace('{d}', str(tmp_path))}\n")
+
+
+_CONC = ("naa", "conc", "--std-counts", "4000", "--std-mass-ug", "2",
+         "--half-life", "24s", "--ti", "60", "--td", "30", "--tc", "180")
+_MU_HEADER = "energy_kev,mu_linear_per_cm\n"
+
+# case -> (argv, with {d} the folder of the files; {file name: text}; error message)
+RULE_REFUSALS = {
+    "distfit_seven_values": (("distfit", "--input", "{d}/seven.txt"),
+                             {"seven.txt": "1\n2\n3\n4\n5\n6\n7\n"},
+                             "need at least 8 observations, got 7"),
+    "conc_negative_counts": ((*_CONC, "--sample-counts", "-1", "--sample-mass-mg", "20"), {},
+                             "sample_counts must be >= 0"),
+    "conc_zero_mass": ((*_CONC, "--sample-counts", "5000", "--sample-mass-mg", "0"), {},
+                       "masses must be > 0"),
+    "selfabs_zero_energy": (("naa", "selfabs", "--dimension-mm", "0.4", "--table", "{d}/mu.csv"),
+                            {"mu.csv": _MU_HEADER + "0,1.2\n"},
+                            "line 2: energy must be > 0"),
+    "selfabs_negative_mu": (("naa", "selfabs", "--dimension-mm", "0.4", "--table", "{d}/mu.csv"),
+                            {"mu.csv": _MU_HEADER + "657,-1\n"},
+                            "line 2: mu_linear must be > 0"),
+    "bias_minus_one": (("match", "--fixture", "table1", "--bias", "Sb=-1"), {},
+                       "corrections must stay > -1"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("case", sorted(RULE_REFUSALS))
+def test_stated_rule_refusal_exits_2(capsys, tmp_path, case, fmt):
+    argv, files, message = RULE_REFUSALS[case]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [arg.replace("{d}", str(tmp_path)) for arg in argv]
+    assert run(capsys, *argv, "--format", fmt) == (2, "", f"error: {message}\n")
+
+
+class TestUnreadableFiles:
+    """A file that is not UTF-8, or a config that is not JSON, exits 2 naming its path."""
+
+    # reader -> argv, with {f} the file's path
+    READERS = {
+        "config": ("match", "--fixture", "table1", "--config", "{f}"),
+        "measurements": ("group", "--input", "{f}"),
+        "manova": ("hetero", "--manova", "--input", "{f}", "--responses", "Ag,As"),
+        "distfit": ("distfit", "--input", "{f}"),
+        "attenuation": ("naa", "selfabs", "--dimension-mm", "0.4", "--table", "{f}"),
+    }
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_not_utf8_names_the_file(self, capsys, tmp_path, reader, fmt):
+        path = tmp_path / "bin.dat"
+        # a UTF-16 byte-order mark, as some spreadsheets write
+        path.write_bytes(b"\xff\xfe" + "1,2\n".encode("utf-16-le"))
+        argv = [arg.format(f=path) for arg in self.READERS[reader]]
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: not UTF-8 text: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize(
+        "argv",
+        [("match", "--fixture", "table1"), ("naa", "selfabs", "--dimension-mm", "0.4")],
+        ids=["match", "selfabs"],
+    )
+    def test_config_not_json_names_the_file(self, capsys, tmp_path, argv, fmt):
+        path = tmp_path / "bad.json"
+        path.write_text('{"criterion": ')
+        code, out, err = run(capsys, *argv, "--config", str(path), "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: config {path}: not valid JSON: Expecting value: line 1 column 15 (char 14)\n"
+        )
 
 
 class TestByteOrderMark:

@@ -14,6 +14,9 @@ def ranked_families(entries):
     return [e.family for e in entries if isinstance(e, FitReport)]
 
 
+POSITIVE = {"chi_squared", "exponential", "gamma", "lognormal", "weibull"}
+
+
 class TestFitters:
     def test_exponential_closed_form(self):
         data = [1.0, 3.0, 2.0, 2.0, 1.5, 2.5, 2.0, 2.0]  # mean exactly 2
@@ -129,6 +132,25 @@ class TestFitters:
         for family in ("exponential", "weibull", "gamma", "lognormal", "chi_squared"):
             with pytest.raises(FitError):
                 fit_distribution(data, family)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_all_equal_data_refused_once_support_holds(self, family):
+        if family == "exponential":
+            assert fit_distribution([2.0] * 10, family).params == {"rate": 0.5}
+            return
+        message = f"^{family} requires data with spread; all values are equal$"
+        with pytest.raises(FitError, match=message):
+            fit_distribution([2.0] * 10, family)
+        if family in POSITIVE:
+            # the support rule is checked first
+            with pytest.raises(FitError, match=f"^{family} requires strictly positive data$"):
+                fit_distribution([-2.0] * 10, family)
+
+    @pytest.mark.parametrize("family", sorted(POSITIVE))
+    def test_positive_family_cdf_is_zero_off_support(self, family):
+        fitted = fit_distribution([1.0 + i / 4 for i in range(12)], family)
+        assert [fitted.cdf(x) for x in (-math.inf, -2.0, -0.0, 0.0)] == [0.0] * 4
+        assert 0.0 < fitted.cdf(1.0) < fitted.cdf(3.0) < 1.0
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):

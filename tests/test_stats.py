@@ -1,4 +1,6 @@
 import math
+from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from cabl.stats import (
     manova_two_way,
     pooled_t_test,
 )
+from cabl.stats.manova import _gauss_jordan
 from cabl.uncertainty import replicate_summary
 
 
@@ -82,6 +85,16 @@ class TestPooledTTest:
         b = TwoSampleInput(mean=3.0e153, se=3.0e153, n=4, label="right")
         with pytest.raises(DomainError, match="left and right: the pooled variance"):
             pooled_t_test(a, b)
+
+    def test_overflowing_squared_sd_refused(self):
+        # sd = 2e200, and a float ** that leaves the range raises OverflowError
+        a = TwoSampleInput(mean=1.0, se=1e200, n=4, label="left")
+        b = TwoSampleInput(mean=2.0, se=1.0, n=4, label="right")
+        with pytest.raises(OverflowError):
+            a.sd**2
+        for first, second in ((a, b), (b, a)):
+            with pytest.raises(DomainError, match="the pooled variance or the t statistic overflows"):
+                pooled_t_test(first, second)
 
     @pytest.mark.parametrize(
         "means, se",
@@ -261,3 +274,44 @@ class TestManova:
         ]
         with pytest.raises(ValueError):
             manova_two_way(broken)
+
+
+def leibniz_det(m):
+    """det(m) as the signed sum over permutations, in exact arithmetic."""
+    n = len(m)
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for row, col in enumerate(perm):
+            term *= m[row][col]
+        total += term
+    return total
+
+
+@st.composite
+def gram_matrices(draw):
+    """AᵀA for a small integer A; with fewer rows than columns it is singular."""
+    p = draw(st.integers(1, 4))
+    rows = draw(st.integers(1, 5))
+    a = draw(st.lists(st.lists(st.integers(-3, 3), min_size=p, max_size=p),
+                      min_size=rows, max_size=rows))
+    return [[Fraction(sum(r[k] * r[l] for r in a)) for l in range(p)] for k in range(p)]
+
+
+class TestGaussJordan:
+    """The MANOVA's elimination on the positive semidefinite matrices it receives."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(gram_matrices())
+    def test_det_and_inverse_of_gram_matrix(self, m):
+        p = len(m)
+        identity = [[int(k == l) for l in range(p)] for k in range(p)]
+        det, inverse = _gauss_jordan(m, identity)
+        assert det == leibniz_det(m)
+        if det == 0:
+            assert inverse == []
+        else:
+            product = [[sum(m[k][j] * inverse[j][l] for j in range(p)) for l in range(p)]
+                       for k in range(p)]
+            assert product == identity
