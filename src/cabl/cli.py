@@ -15,16 +15,19 @@ means, for one, exits 2 in both).  Reports carry a ``decisions`` block
 echoing the conventions behind the numbers (boundary handling, bias
 ranges, table semantics), and all output is deterministic for fixed
 inputs.  JSON comes from ``render_json``, this module's own writer,
-byte-identical to ``json.dumps(indent=2, sort_keys=True)``; it joins a
-list of strings in one C pass, with no Python call per item.  ``group``
-and ``report`` count every nontransitive triple and list the first
+byte-identical to ``json.dumps(indent=2, sort_keys=True)``: it appends
+the text of every value, bracket and separator to one flat list of parts
+and joins that once, and it joins a list of strings in one C pass, with
+no Python call per item.  ``main`` writes the report to stdout in 64 KiB
+slices, so the stream never encodes a second full copy.  ``group`` and
+``report`` count every nontransitive triple and list the first
 ``--witnesses N`` of them (100 unless told, ``all`` for every one).  The
 one payload value that is not plain data is ``match``'s pair list: a tuple
 of ``match_pairs``' ``(a, b, overlaps)`` rows (``_MatchRows``), with each
 element's ``bias_used`` read off the criterion once per report.  The
-writer asks the rows for their text, that of one ``{"a", "b", "matched",
-"per_element"}`` dict a pair, so the n(n-1)/2 pairs never exist as a
-tree of dicts.
+writer asks the rows for the parts of one ``{"a", "b", "matched",
+"per_element"}`` dict a pair, nearly all of them text shared across the
+report, so the n(n-1)/2 pairs never exist as a tree of dicts.
 
 Each command imports its own modules inside its function, naming the
 module that defines each function, so a job loads only the code of the
@@ -79,66 +82,75 @@ def render_json(payload: dict) -> str:
     With ``indent``, ``json.dumps`` leaves CPython's C encoder (3.10 to
     3.13) for a pure-Python generator of millions of small chunks on the
     large ``match`` and ``group`` payloads.  This writer gives the same
-    bytes, building each container's text as one string from its
-    children's and quoting strings with the C escaper ``json.dumps``
-    uses.  A list or tuple of strings (a witness triple, a group's
-    members) is quoted and joined in one C pass; at its first
+    bytes from one flat list of text parts, joined once: each container
+    appends its opening, its separators and its closing to the list and
+    never joins a text of its own, so the document exists once, not once
+    per nesting level.  Strings are quoted with the C escaper
+    ``json.dumps`` uses.  A list or tuple of strings (a witness triple, a
+    group's members) is quoted and joined in one C pass; at its first
     non-string item the escaper raises ``TypeError`` and the list is
-    written item by item.  Dict keys must be ``str``.
+    written item by item.  ``match``'s rows add their pairs' parts from
+    text shared across the report (see ``_MatchRows.encode``).  Dict keys
+    must be ``str``.
     """
-    return _encode(payload, "\n") + "\n"
+    parts: list[str] = []
+    _encode(payload, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
 
 
-def _encode(value: object, newline: str) -> str:
-    """JSON text of ``value``; ``newline`` is a newline plus its indent."""
+def _encode(value: object, newline: str, parts: list[str]) -> None:
+    """Append ``value``'s JSON text to ``parts``; ``newline`` is a newline plus its indent."""
     if isinstance(value, str):
-        return _quote(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
+        parts.append(_quote(value))
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, float):
         if not math.isfinite(value):
             raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-        return float.__repr__(value)
-    if isinstance(value, _MatchRows):
-        return value.json(newline)
-    inner = newline + "  "
-    if isinstance(value, dict):
+        parts.append(float.__repr__(value))
+    elif isinstance(value, _MatchRows):
+        value.encode(newline, parts)
+    elif isinstance(value, dict):
         if not value:
-            return "{}"
-        # _quote raises TypeError on a non-str key
-        body = [f"{_quote(k)}: {_encode(v, inner)}" for k, v in sorted(value.items())]
-        return _lines("{", body, newline, "}")
-    if isinstance(value, (list, tuple)):
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        separator, comma = "{" + inner, "," + inner
+        for key, item in sorted(value.items()):
+            # _quote raises TypeError on a non-str key
+            parts.append(f"{separator}{_quote(key)}: ")
+            _encode(item, inner, parts)
+            separator = comma
+        parts.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
         if not value:
-            return "[]"
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        comma = "," + inner
         if isinstance(value[0], str):
             try:
-                body = ("," + inner).join(map(_quote, value))
+                body = comma.join(map(_quote, value))
             except TypeError:  # _quote met a non-string item
                 pass
             else:
-                return f"[{inner}{body}{newline}]"
-        return _lines("[", [_encode(v, inner) for v in value], newline, "]")
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _lines(opening: str, body: list[str], newline: str, closing: str) -> str:
-    """One container's text: ``body`` one item a line, indented, in brackets.
-
-    The brackets go onto the first and last items before the join, so a
-    large container is copied once; wrapping the joined text would copy
-    it again while the items are still alive.
-    """
-    inner = newline + "  "
-    body[0] = opening + inner + body[0]
-    body[-1] += newline + closing
-    return ("," + inner).join(body)
+                parts += ("[" + inner, body, newline + "]")
+                return
+        separator = "[" + inner
+        for item in value:
+            parts.append(separator)
+            _encode(item, inner, parts)
+            separator = comma
+        parts.append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _parse_duration(text: str) -> float:
@@ -283,9 +295,19 @@ def _dataset_decisions(dataset: Dataset) -> dict:
     return notes
 
 
+class _Once(argparse.Action):
+    """Store an option's value, and refuse it a second time: the run reads
+    one source, so a repeated ``--fixture`` or ``--input`` would be dropped."""
+
+    def __call__(self, parser, namespace, values, option_string=None) -> None:
+        if getattr(namespace, self.dest) is not None:
+            raise argparse.ArgumentError(self, "given more than once; give one input")
+        setattr(namespace, self.dest, values)
+
+
 def _add_input_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--fixture", choices=FIXTURE_NAMES, help="embedded table")
-    parser.add_argument("--input", help="measurement CSV path")
+    parser.add_argument("--fixture", action=_Once, choices=FIXTURE_NAMES, help="embedded table")
+    parser.add_argument("--input", action=_Once, help="measurement CSV path")
 
 
 def _add_criterion_options(parser: argparse.ArgumentParser) -> None:
@@ -330,9 +352,9 @@ class _MatchRows(tuple):
     element's ``(lo, hi)`` overlap, or None, in panel order (sorted by
     symbol, the order JSON keys take), and a pair matches when none is
     None.  ``bias_used`` is each element's correction range, the same for
-    every pair.  ``_encode`` asks the rows for their text, which is what
-    it would write for the pair dicts ``{"a", "b", "matched",
-    "per_element"}`` they stand for.
+    every pair.  ``_encode`` asks the rows for their text parts, which
+    join to what it would write for the pair dicts ``{"a", "b",
+    "matched", "per_element"}`` they stand for.
     """
 
     def __new__(cls, rows: Iterable[tuple], criterion: MatchCriterion) -> _MatchRows:
@@ -346,34 +368,58 @@ class _MatchRows(tuple):
     def matched(self) -> int:
         return sum(None not in overlaps for _, _, overlaps in self)
 
-    def json(self, newline: str) -> str:
-        """The list's JSON text; ``newline`` is a newline plus its indent."""
+    def encode(self, newline: str, parts: list[str]) -> None:
+        """Append the list's JSON text to ``parts``; ``newline`` is a newline plus its indent.
+
+        A pair adds a few parts, most of them text built once per report:
+        its ``a`` side's opening (one per specimen), its quoted ``b`` (one
+        per specimen) and its verdict.  A pair that fails on every element
+        adds one shared tail; only an overlapping element adds text of its
+        own, the ``repr`` of its bounds.
+        """
         if not self:
-            return "[]"
+            parts.append("[]")
+            return
         pair, key, element, field, bound = (newline + "  " * d for d in range(1, 6))
-        # each element's text up to its verdict, and the rest of it when it fails
-        heads = [
-            f'{"," if i else ""}{element}{_quote(symbol)}: {{{field}"bias_used": '
-            f'{_encode(bias, field)},{field}"matched": '
-            for i, (symbol, bias) in enumerate(zip(self.symbols, self.bias_used))
-        ]
-        fails = f'false,{field}"overlap": null{element}}}'
-        holds = f'true,{field}"overlap": [{bound}'
-        items = []
+        # each element's text when it fails, and up to its bounds when it holds
+        fails, holds = [], []
+        for i, (symbol, bias) in enumerate(zip(self.symbols, self.bias_used)):
+            bias_text: list[str] = []
+            _encode(bias, field, bias_text)
+            head = (
+                f'{"," if i else ""}{element}{_quote(symbol)}: {{{field}"bias_used": '
+                f'{"".join(bias_text)},{field}"matched": '
+            )
+            fails.append(f'{head}false,{field}"overlap": null{element}}}')
+            holds.append(f'{head}true,{field}"overlap": [{bound}')
+        # indexed by whether some element fails
+        verdicts = [f',{key}"matched": {word},{key}"per_element": {{' for word in ("true", "false")]
+        closing = f"{key}}}{pair}}}"
+        all_fail = verdicts[1] + "".join(fails) + closing
+        no_overlap = (None,) * len(fails)
+        openings: dict[str, str] = {}
+        quoted: dict[str, str] = {}
+        first = len(parts)
         for a, b, overlaps in self:
-            text = [
-                f'{{{key}"a": {_quote(a)},{key}"b": {_quote(b)},{key}"matched": '
-                f'{"false" if None in overlaps else "true"},{key}"per_element": {{'
-            ]
-            for head, overlap in zip(heads, overlaps):
+            if a not in openings:
+                openings[a] = f',{pair}{{{key}"a": {_quote(a)},{key}"b": '
+            if b not in quoted:
+                quoted[b] = _quote(b)
+            parts += (openings[a], quoted[b])
+            if overlaps == no_overlap:
+                parts.append(all_fail)
+                continue
+            parts.append(verdicts[None in overlaps])
+            for fail, hold, overlap in zip(fails, holds, overlaps):
                 if overlap is None:
-                    text.append(head + fails)
-                    continue
-                lo, hi = overlap
-                text.append(f"{head}{holds}{lo!r},{bound}{hi!r}{field}]{element}}}")
-            text.append(f"{key}}}{pair}}}")
-            items.append("".join(text))
-        return _lines("[", items, newline, "]")
+                    parts.append(fail)
+                else:
+                    lo, hi = overlap
+                    parts += (hold, f"{lo!r},{bound}{hi!r}{field}]{element}}}")
+            parts.append(closing)
+        # the list opens where the first pair's separator stands
+        parts[first] = "[" + parts[first][1:]
+        parts.append(newline + "]")
 
 
 def cmd_match(args: argparse.Namespace) -> dict:
@@ -924,7 +970,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_het.set_defaults(func=cmd_hetero, text=_hetero_text)
 
     p_fit = sub.add_parser("distfit", help="distribution fitting and ranking")
-    p_fit.add_argument("--input", required=True, help="file with one value per line")
+    p_fit.add_argument("--input", action=_Once, required=True, help="file with one value per line")
     p_fit.add_argument("--families", help="'all' or a comma list")
     _add_common_options(p_fit)
     p_fit.set_defaults(func=cmd_distfit, text=_distfit_text)
@@ -966,6 +1012,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_SLICE = 1 << 16  # characters per write of a report to stdout
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
@@ -975,9 +1024,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         payload = args.func(args)
         if args.format == "json":
-            sys.stdout.write(render_json(payload))
+            document = render_json(payload)
         else:
-            sys.stdout.write("".join(f"{line}\n" for line in args.text(payload)))
+            document = "".join(f"{line}\n" for line in args.text(payload))
+        # in slices, so the stream never encodes a second copy of a large report
+        for start in range(0, len(document), _SLICE):
+            sys.stdout.write(document[start : start + _SLICE])
         return 0
     except (CablError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

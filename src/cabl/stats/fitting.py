@@ -224,6 +224,9 @@ def _fit_triangular(x: Sequence[float]) -> dict:
             ll = _triangular_loglik(interior, a, c, b)
             if ll > best_ll:
                 best_ll, best_c = ll, c
+    if best_c is None:
+        # 2(v - a) or 2(b - v) can overflow where b - a does not
+        raise FitError("triangular: no candidate mode has a finite log-likelihood")
     return {"a": a, "c": best_c, "b": b}
 
 

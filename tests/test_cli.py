@@ -66,6 +66,21 @@ class TestMatchCommand:
         assert "input" in err
 
 
+@pytest.mark.parametrize("command", ["match", "group", "report"])
+@pytest.mark.parametrize(
+    "option, first, second",
+    [("--fixture", "table1", "table2"), ("--input", "a.csv", "b.csv")],
+    ids=["fixture", "input"],
+)
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_repeated_input_option_exits_2(capsys, command, option, first, second, fmt):
+    # one run reads one source; a second one would be dropped without a word
+    code, out, err = run(capsys, command, option, first, option, second, "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert f"argument {option}: given more than once" in err
+
+
 class TestGroupCommand:
     def test_guinn_grouping(self, capsys):
         payload, _ = run_json(capsys, "group", "--fixture", "table1", "--criterion", "guinn4")
@@ -429,8 +444,12 @@ class TestDistfitCommand:
             ([5e-324] * 4 + [1e-323] * 4,
              {"exponential": "overflow", "normal": "sigma = 0.0 is not > 0"},
              {"chi_squared", "gamma", "lognormal", "weibull"}),
+            # b - a is finite but 2(b - v) overflows: no triangular mode
+            # scores finite, and the other families still rank
+            ([*range(1, 8), 1e308], {"triangular": "finite log-likelihood"},
+             {"chi_squared", "exponential", "lognormal", "weibull"}),
         ],
-        ids=["near-max", "wide", "tiny"],
+        ids=["near-max", "wide", "tiny", "one-huge"],
     )
     def test_values_near_double_limit(self, capsys, tmp_path, values, failed, ranked):
         path = tmp_path / "vals.csv"

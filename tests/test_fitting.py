@@ -117,6 +117,17 @@ class TestFitters:
         assert sorted(e.family for e in entries) == sorted(FAMILIES)
         assert any(isinstance(e, FitFailure) and e.family == "triangular" for e in entries)
 
+    def test_triangular_overflowing_doubled_distance_rejected(self):
+        # b - a is finite, but 2(b - v) overflows, so no mode scores finite
+        data = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 1e308]
+        with pytest.raises(FitError, match="no candidate mode has a finite log-likelihood"):
+            fit_distribution(data, "triangular")
+        entries = rank_families(data)
+        assert sorted(e.family for e in entries) == sorted(FAMILIES)
+        failed = {e.family for e in entries if isinstance(e, FitFailure)}
+        assert "triangular" in failed
+        assert ranked_families(entries)
+
     def test_overflowing_parameter_rejected(self):
         # the sum of these finite values overflows, so the normal mean is inf
         data = [1.0e308 + i * 0.1e308 for i in range(8)]

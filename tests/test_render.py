@@ -1,13 +1,18 @@
 """``render_json`` against its oracle, ``json.dumps(indent=2, sort_keys=True)``."""
 
 import json
+import math
 import operator
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cabl.cli import render_json
+import cabl.cli
+from cabl.cli import build_parser, main, render_json
+from cabl.ingest import CSV_HEADER
 
 
 def oracle(value) -> str:
@@ -143,3 +148,70 @@ def test_unknown_type_raises_type_error():
 def test_unknown_type_after_strings_raises_type_error():
     with pytest.raises(TypeError, match="Object of type set is not JSON serializable"):
         render_json({"x": ["a", "b", {1, 2}]})
+
+
+def _dense_population(n: int, seed: int) -> str:
+    """Lots of three specimens with 3-5 % errors in a narrow Sb-Ag region:
+    intervals chain across lots, so about 30 % of pairs overlap on some
+    element, and 3 % on both."""
+    rng = random.Random(seed)
+    ranges = {"Sb": (100.0, 30000.0), "Ag": (5.0, 200.0)}
+    lines = [",".join(CSV_HEADER)]
+    for i in range(n):
+        if i % 3 == 0:
+            means = {}
+            for element, (lo, hi) in ranges.items():
+                mid, half = math.log(lo * hi) / 2, math.log(hi / lo) / 2 * 0.9
+                means[element] = math.exp(rng.uniform(mid - half, mid + half))
+        for element, mean in means.items():
+            rel = rng.uniform(0.03, 0.05)
+            value = mean * (1 + rng.gauss(0, 0.02)) * (1 + rng.gauss(0, rel))
+            lines.append(
+                f"s{i:04d},bullet,L{i // 3:04d},unlabeled,{element},"
+                f"{value:.10g},{value * rel:.10g},poisson_single"
+            )
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def dense_match(tmp_path_factory):
+    """``match``'s argv and payload on 200 dense specimens (19,900 pairs)."""
+    path = tmp_path_factory.mktemp("dense") / "dense-200.csv"
+    path.write_text(_dense_population(200, seed=1), encoding="utf-8")
+    argv = ["match", "--input", str(path), "--criterion", "guinn4", "--format", "json"]
+    args = build_parser().parse_args(argv)
+    return argv, args.func(args)
+
+
+def test_match_render_holds_about_one_copy_of_the_report(dense_match):
+    # the writer's peak above the payload: the document plus its part list
+    # (a few pointers a pair, text shared across pairs); building a text
+    # per container as well, as a nested writer does, costs about 2.15x
+    _, payload = dense_match
+    rows = payload["pairs"]
+    # pairs that match, that fail on one element, and that fail on both
+    assert 0 < payload["pairs_matched"] < sum(None in o for _, _, o in rows) < len(rows)
+    tracemalloc.start()
+    try:
+        text = render_json(payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.4 * len(text), (peak, len(text))
+
+
+def _main_stdout(capsys, argv: list[str]) -> str:
+    """``main``'s stdout for ``argv``, checked equal to ``render_json``'s text."""
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    args = build_parser().parse_args(argv)
+    same = out == render_json(args.func(args))
+    assert same
+    return out
+
+
+def test_main_writes_the_rendered_bytes_in_slices(capsys, dense_match):
+    short = _main_stdout(capsys, ["match", "--fixture", "table1", "--format", "json"])
+    assert len(short) < cabl.cli._SLICE
+    long = _main_stdout(capsys, dense_match[0])
+    assert len(long) > 3 * cabl.cli._SLICE
