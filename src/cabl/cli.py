@@ -22,12 +22,14 @@ no Python call per item.  ``main`` writes the report to stdout in 64 KiB
 slices, so the stream never encodes a second full copy.  ``group`` and
 ``report`` count every nontransitive triple and list the first
 ``--witnesses N`` of them (100 unless told, ``all`` for every one).  The
-one payload value that is not plain data is ``match``'s pair list: a tuple
-of ``match_pairs``' ``(a, b, overlaps)`` rows (``_MatchRows``), with each
-element's ``bias_used`` read off the criterion once per report.  The
-writer asks the rows for the parts of one ``{"a", "b", "matched",
-"per_element"}`` dict a pair, nearly all of them text shared across the
-report, so the n(n-1)/2 pairs never exist as a tree of dicts.
+one payload value that is not plain data is ``match``'s pair list
+(``_MatchRows``): ``match_pairs``' rows read once into flat columns, each
+pair's two ids, one byte of per-element verdicts and its overlap bounds
+in one float array, with each element's ``bias_used`` read off the
+criterion once per report.  The writer asks the columns for the parts of
+one ``{"a", "b", "matched", "per_element"}`` dict a pair, nearly all of
+them text shared across the report, so the n(n-1)/2 pairs never exist as
+a tree of dicts or as a tuple each.
 
 Each command imports its own modules inside its function, naming the
 module that defines each function, so a job loads only the code of the
@@ -45,7 +47,7 @@ import math
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import CablError, DegreesOfFreedomError, DomainError
 from .ingest import (
@@ -345,28 +347,62 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
 # ---------------------------------------------------------------- match
 
 
-class _MatchRows(tuple):
-    """``match``'s pair list: one row ``(a, b, overlaps)`` a pair.
+class _MatchRows:
+    """``match``'s pair list, held as columns: ``len`` and iteration give
+    ``match_pairs``' ``(a, b, overlaps)`` rows.
 
-    ``overlaps`` is the pair's ``MatchResult.overlaps``: each panel
-    element's ``(lo, hi)`` overlap, or None, in panel order (sorted by
-    symbol, the order JSON keys take), and a pair matches when none is
-    None.  ``bias_used`` is each element's correction range, the same for
-    every pair.  ``_encode`` asks the rows for their text parts, which
-    join to what it would write for the pair dicts ``{"a", "b",
-    "matched", "per_element"}`` they stand for.
+    The rows are read once, into ``ids_a`` and ``ids_b`` (each pair's ids,
+    the specimens' own strings), ``masks`` (one byte a pair, bit ``i`` set
+    when panel element ``i`` overlaps; a panel has at most seven elements)
+    and ``bounds`` (the ``lo, hi`` of every overlap, in pair and panel
+    order).  Every bound the CLI makes is a float (ingest reads means and
+    errors with ``float``, the fixtures are float literals, and ``k`` comes
+    from ``float`` or ``_config_number``), so the ``array('d')`` keeps its
+    bytes.  ``matched`` counts the pairs whose overlaps are all present.
+    Panel order is sorted by symbol, the order JSON keys take, and
+    ``bias_used`` is each element's correction range, the same for every
+    pair.  ``_encode`` asks the columns for their text parts, which join to
+    what it would write for the pair dicts ``{"a", "b", "matched",
+    "per_element"}`` they stand for; ``lines`` gives the text report's.
     """
 
-    def __new__(cls, rows: Iterable[tuple], criterion: MatchCriterion) -> _MatchRows:
-        self = super().__new__(cls, rows)
+    def __init__(self, rows: Iterable[tuple], criterion: MatchCriterion) -> None:
+        from array import array
+
         self.symbols = tuple(e.value for e in criterion.elements)
         bias = [criterion.bias_for(e) for e in criterion.elements]
         self.bias_used = tuple(None if c is None else (c.c_lo, c.c_hi) for c in bias)
-        return self
+        self.ids_a: list[str] = []
+        self.ids_b: list[str] = []
+        self.masks = bytearray()
+        self.bounds = array("d")
+        no_overlap = (None,) * len(self.symbols)
+        add_a, add_b, add_mask = self.ids_a.append, self.ids_b.append, self.masks.append
+        add_bounds = self.bounds.extend
+        for a, b, overlaps in rows:
+            add_a(a)
+            add_b(b)
+            # most pairs fail on every element
+            if overlaps == no_overlap:
+                add_mask(0)
+                continue
+            mask = 0
+            for bit, overlap in enumerate(overlaps):
+                if overlap is not None:
+                    mask |= 1 << bit
+                    add_bounds(overlap)
+            add_mask(mask)
+        self.matched = self.masks.count((1 << len(self.symbols)) - 1)
 
-    @property
-    def matched(self) -> int:
-        return sum(None not in overlaps for _, _, overlaps in self)
+    def __len__(self) -> int:
+        return len(self.masks)
+
+    def __iter__(self) -> Iterator[tuple]:
+        bounds = iter(self.bounds)
+        bits = [1 << i for i in range(len(self.symbols))]
+        for a, b, mask in zip(self.ids_a, self.ids_b, self.masks):
+            overlaps = tuple((next(bounds), next(bounds)) if mask & bit else None for bit in bits)
+            yield a, b, overlaps
 
     def encode(self, newline: str, parts: list[str]) -> None:
         """Append the list's JSON text to ``parts``; ``newline`` is a newline plus its indent.
@@ -396,30 +432,46 @@ class _MatchRows(tuple):
         verdicts = [f',{key}"matched": {word},{key}"per_element": {{' for word in ("true", "false")]
         closing = f"{key}}}{pair}}}"
         all_fail = verdicts[1] + "".join(fails) + closing
-        no_overlap = (None,) * len(fails)
+        full = (1 << len(fails)) - 1
+        elements = [(1 << i, fail, hold) for i, (fail, hold) in enumerate(zip(fails, holds))]
+        bounds = iter(self.bounds)
         openings: dict[str, str] = {}
         quoted: dict[str, str] = {}
         first = len(parts)
-        for a, b, overlaps in self:
+        for a, b, mask in zip(self.ids_a, self.ids_b, self.masks):
             if a not in openings:
                 openings[a] = f',{pair}{{{key}"a": {_quote(a)},{key}"b": '
             if b not in quoted:
                 quoted[b] = _quote(b)
             parts += (openings[a], quoted[b])
-            if overlaps == no_overlap:
+            if not mask:
                 parts.append(all_fail)
                 continue
-            parts.append(verdicts[None in overlaps])
-            for fail, hold, overlap in zip(fails, holds, overlaps):
-                if overlap is None:
-                    parts.append(fail)
+            parts.append(verdicts[mask != full])
+            for bit, fail, hold in elements:
+                if mask & bit:
+                    parts += (hold, f"{next(bounds)!r},{bound}{next(bounds)!r}{field}]{element}}}")
                 else:
-                    lo, hi = overlap
-                    parts += (hold, f"{lo!r},{bound}{hi!r}{field}]{element}}}")
+                    parts.append(fail)
             parts.append(closing)
         # the list opens where the first pair's separator stands
         parts[first] = "[" + parts[first][1:]
         parts.append(newline + "]")
+
+    def lines(self) -> Iterator[str]:
+        """The text report's line for each pair."""
+        full = (1 << len(self.symbols)) - 1
+        # each verdict's text, by mask, built at its first pair
+        verdicts: dict[int, str] = {}
+        for a, b, mask in zip(self.ids_a, self.ids_b, self.masks):
+            verdict = verdicts.get(mask)
+            if verdict is None:
+                detail = "; ".join(
+                    f"{symbol} {'ok' if mask >> i & 1 else 'fails'}"
+                    for i, symbol in enumerate(self.symbols)
+                )
+                verdict = verdicts[mask] = f"{'match   ' if mask == full else 'no match'} ({detail})"
+            yield f"  {a:<16} vs {b:<16} {verdict}"
 
 
 def cmd_match(args: argparse.Namespace) -> dict:
@@ -450,11 +502,7 @@ def _match_text(p: dict) -> Iterable[str]:
         f"pairwise matches under k={criterion['k']} "
         f"panel={{{','.join(criterion['elements'])}}} boundary={criterion['boundary']}"
     )
-    words = [(f"{symbol} ok", f"{symbol} fails") for symbol in pairs.symbols]
-    for a, b, overlaps in pairs:
-        verdict = "no match" if None in overlaps else "match   "
-        detail = "; ".join(word[overlap is None] for word, overlap in zip(words, overlaps))
-        yield f"  {a:<16} vs {b:<16} {verdict} ({detail})"
+    yield from pairs.lines()
     yield f"{p['pairs_matched']} of {p['pairs_total']} pairs matched"
 
 

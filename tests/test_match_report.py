@@ -2,7 +2,7 @@
 
 The oracle is the command's earlier form: one nested dict a pair, printed
 by ``json.dumps(indent=2, sort_keys=True)`` and by text lines read off the
-dicts.  ``cmd_match`` now keeps its pairs as rows and writes them itself,
+dicts.  ``cmd_match`` keeps its pairs as columns and writes them itself,
 and its stdout, in both formats and on every exit, must be the oracle's.
 """
 
@@ -24,20 +24,20 @@ from cabl.cli import (
     _dataset_decisions,
     _load_config,
     _load_dataset,
+    _match_text,
+    _MatchRows,
     build_parser,
     main,
+    render_json,
 )
 from cabl.errors import CablError
 from cabl.ingest import CSV_HEADER
-from cabl.matching import match_specimens
+from cabl.matching import match_pairs, match_specimens
 
 
-def oracle_payload(argv):
-    args = build_parser().parse_args(argv)
-    config = _load_config(args.config)
-    dataset = _load_dataset(args)
-    criterion = _build_criterion(args, config)
-    specimens = sorted(dataset, key=lambda s: s.id)
+def oracle_pairs(specimens, criterion):
+    """One nested dict a pair, in canonical order."""
+    specimens = sorted(specimens, key=lambda s: s.id)
     pairs = []
     for i, a in enumerate(specimens):
         for b in specimens[i + 1 :]:
@@ -53,6 +53,15 @@ def oracle_payload(argv):
             pairs.append(
                 {"a": a.id, "b": b.id, "matched": result.matched, "per_element": per_element}
             )
+    return pairs
+
+
+def oracle_payload(argv):
+    args = build_parser().parse_args(argv)
+    config = _load_config(args.config)
+    dataset = _load_dataset(args)
+    criterion = _build_criterion(args, config)
+    pairs = oracle_pairs(dataset, criterion)
     return {
         "command": "match",
         "dataset": dataset.provenance,
@@ -184,3 +193,27 @@ class TestMatchAgainstTheDictTree:
         message = "k=4.0 and se=1e+308 put an interval endpoint beyond the float range"
         refused = (2, "", f"error: {message}\n")
         assert actual(argv) == expected(argv) == {"json": refused, "text": refused}
+
+
+class TestColumnsAgainstTheRows:
+    """``_MatchRows`` holds ``match_pairs``' rows as columns; read back,
+    and written in either format, they are the rows and the dict tree."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(populations(), spread_populations()), st.one_of(st.none(), st.integers(0, 2)))
+    def test_columns_give_back_the_rows_and_the_oracle(self, case, keep):
+        specimens, criterion = case
+        specimens = specimens[:keep]
+        rows = _MatchRows(match_pairs(specimens, criterion), criterion)
+        assert list(rows) == list(match_pairs(specimens, criterion))
+        pairs = oracle_pairs(specimens, criterion)
+        head = {"command": "match", "criterion": _criterion_dict(criterion)}
+        payload = {**head, "pairs": rows, "pairs_total": len(rows), "pairs_matched": rows.matched}
+        oracle = {
+            **head,
+            "pairs": pairs,
+            "pairs_total": len(pairs),
+            "pairs_matched": sum(pair["matched"] for pair in pairs),
+        }
+        assert render_json(payload) == json.dumps(oracle, indent=2, sort_keys=True) + "\n"
+        assert list(_match_text(payload)) == list(oracle_text(oracle))

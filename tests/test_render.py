@@ -11,8 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cabl.cli
-from cabl.cli import build_parser, main, render_json
+from cabl.cli import (
+    _build_criterion,
+    _load_dataset,
+    _MatchRows,
+    build_parser,
+    main,
+    render_json,
+)
 from cabl.ingest import CSV_HEADER
+from cabl.matching import match_pairs
 
 
 def oracle(value) -> str:
@@ -198,6 +206,21 @@ def test_match_render_holds_about_one_copy_of_the_report(dense_match):
     finally:
         tracemalloc.stop()
     assert peak < 1.4 * len(text), (peak, len(text))
+
+
+def test_match_rows_hold_no_object_a_pair(dense_match):
+    # two id references, a verdict byte and the overlapping bounds come to
+    # about 24 bytes a pair; a tuple a row, with its overlaps, takes about 160
+    args = build_parser().parse_args(dense_match[0])
+    dataset, criterion = _load_dataset(args), _build_criterion(args, {})
+    tracemalloc.start()
+    try:
+        rows = _MatchRows(match_pairs(dataset, criterion), criterion)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 19_900
+    assert held < 48 * len(rows), held / len(rows)
 
 
 def _main_stdout(capsys, argv: list[str]) -> str:
