@@ -1,11 +1,11 @@
 """Command-line surface: ingest -> match -> group -> evidence/stats -> report.
 
 Subcommands: match, group, evidence, hetero, distfit, naa, report.
-Every command accepts ``--format json|text``.  ``--config PATH`` (a JSON
-file) is offered only where it is read: ``match``, ``group`` and
-``report`` take criterion defaults and a bias table from it, ``naa
-selfabs`` an attenuation table.  Exit codes: 0 success, 1 internal
-failure, 2 usage/validation.
+Every command accepts ``--format json|text``.  Each setting has one
+flag: ``match``, ``group`` and ``report`` take the criterion from
+``--criterion``, ``--k``, ``--elements``, ``--boundary`` and ``--bias``,
+and ``naa selfabs`` its attenuation table from ``--table``.  Exit codes:
+0 success, 1 internal failure, 2 usage/validation.
 
 Each command builds one payload dict.  ``--format json`` prints it as
 JSON; ``--format text`` renders the same payload through the command's
@@ -18,18 +18,20 @@ inputs.  JSON comes from ``render_json``, this module's own writer,
 byte-identical to ``json.dumps(indent=2, sort_keys=True)``: it appends
 the text of every value, bracket and separator to one flat list of parts
 and joins that once, and it joins a list of strings in one C pass, with
-no Python call per item.  ``main`` writes the report to stdout in 64 KiB
-slices, so the stream never encodes a second full copy.  ``group`` and
-``report`` count every nontransitive triple and list the first
-``--witnesses N`` of them (100 unless told, ``all`` for every one).  The
-one payload value that is not plain data is ``match``'s pair list
-(``_MatchRows``): ``match_pairs``' rows read once into flat columns, each
-pair's two ids, one byte of per-element verdicts and its overlap bounds
-in one float array, with each element's ``bias_used`` read off the
-criterion once per report.  The writer asks the columns for the parts of
-one ``{"a", "b", "matched", "per_element"}`` dict a pair, nearly all of
-them text shared across the report, so the n(n-1)/2 pairs never exist as
-a tree of dicts or as a tuple each.
+no Python call per item.  ``main`` writes a JSON report to stdout in
+64 KiB slices, so the stream never encodes a second full copy, and a
+text report in batches of lines as it is rendered, so its whole text
+never exists at once.  ``group`` and ``report`` count every nontransitive
+triple and list the first ``--witnesses N`` of them (100 unless told,
+``all`` for every one).  The one payload value that is not plain data
+is ``match``'s pair list (``_MatchRows``): ``match_pairs``' rows read
+once into flat columns, each pair's two ids, one byte of per-element
+verdicts and its overlap bounds in one float array, with each element's
+``bias_used`` read off the criterion once per report.  The writer asks
+the columns for the parts of one ``{"a", "b", "matched",
+"per_element"}`` dict a pair, nearly all of them text shared across the
+report, so the n(n-1)/2 pairs never exist as a tree of dicts or as a
+tuple each.
 
 Each command imports its own modules inside its function, naming the
 module that defines each function, so a job loads only the code of the
@@ -42,16 +44,15 @@ included, runs on the standard library alone.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
+from itertools import islice
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import CablError, DegreesOfFreedomError, DomainError
 from .ingest import (
-    ATTENUATION_HEADER,
     FIXTURE_NAMES,
     Dataset,
     fixture,
@@ -177,15 +178,24 @@ def _split(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
-def _parse_bias_spec(text: str) -> dict[str, list[float]]:
-    """Read 'Sb=0.02:0.054,Ag=0.055' into the config form {symbol: [lo, hi]}."""
-    spec = {}
+def _bias_table(text: str) -> dict[Element, BiasCorrection]:
+    """The ``--bias`` table: 'Sb=0.02:0.054,Ag=0.055' gives Sb [0.02, 0.054]
+    and Ag [0.055, 0.055].  Each element takes one or two numbers, and
+    ``BiasCorrection`` refuses one that is not finite."""
+    table = {}
     for item in _split(text):
         symbol, sep, values = item.partition("=")
         if not sep:
             raise ValueError(f"bias entry {item!r} must look like Sb=0.02:0.054")
-        spec[symbol.strip()] = [float(value) for value in values.split(":")]
-    return spec
+        element = Element(symbol.strip())
+        try:
+            bounds = [float(value) for value in values.split(":")]
+        except ValueError:
+            bounds = []
+        if len(bounds) not in (1, 2):
+            raise ValueError(f"bias for {element} must be one or two numbers, got {values!r}")
+        table[element] = BiasCorrection(bounds[0], bounds[-1])
+    return table
 
 
 def _read_text(path: str) -> str:
@@ -196,77 +206,14 @@ def _read_text(path: str) -> str:
         raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
 
 
-def _load_config(path: Optional[str]) -> dict:
-    if path is None:
-        return {}
-    text = _read_text(path)
-    try:
-        config = json.loads(text)
-    except RecursionError:
-        raise ValueError(f"config {path}: JSON nested too deeply to read") from None
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"config {path}: not valid JSON: {exc}") from None
-    if not isinstance(config, dict):
-        raise ValueError("config file must hold a JSON object")
-    return config
-
-
-def _config_number(value: object, key: str, refusal: Optional[str] = None) -> float:
-    """``value`` as a float.  A bool (JSON true/false, an int to isinstance) or a
-    non-number raises ``refusal``; too large an integer, a DomainError naming ``key``."""
-    if type(value) not in (int, float):
-        raise ValueError(refusal or f"config {key} must be a number, got {json.dumps(value)}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise DomainError(f"config {key} exceeds the float range") from None
-
-
-def _bias_table(spec: object) -> dict[Element, BiasCorrection]:
-    """Bias table from {symbol: c or [c] or [c_lo, c_hi]}, every c a number."""
-    if not isinstance(spec, dict):
-        raise ValueError(f"bias must be an object keyed by element, got {json.dumps(spec)}")
-    table = {}
-    for symbol, value in spec.items():
-        element = Element(symbol)
-        bounds = value if isinstance(value, list) else [value]
-        refusal = f"bias for {symbol} must be one or two numbers, got {json.dumps(value)}"
-        if len(bounds) not in (1, 2):
-            raise ValueError(refusal)
-        numbers = [_config_number(c, f"criterion.bias.{symbol}", refusal) for c in bounds]
-        table[element] = BiasCorrection(numbers[0], numbers[-1])
-    return table
-
-
-def _build_criterion(args: argparse.Namespace, config: dict) -> MatchCriterion:
-    # flags win over config values, which win over the preset's; a config
-    # value is checked where it is read, so one a flag overrides goes unread
-    conf = config.get("criterion", {})
-    if not isinstance(conf, dict):
-        raise ValueError(f"config criterion must be an object, got {json.dumps(conf)}")
+def _build_criterion(args: argparse.Namespace) -> MatchCriterion:
+    """The ``--criterion`` preset (``guinn4`` unless named), each value a flag gives replaced."""
     # an absent panel takes the preset's default; an empty one is refused
-    symbols = conf.get("elements") if args.elements is None else _split(args.elements)
-    if symbols is not None and not isinstance(symbols, list):
-        raise ValueError(f"config criterion.elements must be a list, got {json.dumps(symbols)}")
-    elements = None if symbols is None else tuple(map(Element, symbols))
-    bias_spec = _parse_bias_spec(args.bias) if args.bias else conf.get("bias")
-    bias = None if bias_spec is None else _bias_table(bias_spec)
-    preset = _config_string(conf, "preset", "guinn4") if args.criterion is None else args.criterion
-    criterion = criterion_preset(preset, elements=elements, bias=bias)
-    k = args.k if args.k is not None else conf.get("k")
-    k = criterion.k if k is None else _config_number(k, "criterion.k")
-    boundary = args.boundary
-    if boundary is None:
-        boundary = _config_string(conf, "boundary", criterion.boundary.value)
-    return MatchCriterion(k, criterion.elements, criterion.bias, Boundary(boundary))
-
-
-def _config_string(conf: dict, key: str, default: str) -> str:
-    # only an absent value takes the default: "" is an unknown token
-    value = conf.get(key)
-    if value is not None and not isinstance(value, str):
-        raise ValueError(f"config criterion.{key} must be a string, got {json.dumps(value)}")
-    return default if value is None else value
+    elements = None if args.elements is None else tuple(map(Element, _split(args.elements)))
+    bias = _bias_table(args.bias) if args.bias else None
+    criterion = criterion_preset(args.criterion or "guinn4", elements=elements, bias=bias)
+    boundary = criterion.boundary if args.boundary is None else Boundary(args.boundary)
+    return criterion._replace(k=criterion.k if args.k is None else args.k, boundary=boundary)
 
 
 def _criterion_dict(criterion: MatchCriterion) -> dict:
@@ -318,7 +265,6 @@ def _add_criterion_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--elements", help="element panel, e.g. Sb,Ag")
     parser.add_argument("--boundary", choices=("closed", "open"), help="interval boundary")
     parser.add_argument("--bias", help="bias table, e.g. Sb=0.02:0.054,Ag=0.055")
-    parser.add_argument("--config", help="JSON config path (criterion defaults)")
 
 
 def _witness_limit(text: str) -> Optional[int]:
@@ -356,10 +302,10 @@ class _MatchRows:
     when panel element ``i`` overlaps; a panel has at most seven elements)
     and ``bounds`` (the ``lo, hi`` of every overlap, in pair and panel
     order).  Every bound the CLI makes is a float (ingest reads means and
-    errors with ``float``, the fixtures are float literals, and ``k`` comes
-    from ``float`` or ``_config_number``), so the ``array('d')`` keeps its
-    bytes.  ``matched`` counts the pairs whose overlaps are all present.
-    Panel order is sorted by symbol, the order JSON keys take, and
+    errors with ``float``, the fixtures are float literals, and ``--k`` is
+    read with ``float``), so the ``array('d')`` keeps its bytes.
+    ``matched`` counts the pairs whose overlaps are all present.  Panel
+    order is sorted by symbol, the order JSON keys take, and
     ``bias_used`` is each element's correction range, the same for every
     pair.  ``_encode`` asks the columns for their text parts, which join to
     what it would write for the pair dicts ``{"a", "b", "matched",
@@ -477,9 +423,8 @@ class _MatchRows:
 def cmd_match(args: argparse.Namespace) -> dict:
     from .matching import match_pairs
 
-    config = _load_config(args.config)
     dataset = _load_dataset(args)
-    criterion = _build_criterion(args, config)
+    criterion = _build_criterion(args)
     pairs = _MatchRows(match_pairs(dataset, criterion), criterion)
     return {
         "command": "match",
@@ -511,11 +456,10 @@ def _match_text(p: dict) -> Iterable[str]:
 
 def _grouped(args: argparse.Namespace, mode: str) -> tuple:
     """The dataset, criterion and ``group`` result that ``group`` and ``report`` share."""
-    config = _load_config(args.config)
     dataset = _load_dataset(args)
     if not len(dataset):
         raise ValueError("dataset has no specimens")
-    criterion = _build_criterion(args, config)
+    criterion = _build_criterion(args)
     from .grouping import group
 
     return dataset, criterion, group(dataset, criterion, mode=mode, witnesses=args.witnesses)
@@ -815,27 +759,6 @@ def _schedule_from(args: argparse.Namespace, prefix: str = ""):
     )
 
 
-def _attenuation_entries(args: argparse.Namespace, config: dict) -> tuple:
-    from .uncertainty import DEFAULT_ATTENUATION, AttenuationEntry
-
-    if getattr(args, "table", None):
-        return parse_attenuation_csv(_read_text(args.table))
-    # only an absent or null table takes the default; [] and {} are refused
-    spec = config.get("attenuation")
-    if spec is None:
-        return DEFAULT_ATTENUATION
-    refusal = (
-        'config attenuation entries must look like {"energy_kev": 559, "mu_linear_per_cm": 12.1},'
-        f" in a nonempty list; got {json.dumps(spec)}"
-    )
-    if not (isinstance(spec, list) and spec and all(isinstance(e, dict) for e in spec)):
-        raise ValueError(refusal)
-    return tuple(
-        AttenuationEntry(*(_config_number(e.get(f), f, refusal) for f in ATTENUATION_HEADER))
-        for e in spec
-    )
-
-
 def cmd_naa(args: argparse.Namespace) -> dict:
     from .uncertainty import comparator_concentration, decay_factor, self_absorption_loss
 
@@ -873,7 +796,9 @@ def cmd_naa(args: argparse.Namespace) -> dict:
                 "standard-to-sample mass ratio; shared flux cancels"
             },
         }
-    entries = _attenuation_entries(args, _load_config(args.config))
+    from .uncertainty import DEFAULT_ATTENUATION
+
+    entries = parse_attenuation_csv(_read_text(args.table)) if args.table else DEFAULT_ATTENUATION
     if args.energies and args.energies != "all":
         wanted = {float(t) for t in _split(args.energies)}
         entries = tuple(e for e in entries if e.energy_kev in wanted)
@@ -1045,7 +970,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_self.add_argument("--dimension-mm", type=float, required=True)
     p_self.add_argument("--energies", help="'all' or comma list of keV in the table")
     p_self.add_argument("--table", help="attenuation CSV (energy_kev,mu_linear_per_cm)")
-    p_self.add_argument("--config", help="JSON config path (attenuation table)")
     _add_common_options(p_self)
     p_self.set_defaults(text=_selfabs_text)
     p_naa.set_defaults(func=cmd_naa)
@@ -1060,7 +984,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_SLICE = 1 << 16  # characters per write of a report to stdout
+_SLICE = 1 << 16  # characters per write of a JSON report to stdout
+_LINES = 1 << 8  # lines per write of a text report
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -1073,11 +998,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         payload = args.func(args)
         if args.format == "json":
             document = render_json(payload)
+            # in slices, so the stream never encodes a second copy of a large report
+            for start in range(0, len(document), _SLICE):
+                sys.stdout.write(document[start : start + _SLICE])
         else:
-            document = "".join(f"{line}\n" for line in args.text(payload))
-        # in slices, so the stream never encodes a second copy of a large report
-        for start in range(0, len(document), _SLICE):
-            sys.stdout.write(document[start : start + _SLICE])
+            # in batches as it is rendered, since a write a line is slow; the
+            # payload is checked, so no line fails once one is out
+            lines = iter(args.text(payload))  # naa's renderers return lists
+            while batch := "".join([f"{line}\n" for line in islice(lines, _LINES)]):
+                sys.stdout.write(batch)
         return 0
     except (CablError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

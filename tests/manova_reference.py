@@ -7,7 +7,10 @@ L·B with H = (L·B)ᵀ [L (XᵀX)⁻¹ Lᵀ]⁻¹ (L·B), the Type III test:
 * ``numpy_manova`` in floating point, returning an ``EffectTest`` per
   effect (the regression cabl ran before its cell-means form);
 * ``exact_regression`` in ``Fraction`` arithmetic, returning each
-  effect's exact Wilks' lambda and Hotelling-Lawley trace.
+  effect's exact Wilks' lambda and Hotelling-Lawley trace;
+* ``exact_wilks``, each effect's Wilks F, its dfs and p from that exact
+  lambda rounded once, where the float regression's ``1 - lambda``
+  cancels for a lambda near 1.
 """
 
 from __future__ import annotations
@@ -125,3 +128,13 @@ def exact_regression(observations) -> dict[str, tuple[Fraction, Fraction]]:
         trace = sum(_matmul(e_inv, h)[k][k] for k in range(len(e)))
         results[name] = (det_e / det_eh, trace)
     return results
+
+
+def exact_wilks(observations) -> dict[str, tuple[float, tuple[float, float], float]]:
+    """Each effect's Wilks ``(F, (df1, df2), p)`` from the exact lambda rounded once."""
+    x, y_rows, blocks = _design(observations)
+    p, v = len(y_rows[0]), len(x) - len(x[0])
+    return {
+        name: _wilks_f(float(lmbda), p, len(blocks[name]), v)
+        for name, (lmbda, _) in exact_regression(observations).items()
+    }

@@ -22,7 +22,6 @@ from cabl.cli import (
     _build_criterion,
     _criterion_dict,
     _dataset_decisions,
-    _load_config,
     _load_dataset,
     _match_text,
     _MatchRows,
@@ -58,9 +57,8 @@ def oracle_pairs(specimens, criterion):
 
 def oracle_payload(argv):
     args = build_parser().parse_args(argv)
-    config = _load_config(args.config)
     dataset = _load_dataset(args)
-    criterion = _build_criterion(args, config)
+    criterion = _build_criterion(args)
     pairs = oracle_pairs(dataset, criterion)
     return {
         "command": "match",
@@ -129,30 +127,21 @@ def specimen_rows(specimens):
             yield f"{s.id},bullet,{s.lot or ''},,{e.value},{x.mean!r},{x.se!r},poisson_single"
 
 
-def criterion_argv(criterion, preset, as_flags, folder):
-    """The criterion as ``match`` flags, or as a ``--config`` file."""
-    bias = {e.value: [c.c_lo, c.c_hi] for e, c in (criterion.bias or {}).items()}
-    symbols = [e.value for e in criterion.elements]
-    if as_flags:
-        argv = ["--criterion", preset, "--k", repr(criterion.k), "--elements", ",".join(symbols)]
-        argv += ["--boundary", criterion.boundary.value]
-        if bias:
-            argv += ["--bias", ",".join(f"{s}={lo!r}:{hi!r}" for s, (lo, hi) in bias.items())]
-        return argv
-    conf = {"preset": preset, "k": criterion.k, "elements": symbols}
-    conf["boundary"] = criterion.boundary.value
-    if bias:
-        conf["bias"] = bias
-    path = folder / "config.json"
-    path.write_text(json.dumps({"criterion": conf}), encoding="utf-8")
-    return ["--config", str(path)]
+def criterion_argv(criterion, preset):
+    """The criterion as ``match`` flags."""
+    symbols = ",".join(e.value for e in criterion.elements)
+    argv = ["--criterion", preset, "--k", repr(criterion.k), "--elements", symbols]
+    argv += ["--boundary", criterion.boundary.value]
+    if criterion.bias:
+        bias = (f"{e.value}={c.c_lo!r}:{c.c_hi!r}" for e, c in criterion.bias.items())
+        argv += ["--bias", ",".join(bias)]
+    return argv
 
 
-def check_against_oracle(specimens, criterion, preset, as_flags):
+def check_against_oracle(specimens, criterion, preset):
     with tempfile.TemporaryDirectory() as name:
-        folder = Path(name)
-        argv = ["match", "--input", write_csv(folder / "in.csv", specimen_rows(specimens))]
-        argv += criterion_argv(criterion, preset, as_flags, folder)
+        path = write_csv(Path(name) / "in.csv", specimen_rows(specimens))
+        argv = ["match", "--input", path, *criterion_argv(criterion, preset)]
         assert actual(argv) == expected(argv)
 
 
@@ -166,17 +155,16 @@ class TestMatchAgainstTheDictTree:
         st.one_of(populations(), spread_populations()),
         st.one_of(st.none(), st.integers(0, 2)),
         _presets,
-        st.booleans(),
     )
-    def test_stdout_equals_the_oracle(self, case, keep, preset, as_flags):
+    def test_stdout_equals_the_oracle(self, case, keep, preset):
         specimens, criterion = case
-        check_against_oracle(specimens[:keep], criterion, preset, as_flags)
+        check_against_oracle(specimens[:keep], criterion, preset)
 
     @settings(max_examples=40, deadline=None)
-    @given(populations(complete=False), _presets, st.booleans())
-    def test_incomplete_panels_exit_as_the_oracle(self, case, preset, as_flags):
+    @given(populations(complete=False), _presets)
+    def test_incomplete_panels_exit_as_the_oracle(self, case, preset):
         specimens, criterion = case
-        check_against_oracle(specimens, criterion, preset, as_flags)
+        check_against_oracle(specimens, criterion, preset)
 
     def test_incomplete_panel_exits_2(self, tmp_path):
         # "a" lacks Ag, "b" lacks Sb: the first pair fails on a's Ag
