@@ -180,14 +180,17 @@ def _split(text: str) -> list[str]:
 
 def _bias_table(text: str) -> dict[Element, BiasCorrection]:
     """The ``--bias`` table: 'Sb=0.02:0.054,Ag=0.055' gives Sb [0.02, 0.054]
-    and Ag [0.055, 0.055].  Each element takes one or two numbers, and
-    ``BiasCorrection`` refuses one that is not finite."""
+    and Ag [0.055, 0.055].  Each element takes one or two numbers, once,
+    ``BiasCorrection`` refuses one that is not finite, and a table must
+    name an element: an empty one would read as no table at all."""
     table = {}
     for item in _split(text):
         symbol, sep, values = item.partition("=")
         if not sep:
             raise ValueError(f"bias entry {item!r} must look like Sb=0.02:0.054")
         element = Element(symbol.strip())
+        if element in table:
+            raise ValueError(f"bias for {element} given more than once")
         try:
             bounds = [float(value) for value in values.split(":")]
         except ValueError:
@@ -195,6 +198,8 @@ def _bias_table(text: str) -> dict[Element, BiasCorrection]:
         if len(bounds) not in (1, 2):
             raise ValueError(f"bias for {element} must be one or two numbers, got {values!r}")
         table[element] = BiasCorrection(bounds[0], bounds[-1])
+    if not table:
+        raise ValueError(f"bias table {text!r} names no element, e.g. Sb=0.02:0.054")
     return table
 
 
@@ -208,12 +213,15 @@ def _read_text(path: str) -> str:
 
 def _build_criterion(args: argparse.Namespace) -> MatchCriterion:
     """The ``--criterion`` preset (``guinn4`` unless named), each value a flag gives replaced."""
-    # an absent panel takes the preset's default; an empty one is refused
-    elements = None if args.elements is None else tuple(map(Element, _split(args.elements)))
-    bias = _bias_table(args.bias) if args.bias else None
-    criterion = criterion_preset(args.criterion or "guinn4", elements=elements, bias=bias)
-    boundary = criterion.boundary if args.boundary is None else Boundary(args.boundary)
-    return criterion._replace(k=criterion.k if args.k is None else args.k, boundary=boundary)
+    # a flag given empty, as --elements , or --bias "", is read and refused
+    given = {
+        "k": args.k,
+        "elements": None if args.elements is None else tuple(map(Element, _split(args.elements))),
+        "bias": None if args.bias is None else _bias_table(args.bias),
+        "boundary": None if args.boundary is None else Boundary(args.boundary),
+    }
+    preset = criterion_preset(args.criterion or "guinn4")
+    return preset._replace(**{field: value for field, value in given.items() if value is not None})
 
 
 def _criterion_dict(criterion: MatchCriterion) -> dict:
@@ -294,8 +302,8 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
 
 
 class _MatchRows:
-    """``match``'s pair list, held as columns: ``len`` and iteration give
-    ``match_pairs``' ``(a, b, overlaps)`` rows.
+    """``match``'s pair list: ``match_pairs``' ``(a, b, overlaps)`` rows,
+    held as columns; ``len`` counts the pairs.
 
     The rows are read once, into ``ids_a`` and ``ids_b`` (each pair's ids,
     the specimens' own strings), ``masks`` (one byte a pair, bit ``i`` set
@@ -342,13 +350,6 @@ class _MatchRows:
 
     def __len__(self) -> int:
         return len(self.masks)
-
-    def __iter__(self) -> Iterator[tuple]:
-        bounds = iter(self.bounds)
-        bits = [1 << i for i in range(len(self.symbols))]
-        for a, b, mask in zip(self.ids_a, self.ids_b, self.masks):
-            overlaps = tuple((next(bounds), next(bounds)) if mask & bit else None for bit in bits)
-            yield a, b, overlaps
 
     def encode(self, newline: str, parts: list[str]) -> None:
         """Append the list's JSON text to ``parts``; ``newline`` is a newline plus its indent.

@@ -9,9 +9,10 @@ b, b matched to c, a unmatched to c) is counted exactly, and the first
 of them, up to a caller's limit, are listed as witnesses.
 
 The match graph is ``matching.match_graph``'s, which holds the pair
-rule, orders the vertices by id and decides each pair once: the triple
-count and the witnesses read its neighbour sets, or on a dense graph
-per-specimen neighbour bitmasks, and the within-lot rate counts edges.
+rule, orders the vertices by id and decides each pair once: the
+witnesses read its neighbour sets, the triple count reads them too or,
+on a dense graph, per-specimen neighbour bitmasks, and the within-lot
+rate counts edges.
 """
 
 from __future__ import annotations
@@ -129,8 +130,9 @@ def _nontransitive(
     closed ones, whose ends match, are the common neighbours of each edge,
     so the count is their difference (Chiba & Nishizeki, *Arboricity and
     subgraph listing algorithms*, 1985).  With ``bits`` the common
-    neighbours and the witnesses are read off neighbour bitmasks, one n-bit
-    AND an edge, else off the neighbour sets, in O(sum of deg^2) steps.
+    neighbours are read off neighbour bitmasks, one n-bit AND an edge, else
+    off the neighbour sets, in O(sum of deg^2) steps; the witnesses are
+    always read off the sets.
     """
     rows = _masks(adjacency) if bits else adjacency
     size = int.bit_count if bits else len
@@ -141,30 +143,14 @@ def _nontransitive(
         closed += sum(map(size, map(rows[u].__and__, below)))
     total = wedges - closed
     room = total if limit is None else min(limit, total)
-    listing = _bit_witnesses(ids, around, rows) if bits else _set_witnesses(ids, around, rows)
-    return total, tuple(islice(listing, room))
+    return total, tuple(islice(_witnesses(ids, around, adjacency), room))
 
 
-def _bit_witnesses(ids: list[str], around: list[list[int]], masks: list[int]) -> Iterator[tuple]:
-    """Every nontransitive triple in (a, b, c) order: for each a and each of
-    its neighbours b, the neighbours c of b above a that a does not match."""
-    everyone = (1 << len(ids)) - 1
-    for a, ends in enumerate(around):
-        # the ends c > a that do not match a, as a nonnegative mask
-        far = everyone & ~(masks[a] | ((2 << a) - 1))
-        first = ids[a]
-        for b in ends:
-            rest = masks[b] & far
-            while rest:
-                low = rest & -rest
-                yield first, ids[b], ids[low.bit_length() - 1]
-                rest ^= low
-
-
-def _set_witnesses(
+def _witnesses(
     ids: list[str], around: list[list[int]], adjacency: list[set[int]]
 ) -> Iterator[tuple]:
-    """``_bit_witnesses``' triples, in its order, from the neighbour sets."""
+    """Every nontransitive triple in (a, b, c) order: for each a and each of
+    its neighbours b, the neighbours c of b above a that a does not match."""
     for a, ends in enumerate(around):
         near, first = adjacency[a], ids[a]
         for b in ends:

@@ -273,25 +273,22 @@ class MatchCriterion(NamedTuple):
         return self.bias.get(element)
 
 
-PRESET_NAMES = ("guinn4", "nrc2")
+_PRESETS = {
+    "guinn4": MatchCriterion(k=4.0, elements=(Element.SB, Element.AG)),
+    "nrc2": MatchCriterion(k=2.0, elements=(Element.SB, Element.AG), bias=DEFAULT_BIAS),
+}
+PRESET_NAMES = tuple(_PRESETS)
 
 
-def criterion_preset(
-    name: str,
-    elements: tuple[Element, ...] | None = None,
-    bias: Mapping[Element, BiasCorrection] | None = None,
-) -> MatchCriterion:
-    """Build one of the named criterion presets.
+def criterion_preset(name: str) -> MatchCriterion:
+    """The named criterion preset, a fixed value.
 
-    ``guinn4``: +/- 4 standard errors, no bias correction unless one is
-    given, closed boundary.  ``nrc2``: +/- 2 standard errors, bias
-    correction on (defaults to :data:`DEFAULT_BIAS`), closed boundary.
-    The panel is configurable and defaults to silver/antimony when not
-    given; an empty panel is refused.
+    ``guinn4``: +/- 4 standard errors, no bias correction.  ``nrc2``:
+    +/- 2 standard errors, bias correction by :data:`DEFAULT_BIAS`.  Both
+    take the silver/antimony panel and a closed boundary.  A variant is
+    the preset's ``_replace`` copy, checked as every criterion is:
+    ``criterion_preset("nrc2")._replace(k=3.0)``.
     """
-    panel = (Element.SB, Element.AG) if elements is None else elements
-    if name == "guinn4":
-        return MatchCriterion(k=4.0, elements=panel, bias=bias)
-    if name == "nrc2":
-        return MatchCriterion(k=2.0, elements=panel, bias=bias or DEFAULT_BIAS)
-    raise ValueError(f"unknown preset {name!r} (have: {', '.join(PRESET_NAMES)})")
+    if name not in PRESET_NAMES:
+        raise ValueError(f"unknown preset {name!r} (have: {', '.join(PRESET_NAMES)})")
+    return _PRESETS[name]

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ from typing import Sequence
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cabl
 import cabl.stats
@@ -1854,6 +1858,9 @@ class TestConfigAndDeterminism:
         "bias_nan": (("--bias", "Sb=nan"), "corrections must be finite, got [nan, nan]"),
         "bias_beyond_float": (("--bias", "Ag=1e400"), "corrections must be finite, got [inf, inf]"),
         "bias_unknown_element": (("--bias", "Pb=0.02"), "unknown element 'Pb'"),
+        "bias_repeated": (("--bias", "Sb=0.5,Sb=0.02"), "bias for Sb given more than once"),
+        "bias_comma": (("--bias", ","), "bias table ',' names no element"),
+        "bias_blank": (("--bias", ""), "bias table '' names no element"),
         "elements_string": (("--elements", "Sb;Ag"), "unknown element 'Sb;Ag'"),
         "elements_number": (("--elements", "Sb,5"), "unknown element '5'"),
         "k_bool": (("--k", "true"), "argument --k: invalid float value: 'true'"),
@@ -2034,6 +2041,44 @@ REFUSALS = {
     "selfabs_blank_energies": (("naa", "selfabs", "--dimension-mm", "0.4", "--energies", ","),
                                "no attenuation entries selected"),
 }
+
+
+# each criterion flag's text in the form it reads, on table1's Sb/Ag panel,
+# with small and extreme numbers
+_CORRECTION = st.one_of(st.floats(-0.99, 2.0), st.floats())
+_FORMED = {
+    "--k": st.one_of(st.floats(-10.0, 10.0), st.floats()).map(repr),
+    "--elements": st.lists(st.sampled_from(["Sb", "Ag"]), min_size=1, max_size=3).map(",".join),
+    "--bias": st.dictionaries(
+        st.sampled_from(["Sb", "Ag"]), st.lists(_CORRECTION, min_size=1, max_size=2), min_size=1
+    ).map(lambda table: ",".join(
+        f"{e}={':'.join(map(repr, sorted(c)))}" for e, c in table.items()
+    )),
+    "--boundary": st.sampled_from(["closed", "open"]),
+}
+# free text for one flag: near misses and any characters
+_FREE = st.none() | st.one_of(st.text("SbAgAsPb=:,.-+019e ", max_size=16), st.text(max_size=12))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.fixed_dictionaries({}, optional=_FORMED), st.sampled_from(sorted(_FORMED)), _FREE)
+def test_criterion_flag_text_exits_0_or_2_alike_in_both_formats(flags, flag, free):
+    """Any criterion flag text gives ``match``, ``group`` and ``report``
+    exit 0 or 2, never 1; exit 2 writes nothing to stdout, and JSON and
+    text exit alike."""
+    if free is not None:
+        flags[flag] = free
+    # "--flag=text", so a text that begins with "-" stays the flag's value
+    argv = [f"{flag}={text}" for flag, text in flags.items()]
+    for command in ("match", "group", "report"):
+        codes = {}
+        for fmt in ("json", "text"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                codes[fmt] = main([command, "--fixture", "table1", *argv, "--format", fmt])
+            assert codes[fmt] in (0, 2), (command, fmt, argv)
+            assert codes[fmt] == 0 or out.getvalue() == "", (command, fmt, argv)
+        assert codes["json"] == codes["text"], (command, argv)
 
 
 class TestRefusals:

@@ -184,8 +184,9 @@ class TestMatchAgainstTheDictTree:
 
 
 class TestColumnsAgainstTheRows:
-    """``_MatchRows`` holds ``match_pairs``' rows as columns; read back,
-    and written in either format, they are the rows and the dict tree."""
+    """``_MatchRows`` holds ``match_pairs``' rows as columns: each pair's
+    ids, a bit an overlapping element and the overlaps' bounds, and,
+    written in either format, they are the dict tree."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(populations(), spread_populations()), st.one_of(st.none(), st.integers(0, 2)))
@@ -193,7 +194,13 @@ class TestColumnsAgainstTheRows:
         specimens, criterion = case
         specimens = specimens[:keep]
         rows = _MatchRows(match_pairs(specimens, criterion), criterion)
-        assert list(rows) == list(match_pairs(specimens, criterion))
+        expected = list(match_pairs(specimens, criterion))
+        assert rows.ids_a == [a for a, _, _ in expected]
+        assert rows.ids_b == [b for _, b, _ in expected]
+        held = [[o is not None for o in overlaps] for _, _, overlaps in expected]
+        assert list(rows.masks) == [sum(bit << i for i, bit in enumerate(h)) for h in held]
+        bounds = [x for _, _, overlaps in expected for o in overlaps if o is not None for x in o]
+        assert list(rows.bounds) == bounds
         pairs = oracle_pairs(specimens, criterion)
         head = {"command": "match", "criterion": _criterion_dict(criterion)}
         payload = {**head, "pairs": rows, "pairs_total": len(rows), "pairs_matched": rows.matched}

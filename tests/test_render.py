@@ -199,7 +199,8 @@ def test_match_render_holds_about_one_copy_of_the_report(dense_match):
     _, payload = dense_match
     rows = payload["pairs"]
     # pairs that match, that fail on one element, and that fail on both
-    assert 0 < payload["pairs_matched"] < sum(None in o for _, _, o in rows) < len(rows)
+    failed = len(rows) - rows.matched
+    assert rows.symbols == ("Ag", "Sb") and 0 < rows.matched and 0 < rows.masks.count(0) < failed
     tracemalloc.start()
     try:
         text = render_json(payload)
