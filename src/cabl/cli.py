@@ -159,13 +159,13 @@ def _encode(value: object, newline: str, parts: list[str]) -> None:
 def _parse_duration(text: str) -> float:
     """Seconds from '30', '24s', '12.7h', '2.70d' or '5m'."""
     units = {"s": 1.0, "m": 60.0, "h": 3600.0, "d": 86400.0}
-    text = text.strip()
+    number = text.strip()
     factor = 1.0
-    if text and text[-1].lower() in units:
-        factor = units[text[-1].lower()]
-        text = text[:-1]
+    if number and number[-1].lower() in units:
+        factor = units[number[-1].lower()]
+        number = number[:-1]
     try:
-        seconds = float(text) * factor
+        seconds = float(number) * factor
     except ValueError:
         raise ValueError(f"cannot parse duration {text!r}") from None
     if seconds <= 0:
@@ -800,7 +800,7 @@ def cmd_naa(args: argparse.Namespace) -> dict:
     from .uncertainty import DEFAULT_ATTENUATION
 
     entries = parse_attenuation_csv(_read_text(args.table)) if args.table else DEFAULT_ATTENUATION
-    if args.energies and args.energies != "all":
+    if args.energies not in (None, "all"):
         wanted = {float(t) for t in _split(args.energies)}
         entries = tuple(e for e in entries if e.energy_kev in wanted)
         missing = wanted - {e.energy_kev for e in entries}

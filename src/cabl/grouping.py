@@ -9,10 +9,11 @@ b, b matched to c, a unmatched to c) is counted exactly, and the first
 of them, up to a caller's limit, are listed as witnesses.
 
 The match graph is ``matching.match_graph``'s, which holds the pair
-rule, orders the vertices by id and decides each pair once: the
-witnesses read its neighbour sets, the triple count reads them too or,
-on a dense graph, per-specimen neighbour bitmasks, and the within-lot
-rate counts edges.
+rule, orders the vertices by id, decides each pair once and gives each
+specimen's sorted neighbour list.  Every step reads those lists: the
+components and witnesses walk them, the cliques and the triple count
+build their sets and bitmasks from them, and the within-lot rate counts
+edges.
 """
 
 from __future__ import annotations
@@ -54,26 +55,25 @@ class GroupingResult(NamedTuple):
         }
 
 
-def _connected_components(adjacency: list[set[int]]) -> list[set[int]]:
-    seen: set[int] = set()
+def _connected_components(around: list[list[int]]) -> list[list[int]]:
+    """Breadth-first search from each vertex not yet reached."""
+    seen = bytearray(len(around))
     components = []
-    for start in range(len(adjacency)):
-        if start in seen:
+    for start in range(len(around)):
+        if seen[start]:
             continue
-        stack = [start]
-        component = set()
-        while stack:
-            node = stack.pop()
-            if node in component:
-                continue
-            component.add(node)
-            stack.extend(adjacency[node] - component)
-        seen |= component
+        seen[start] = 1
+        component = [start]
+        for node in component:
+            for near in around[node]:
+                if not seen[near]:
+                    seen[near] = 1
+                    component.append(near)
         components.append(component)
     return components
 
 
-def _maximal_cliques(adjacency: list[set[int]]) -> list[set[int]]:
+def _maximal_cliques(around: list[list[int]]) -> list[set[int]]:
     """Bron–Kerbosch with the pivot of largest degree, on an explicit stack.
 
     A frame is ``[r, p, x, branches]``: the clique so far, its candidates,
@@ -82,9 +82,10 @@ def _maximal_cliques(adjacency: list[set[int]]) -> list[set[int]]:
     branches, as down one large clique, holds one frame at a time where
     the recursion held one call a member.
     """
+    adjacency = list(map(set, around))
     cliques: list[set[int]] = []
     frames: list[list] = []
-    degree = list(map(len, adjacency))
+    degree = list(map(len, around))
 
     def enter(r: set[int], p: set[int], x: set[int]) -> None:
         if not p and not x:
@@ -95,7 +96,7 @@ def _maximal_cliques(adjacency: list[set[int]]) -> list[set[int]]:
         if branches:
             frames.append([r, p, x, branches])
 
-    enter(set(), set(range(len(adjacency))), set())
+    enter(set(), set(range(len(around))), set())
     while frames:
         frame = frames[-1]
         r, p, x, branches = frame
@@ -111,48 +112,37 @@ def _maximal_cliques(adjacency: list[set[int]]) -> list[set[int]]:
 _BIT = (1).__lshift__
 
 
-def _masks(adjacency: list[set[int]]) -> list[int]:
-    """Each specimen's neighbours as a bitmask: bit j of ``masks[i]`` is set
-    when specimens i and j match."""
-    return [sum(map(_BIT, near)) for near in adjacency]
-
-
 def _nontransitive(
-    ids: list[str], adjacency: list[set[int]], around: list[list[int]], limit: Optional[int],
-    bits: bool,
+    ids: list[str], around: list[list[int]], limit: Optional[int]
 ) -> tuple[int, tuple[tuple[str, str, str], ...]]:
     """The number of nontransitive triples and the first ``limit`` of them
     (all of them when ``limit`` is None).
 
     A triple is a wedge a - b - c around a middle b whose ends a < c do not
-    match, listed by a, then b, then c; ``around`` holds each specimen's
-    sorted neighbours.  Each b is the middle of C(deg b, 2) wedges, and the
-    closed ones, whose ends match, are the common neighbours of each edge,
-    so the count is their difference (Chiba & Nishizeki, *Arboricity and
-    subgraph listing algorithms*, 1985).  With ``bits`` the common
-    neighbours are read off neighbour bitmasks, one n-bit AND an edge, else
-    off the neighbour sets, in O(sum of deg^2) steps; the witnesses are
-    always read off the sets.
+    match, listed by a, then b, then c.  Each b is the middle of
+    C(deg b, 2) wedges, and the closed ones, whose ends match, are the
+    common neighbours of each edge, so the count is their difference
+    (Chiba & Nishizeki, *Arboricity and subgraph listing algorithms*,
+    1985).  The common neighbours are read off neighbour bitmasks, bit j
+    of ``masks[i]`` set when i and j match, one n-bit AND an edge; the n
+    masks take up to n^2/8 bytes.
     """
-    rows = _masks(adjacency) if bits else adjacency
-    size = int.bit_count if bits else len
+    masks = [sum(map(_BIT, ends)) for ends in around]
     wedges = sum(len(ends) * (len(ends) - 1) // 2 for ends in around)
     closed = 0
     for u, ends in enumerate(around):
-        below = map(rows.__getitem__, ends[: bisect_left(ends, u)])
-        closed += sum(map(size, map(rows[u].__and__, below)))
+        below = map(masks.__getitem__, ends[: bisect_left(ends, u)])
+        closed += sum(map(int.bit_count, map(masks[u].__and__, below)))
     total = wedges - closed
     room = total if limit is None else min(limit, total)
-    return total, tuple(islice(_witnesses(ids, around, adjacency), room))
+    return total, tuple(islice(_witnesses(ids, around), room))
 
 
-def _witnesses(
-    ids: list[str], around: list[list[int]], adjacency: list[set[int]]
-) -> Iterator[tuple]:
+def _witnesses(ids: list[str], around: list[list[int]]) -> Iterator[tuple]:
     """Every nontransitive triple in (a, b, c) order: for each a and each of
     its neighbours b, the neighbours c of b above a that a does not match."""
     for a, ends in enumerate(around):
-        near, first = adjacency[a], ids[a]
+        near, first = set(ends), ids[a]
         for b in ends:
             beyond, middle = around[b], ids[b]
             for c in beyond[bisect_right(beyond, a) :]:
@@ -177,18 +167,14 @@ def group(
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if witnesses is not None and (type(witnesses) is not int or witnesses < 0):
         raise ValueError(f"witnesses must be None or an integer >= 0, got {witnesses!r}")
-    ids, adjacency = match_graph(specimens, criterion)
+    ids, around = match_graph(specimens, criterion)
     if mode == "connected_components":
-        raw_groups = _connected_components(adjacency)
+        raw_groups = _connected_components(around)
     else:
-        raw_groups = _maximal_cliques(adjacency)
+        raw_groups = _maximal_cliques(around)
     # index order is id order, so sorted indices name sorted ids
     groups = tuple(sorted(tuple(ids[i] for i in sorted(g)) for g in raw_groups))
-    around = [sorted(near) for near in adjacency]
-    # n bitmasks take n^2/8 bytes: read them only when that is at most 32
-    # bytes a neighbour entry, less than each entry already takes in its set
-    bits = len(ids) ** 2 <= 256 * sum(map(len, around))
-    total, triples = _nontransitive(ids, adjacency, around, witnesses, bits)
+    total, triples = _nontransitive(ids, around, witnesses)
     return GroupingResult(
         groups=groups,
         adjacency={sid: tuple(map(ids.__getitem__, ends)) for sid, ends in zip(ids, around)},

@@ -12,8 +12,9 @@ intervals, so asking whether any correction in range overlaps is exact.
 tuple of its overlaps in panel order; the bias range behind each is the
 criterion's (``criterion.bias_for``), not the pair's.  :func:`match_pairs`
 reports every pair of a set, for ``match``; :func:`match_graph` builds
-``group``'s match graph by a sort-and-sweep over interval hulls, with
-the same ``series_interval`` endpoints and ``Boundary.admits`` test.
+``group``'s match graph, each specimen's sorted neighbour list, by a
+sort-and-sweep over interval hulls, with the same ``series_interval``
+endpoints and ``Boundary.admits`` test.
 """
 
 from __future__ import annotations
@@ -83,8 +84,8 @@ def match_pairs(specimens: Iterable[Specimen], criterion: MatchCriterion) -> Ite
 
 def match_graph(
     specimens: Iterable[Specimen], criterion: MatchCriterion
-) -> tuple[list[str], list[set[int]]]:
-    """The sorted ids of ``specimens`` and the match graph's neighbour index sets.
+) -> tuple[list[str], list[list[int]]]:
+    """The sorted ids of ``specimens`` and each one's sorted neighbour indices.
 
     Ids must be unique.  Index ``i`` names ``ids[i]`` and ids are in
     canonical order, so specimen ``i`` is the first (corrected) side of
@@ -102,9 +103,9 @@ def match_graph(
     if len(set(ids)) != len(ids):
         raise ValueError("specimen ids must be unique within a grouping run")
     n = len(specimens)
-    neighbours: list[set[int]] = [set() for _ in range(n)]
+    around: list[list[int]] = [[] for _ in range(n)]
     if n < 2:
-        return ids, neighbours
+        return ids, around
     for i, s in enumerate(specimens):
         if any(e not in s.series for e in criterion.elements):
             # pairs run (0, 1), (0, 2), ...: the first to fail holds 0 and i
@@ -134,6 +135,8 @@ def match_graph(
                 if not admits(low if low > lo[b] else lo[b], high if high < hi[b] else hi[b]):
                     break
             else:
-                neighbours[a].add(b)
-                neighbours[b].add(a)
-    return ids, neighbours
+                around[a].append(b)
+                around[b].append(a)
+    for near in around:
+        near.sort()
+    return ids, around

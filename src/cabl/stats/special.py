@@ -178,12 +178,6 @@ def normal_cdf(z: float, mu: float = 0.0, sigma: float = 1.0) -> float:
     return 0.5 * math.erfc(-(z - mu) / (sigma * math.sqrt(2.0)))
 
 
-def t_cdf(t: float, df: float) -> float:
-    """Student t distribution function."""
-    tail = 0.5 * t_two_sided_p(t, df)
-    return tail if t < 0 else 1.0 - tail
-
-
 def t_two_sided_p(t: float, df: float) -> float:
     """P(|T| >= |t|) for a Student t variable."""
     if df <= 0:
@@ -193,15 +187,6 @@ def t_two_sided_p(t: float, df: float) -> float:
     return betainc(df / 2.0, 0.5, df / (df + t * t))
 
 
-def chi2_cdf(x: float, df: float) -> float:
-    """Chi-squared distribution function."""
-    if df <= 0:
-        raise ValueError(f"df must be > 0, got {df}")
-    if x <= 0:
-        return 0.0
-    return gammainc_p(df / 2.0, x / 2.0)
-
-
 def chi2_sf(x: float, df: float) -> float:
     """Chi-squared upper tail."""
     if df <= 0:
@@ -209,15 +194,6 @@ def chi2_sf(x: float, df: float) -> float:
     if x <= 0:
         return 1.0
     return gammainc_q(df / 2.0, x / 2.0)
-
-
-def f_cdf(x: float, df1: float, df2: float) -> float:
-    """F distribution function."""
-    if df1 <= 0 or df2 <= 0:
-        raise ValueError(f"degrees of freedom must be > 0, got {df1}, {df2}")
-    if x <= 0:
-        return 0.0
-    return betainc(df1 / 2.0, df2 / 2.0, df1 * x / (df1 * x + df2))
 
 
 def f_sf(x: float, df1: float, df2: float) -> float:

@@ -1,3 +1,5 @@
+import ast
+import collections
 import contextlib
 import io
 import json
@@ -1526,6 +1528,36 @@ class TestImportContract:
         for path in sorted(Path(cabl.__file__).parent.rglob("*.py")):
             assert "numpy" not in path.read_text(encoding="utf-8"), path
 
+    def test_every_definition_is_used_or_exported(self):
+        """Each top-level function and class in cabl is named in cabl outside
+        its own definition, or listed in a package's ``_EXPORTS`` table; the
+        interpreter calls the module hooks ``__getattr__`` and ``__dir__``."""
+        exported = {"__getattr__", "__dir__"} | {
+            name for package in (cabl, cabl.stats)
+            for names in package._EXPORTS.values() for name in names
+        }
+        trees = {
+            path: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(Path(cabl.__file__).parent.rglob("*.py"))
+        }
+        named = collections.defaultdict(list)  # name -> [(path, line)]
+        for path, tree in trees.items():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    named[node.id].append((path, node.lineno))
+                elif isinstance(node, ast.Attribute):
+                    named[node.attr].append((path, node.lineno))
+        unused = []
+        for path, tree in trees.items():
+            for node in tree.body:
+                if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name in exported:
+                    continue
+                first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+                own = range(first, node.end_lineno + 1)
+                if all(where == path and line in own for where, line in named[node.name]):
+                    unused.append(f"{path.name}:{node.lineno} {node.name}")
+        assert unused == []
+
     def test_import_leaves_numpy_unloaded(self, tmp_path):
         for module in ("cabl.cli", "cabl.grouping", "cabl.stats.manova"):
             probe = _python(f"import sys, {module}; sys.exit('numpy' in sys.modules)", cwd=tmp_path)
@@ -2040,6 +2072,17 @@ REFUSALS = {
                              "{d}/values.txt:3: not a number: 'x'"),
     "selfabs_blank_energies": (("naa", "selfabs", "--dimension-mm", "0.4", "--energies", ","),
                                "no attenuation entries selected"),
+    "selfabs_empty_energies": (("naa", "selfabs", "--dimension-mm", "0.4", "--energies", ""),
+                               "no attenuation entries selected"),
+    # a refused duration is named as given, its unit letter too
+    "decay_word_with_unit": (
+        ("naa", "decay", "--half-life", "abcs", "--ti", "60", "--td", "30", "--tc", "180"),
+        "cannot parse duration 'abcs'",
+    ),
+    "decay_unit_alone": (
+        ("naa", "decay", "--half-life", "24s", "--ti", "60", "--td", "30", "--tc", "h"),
+        "cannot parse duration 'h'",
+    ),
 }
 
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from strategies import populations, spread_populations
 
 from cabl.errors import IncompletePanelError
-from cabl import grouping
 from cabl.grouping import (
     MODES,
     _maximal_cliques,
@@ -417,25 +416,20 @@ def pair_graphs(draw):
 
 
 class TestNontransitiveTriples:
-    """The count and listing, off bitmasks and off sets, against
-    ``scalar_triples`` on any graph."""
+    """The count and listing against ``scalar_triples`` on any graph."""
 
-    @pytest.mark.parametrize("bits", [True, False], ids=["bits", "sets"])
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(graphs(), pair_graphs()), st.one_of(st.none(), st.integers(0, 60)))
-    def test_count_and_list_match_the_wedge_oracle(self, bits, adjacency, limit):
+    def test_count_and_list_match_the_wedge_oracle(self, adjacency, limit):
         ids = [f"s{i:02d}" for i in range(len(adjacency))]
         named = {ids[v]: {ids[u] for u in near} for v, near in enumerate(adjacency)}
         triples = scalar_triples(named)
-        around = [sorted(near) for near in adjacency]
-        total, listed = _nontransitive(ids, adjacency, around, limit, bits)
+        total, listed = _nontransitive(ids, [sorted(near) for near in adjacency], limit)
         assert total == len(triples)
         assert listed == (triples if limit is None else triples[:limit])
 
-    def test_sparse_graph_builds_no_bitmasks(self, monkeypatch):
-        # a chain of 600 has 1,198 neighbour entries, under 600^2 / 256
+    def test_chain_of_600_counts_every_wedge_and_lists_the_first(self):
         specimens = [specimen(f"s{i:04d}", (100.0 + 5.0 * i, 1.0)) for i in range(600)]
-        monkeypatch.setattr(grouping, "_masks", None)
         result = group(specimens, MatchCriterion(k=4.0, elements=(Element.SB,)), witnesses=3)
         ids = [s.id for s in specimens]
         assert result.nontransitive_total == 598
@@ -446,12 +440,13 @@ class TestMaximalCliques:
     @settings(max_examples=200, deadline=None)
     @given(graphs())
     def test_same_cliques_in_the_same_order_as_the_recursion(self, adjacency):
-        assert _maximal_cliques(adjacency) == recursive_cliques(adjacency)
+        around = [sorted(near) for near in adjacency]
+        assert _maximal_cliques(around) == recursive_cliques(adjacency)
 
     def test_complete_graph_beyond_the_recursion_limit_is_one_clique(self):
         n = 1200
-        adjacency = [set(range(n)) - {v} for v in range(n)]
-        assert _maximal_cliques(adjacency) == [set(range(n))]
+        around = [[u for u in range(n) if u != v] for v in range(n)]
+        assert _maximal_cliques(around) == [set(range(n))]
 
     def test_thousand_matching_specimens_are_one_clique_without_witnesses(self):
         specimens = [specimen(f"s{i:04d}", (600.0 + i % 7 / 10, 5.0)) for i in range(1000)]
