@@ -24,14 +24,13 @@ text report in batches of lines as it is rendered, so its whole text
 never exists at once.  ``group`` and ``report`` count every nontransitive
 triple and list the first ``--witnesses N`` of them (100 unless told,
 ``all`` for every one).  The one payload value that is not plain data
-is ``match``'s pair list (``_MatchRows``): ``match_pairs``' rows read
-once into flat columns, each pair's two ids, one byte of per-element
-verdicts and its overlap bounds in one float array, with each element's
+is ``match``'s pair list (``_MatchRows``): ``match_table``'s table, the
+specimens' ids in id order, one byte of per-element verdicts a pair and
+the overlaps' bounds in one float array, with each element's
 ``bias_used`` read off the criterion once per report.  The writer asks
-the columns for the parts of one ``{"a", "b", "matched",
-"per_element"}`` dict a pair, nearly all of them text shared across the
-report, so the n(n-1)/2 pairs never exist as a tree of dicts or as a
-tuple each.
+the table for the parts of one ``{"a", "b", "matched", "per_element"}``
+dict a pair, all of them text shared across the report, so the
+n(n-1)/2 pairs never exist as a tree of dicts or as a tuple each.
 
 Each command imports its own modules inside its function, naming the
 module that defines each function, so a job loads only the code of the
@@ -178,6 +177,19 @@ def _split(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
+def _numbers(text: str, flag: str, convert: type) -> list:
+    """The items of a comma list, each read with ``convert`` (``int`` or
+    ``float``); an item it refuses is named, with its flag."""
+    numbers = []
+    for item in _split(text):
+        try:
+            numbers.append(convert(item))
+        except ValueError:
+            kind = "an integer" if convert is int else "a number"
+            raise ValueError(f"{flag}: {item!r} is not {kind}") from None
+    return numbers
+
+
 def _bias_table(text: str) -> dict[Element, BiasCorrection]:
     """The ``--bias`` table: 'Sb=0.02:0.054,Ag=0.055' gives Sb [0.02, 0.054]
     and Ag [0.055, 0.055].  Each element takes one or two numbers, once,
@@ -302,50 +314,28 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
 
 
 class _MatchRows:
-    """``match``'s pair list: ``match_pairs``' ``(a, b, overlaps)`` rows,
-    held as columns; ``len`` counts the pairs.
+    """``match``'s pair list: ``match_table``'s ``(ids, masks, bounds)``
+    table; ``len`` counts the pairs.
 
-    The rows are read once, into ``ids_a`` and ``ids_b`` (each pair's ids,
-    the specimens' own strings), ``masks`` (one byte a pair, bit ``i`` set
-    when panel element ``i`` overlaps; a panel has at most seven elements)
-    and ``bounds`` (the ``lo, hi`` of every overlap, in pair and panel
-    order).  Every bound the CLI makes is a float (ingest reads means and
-    errors with ``float``, the fixtures are float literals, and ``--k`` is
-    read with ``float``), so the ``array('d')`` keeps its bytes.
-    ``matched`` counts the pairs whose overlaps are all present.  Panel
-    order is sorted by symbol, the order JSON keys take, and
+    ``ids`` are the specimens' ids in canonical order, ``masks`` one byte
+    a pair of them, row by row (bit ``i`` set when panel element ``i``
+    overlaps), and ``bounds`` the ``lo, hi`` of every overlap, in pair and
+    panel order.  Every bound the CLI makes is a float (ingest reads means
+    and errors with ``float``, the fixtures are float literals, and
+    ``--k`` is read with ``float``), so the ``array('d')`` keeps its
+    bytes.  ``matched`` counts the pairs whose overlaps are all present.
+    Panel order is sorted by symbol, the order JSON keys take, and
     ``bias_used`` is each element's correction range, the same for every
-    pair.  ``_encode`` asks the columns for their text parts, which join to
+    pair.  ``_encode`` asks the table for its text parts, which join to
     what it would write for the pair dicts ``{"a", "b", "matched",
-    "per_element"}`` they stand for; ``lines`` gives the text report's.
+    "per_element"}`` it stands for; ``lines`` gives the text report's.
     """
 
-    def __init__(self, rows: Iterable[tuple], criterion: MatchCriterion) -> None:
-        from array import array
-
+    def __init__(self, table: tuple, criterion: MatchCriterion) -> None:
+        self.ids, self.masks, self.bounds = table
         self.symbols = tuple(e.value for e in criterion.elements)
         bias = [criterion.bias_for(e) for e in criterion.elements]
         self.bias_used = tuple(None if c is None else (c.c_lo, c.c_hi) for c in bias)
-        self.ids_a: list[str] = []
-        self.ids_b: list[str] = []
-        self.masks = bytearray()
-        self.bounds = array("d")
-        no_overlap = (None,) * len(self.symbols)
-        add_a, add_b, add_mask = self.ids_a.append, self.ids_b.append, self.masks.append
-        add_bounds = self.bounds.extend
-        for a, b, overlaps in rows:
-            add_a(a)
-            add_b(b)
-            # most pairs fail on every element
-            if overlaps == no_overlap:
-                add_mask(0)
-                continue
-            mask = 0
-            for bit, overlap in enumerate(overlaps):
-                if overlap is not None:
-                    mask |= 1 << bit
-                    add_bounds(overlap)
-            add_mask(mask)
         self.matched = self.masks.count((1 << len(self.symbols)) - 1)
 
     def __len__(self) -> int:
@@ -354,18 +344,19 @@ class _MatchRows:
     def encode(self, newline: str, parts: list[str]) -> None:
         """Append the list's JSON text to ``parts``; ``newline`` is a newline plus its indent.
 
-        A pair adds a few parts, most of them text built once per report:
-        its ``a`` side's opening (one per specimen), its quoted ``b`` (one
-        per specimen) and its verdict.  A pair that fails on every element
-        adds one shared tail; only an overlapping element adds text of its
-        own, the ``repr`` of its bounds.
+        A pair adds a few parts, all of them text built once per report: a
+        pair that fails on every element adds its ``a`` side's opening and
+        its ``b`` side's tail, one each per specimen.  Any other pair adds
+        its opening, its quoted ``b``, its verdict and each element's text,
+        where an overlapping element's two bounds are text built once per
+        element and distinct bound.
         """
         if not self:
             parts.append("[]")
             return
         pair, key, element, field, bound = (newline + "  " * d for d in range(1, 6))
-        # each element's text when it fails, and up to its bounds when it holds
-        fails, holds = [], []
+        # each element's text when it fails, and its text around the bounds when it holds
+        fails, elements = [], []
         for i, (symbol, bias) in enumerate(zip(self.symbols, self.bias_used)):
             bias_text: list[str] = []
             _encode(bias, field, bias_text)
@@ -374,33 +365,39 @@ class _MatchRows:
                 f'{"".join(bias_text)},{field}"matched": '
             )
             fails.append(f'{head}false,{field}"overlap": null{element}}}')
-            holds.append(f'{head}true,{field}"overlap": [{bound}')
+            hold = (f'{head}true,{field}"overlap": [{bound}', f"{field}]{element}}}")
+            # each distinct bound's text, keyed by the bound
+            elements.append((1 << i, fails[-1], hold, {}, {}))
         # indexed by whether some element fails
         verdicts = [f',{key}"matched": {word},{key}"per_element": {{' for word in ("true", "false")]
         closing = f"{key}}}{pair}}}"
         all_fail = verdicts[1] + "".join(fails) + closing
         full = (1 << len(fails)) - 1
-        elements = [(1 << i, fail, hold) for i, (fail, hold) in enumerate(zip(fails, holds))]
-        bounds = iter(self.bounds)
-        openings: dict[str, str] = {}
-        quoted: dict[str, str] = {}
+        quoted = list(map(_quote, self.ids))
+        failed = [b + all_fail for b in quoted]
+        bounds, masks = iter(self.bounds), iter(self.masks)
         first = len(parts)
-        for a, b, mask in zip(self.ids_a, self.ids_b, self.masks):
-            if a not in openings:
-                openings[a] = f',{pair}{{{key}"a": {_quote(a)},{key}"b": '
-            if b not in quoted:
-                quoted[b] = _quote(b)
-            parts += (openings[a], quoted[b])
-            if not mask:
-                parts.append(all_fail)
-                continue
-            parts.append(verdicts[mask != full])
-            for bit, fail, hold in elements:
-                if mask & bit:
-                    parts += (hold, f"{next(bounds)!r},{bound}{next(bounds)!r}{field}]{element}}}")
-                else:
-                    parts.append(fail)
-            parts.append(closing)
+        for i, a in enumerate(quoted):
+            opening = f',{pair}{{{key}"a": {a},{key}"b": '
+            # zip stops at the row's end, before it takes the next row's byte
+            for j, mask in zip(range(i + 1, len(quoted)), masks):
+                if not mask:
+                    parts += (opening, failed[j])
+                    continue
+                parts += (opening, quoted[j], verdicts[mask != full])
+                for bit, fail, (head, tail), lows, highs in elements:
+                    if not mask & bit:
+                        parts.append(fail)
+                        continue
+                    lo, hi = next(bounds), next(bounds)
+                    # 0.0 and -0.0 are one key but print apart, so a zero is not shared
+                    low, high = lows.get(lo), highs.get(hi)
+                    if low is None or not lo:
+                        low = lows[lo] = f"{head}{lo!r},{bound}"
+                    if high is None or not hi:
+                        high = highs[hi] = f"{hi!r}{tail}"
+                    parts += (low, high)
+                parts.append(closing)
         # the list opens where the first pair's separator stands
         parts[first] = "[" + parts[first][1:]
         parts.append(newline + "]")
@@ -410,23 +407,28 @@ class _MatchRows:
         full = (1 << len(self.symbols)) - 1
         # each verdict's text, by mask, built at its first pair
         verdicts: dict[int, str] = {}
-        for a, b, mask in zip(self.ids_a, self.ids_b, self.masks):
-            verdict = verdicts.get(mask)
-            if verdict is None:
-                detail = "; ".join(
-                    f"{symbol} {'ok' if mask >> i & 1 else 'fails'}"
-                    for i, symbol in enumerate(self.symbols)
-                )
-                verdict = verdicts[mask] = f"{'match   ' if mask == full else 'no match'} ({detail})"
-            yield f"  {a:<16} vs {b:<16} {verdict}"
+        padded = [f"{sid:<16}" for sid in self.ids]
+        masks = iter(self.masks)
+        for i, a in enumerate(padded):
+            for b, mask in zip(padded[i + 1 :], masks):
+                verdict = verdicts.get(mask)
+                if verdict is None:
+                    detail = "; ".join(
+                        f"{symbol} {'ok' if mask >> e & 1 else 'fails'}"
+                        for e, symbol in enumerate(self.symbols)
+                    )
+                    verdict = verdicts[mask] = (
+                        f"{'match   ' if mask == full else 'no match'} ({detail})"
+                    )
+                yield f"  {a} vs {b} {verdict}"
 
 
 def cmd_match(args: argparse.Namespace) -> dict:
-    from .matching import match_pairs
+    from .matching import match_table
 
     dataset = _load_dataset(args)
     criterion = _build_criterion(args)
-    pairs = _MatchRows(match_pairs(dataset, criterion), criterion)
+    pairs = _MatchRows(match_table(dataset, criterion), criterion)
     return {
         "command": "match",
         "dataset": dataset.provenance,
@@ -512,7 +514,7 @@ def cmd_evidence(args: argparse.Namespace) -> dict:
 
     from .evidence import BoxModel, likelihood_ratio, posterior_odds
 
-    sizes = tuple(int(part) for part in _split(args.box))
+    sizes = tuple(_numbers(args.box, "--box", int))
     box = BoxModel(sizes)
     result = likelihood_ratio(box, args.groups_observed, args.draws_t, args.draws_not_t)
     if args.prior_odds is not None:
@@ -801,7 +803,7 @@ def cmd_naa(args: argparse.Namespace) -> dict:
 
     entries = parse_attenuation_csv(_read_text(args.table)) if args.table else DEFAULT_ATTENUATION
     if args.energies not in (None, "all"):
-        wanted = {float(t) for t in _split(args.energies)}
+        wanted = set(_numbers(args.energies, "--energies", float))
         entries = tuple(e for e in entries if e.energy_kev in wanted)
         missing = wanted - {e.energy_kev for e in entries}
         if missing:

@@ -10,19 +10,27 @@ intervals, so asking whether any correction in range overlaps is exact.
 
 :func:`match_specimens` reports one pair as a :class:`MatchResult`, the
 tuple of its overlaps in panel order; the bias range behind each is the
-criterion's (``criterion.bias_for``), not the pair's.  :func:`match_pairs`
-reports every pair of a set, for ``match``; :func:`match_graph` builds
-``group``'s match graph, each specimen's sorted neighbour list, by a
-sort-and-sweep over interval hulls, with the same ``series_interval``
-endpoints and ``Boundary.admits`` test.
+criterion's (``criterion.bias_for``), not the pair's.  The two all-pairs
+engines build each element's interval hulls once per specimen, in
+``_hull_sweeps``: a specimen's hull spans the intervals it takes as a
+first and as a second side, so two specimens' intervals can meet only
+where their hulls do.  :func:`match_table` reports every pair, for
+``match``: it runs ``match_specimens`` on each pair whose hulls meet on
+some panel element, and gives every other pair no overlap, which is
+exact, as each interval lies inside its hull.  :func:`match_graph`
+builds ``group``'s match graph, each specimen's sorted neighbour list,
+from the pairs whose hulls meet on the element where fewest do, with
+the same ``series_interval`` endpoints and ``Boundary.admits`` test.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
-from typing import Iterable, Iterator, NamedTuple, Optional
+from itertools import chain, repeat
+from typing import Iterable, NamedTuple, Optional
 
-from .errors import IncompletePanelError
+from .errors import DomainError, IncompletePanelError
 from .model import MatchCriterion, Specimen, series_interval
 
 
@@ -74,12 +82,89 @@ def _canonical(specimens: Iterable[Specimen]) -> list[Specimen]:
     return sorted(specimens, key=lambda s: s.id)
 
 
-def match_pairs(specimens: Iterable[Specimen], criterion: MatchCriterion) -> Iterator[tuple]:
-    """``(a.id, b.id, overlaps)`` for every pair, in canonical order."""
-    ordered = _canonical(specimens)
-    for i, a in enumerate(ordered):
-        for b in ordered[i + 1 :]:
-            yield a.id, b.id, match_specimens(a, b, criterion).overlaps
+def _hull_sweeps(specimens: list[Specimen], criterion: MatchCriterion) -> list[tuple]:
+    """Each panel element's ``(meeting, order, stops, columns)``, for two or
+    more specimens in canonical order.
+
+    ``columns`` are ``(first_lo, first_hi, lo, hi)``, each specimen's
+    interval as the first (corrected) side and as the second side, from
+    the ``series_interval`` calls ``match_specimens`` makes.  The first
+    specimen is never a second side nor the last a first, so those two
+    intervals are not built and each column holds the other one there.
+    A specimen's hull spans its two intervals; with the hulls sorted by
+    their lower end, the one at ``order[p]`` meets those at
+    ``order[p + 1 : stops[p]]`` and no other above it, and ``meeting``
+    counts the pairs whose hulls meet.  Where an interval cannot be
+    built, a missing panel element or an endpoint beyond the float range,
+    this raises what ``match_specimens`` raises on the first failing pair.
+    """
+    k, n = criterion.k, len(specimens)
+    sweeps = []
+    for element in criterion.elements:
+        try:
+            series = [s.series[element] for s in specimens]
+            firsts = [series_interval(x, k, criterion.bias_for(element)) for x in series[:-1]]
+            seconds = [series_interval(x, k) for x in series[1:]]
+        except (KeyError, DomainError):
+            # the scalar rule meets every specimen in the pairs (0, j), and
+            # each later first side in (i, i + 1): run it there to its error
+            first = specimens[0]
+            for a, b in chain(zip(repeat(first), specimens[1:]), zip(specimens[1:], specimens[2:])):
+                match_specimens(a, b, criterion)
+            raise
+        columns = (*zip(*firsts, seconds[-1]), *zip(firsts[0], *seconds))
+        first_lo, first_hi, lo, hi = columns
+        hull_lo, hull_hi = list(map(min, first_lo, lo)), list(map(max, first_hi, hi))
+        order = sorted(range(n), key=hull_lo.__getitem__)
+        starts = [hull_lo[i] for i in order]
+        stops = [bisect_right(starts, hull_hi[i]) for i in order]
+        sweeps.append((sum(stops) - n * (n + 1) // 2, order, stops, columns))
+    return sweeps
+
+
+def match_table(
+    specimens: Iterable[Specimen], criterion: MatchCriterion
+) -> tuple[list[str], bytearray, array]:
+    """Every pair's verdict: ``(ids, masks, bounds)``.
+
+    ``ids`` are the specimens' ids in canonical order, and ``masks`` holds
+    one byte a pair ``i < j`` of them, row by row: (0, 1), (0, 2), ...,
+    (1, 2), ....  Bit ``e`` of a byte is set when panel element ``e``
+    overlaps (a panel has at most seven elements), and ``bounds`` holds
+    the ``lo, hi`` of every overlap, in pair and panel order.  They are
+    what ``match_specimens`` gives on each pair.  It runs on each pair
+    whose hulls meet on some panel element; every other pair keeps byte
+    0, as each interval lies inside its specimen's hull.  A missing panel
+    element or an endpoint beyond the float range raises what the scalar
+    rule raises on its first failing pair.
+    """
+    specimens = _canonical(specimens)
+    ids = [s.id for s in specimens]
+    n = len(specimens)
+    masks, bounds = bytearray(n * (n - 1) // 2), array("d")
+    if n < 2:
+        return ids, masks, bounds
+    # the pair (i, j), i < j, is byte row[i] + j
+    row = [i * (2 * n - i - 3) // 2 - 1 for i in range(n)]
+    flagged = bytearray(len(masks))
+    for _, order, stops, _ in _hull_sweeps(specimens, criterion):
+        for p, i in enumerate(order):
+            for j in order[p + 1 : stops[p]]:
+                flagged[row[i] + j if i < j else row[j] + i] = 1
+    add_bounds = bounds.extend
+    for i, a in enumerate(specimens[:-1]):
+        start, end = row[i] + i + 1, row[i] + n
+        at = flagged.find(1, start, end)
+        while at >= 0:
+            result = match_specimens(a, specimens[at - row[i]], criterion)
+            mask = 0
+            for bit, overlap in enumerate(result.overlaps):
+                if overlap is not None:
+                    mask |= 1 << bit
+                    add_bounds(overlap)
+            masks[at] = mask
+            at = flagged.find(1, at + 1, end)
+    return ids, masks, bounds
 
 
 def match_graph(
@@ -89,14 +174,12 @@ def match_graph(
 
     Ids must be unique.  Index ``i`` names ``ids[i]`` and ids are in
     canonical order, so specimen ``i`` is the first (corrected) side of
-    each pair ``i < j``.  The endpoints come from the
-    ``series_interval`` calls ``match_specimens`` makes, biased for the
-    first side and plain for the other, once per specimen and element.  A
-    matching pair's hulls (the union of both intervals) meet on every
-    element, so a sweep over sorted hull starts on the element with the
-    fewest meeting pairs finds every match, and each gets the scalar overlap
-    and ``Boundary.admits``.  A missing panel element raises what the scalar
-    rule raises on its first failing pair.
+    each pair ``i < j``.  A matching pair's hulls (see ``_hull_sweeps``)
+    meet on every element, so the pairs whose hulls meet on the element
+    where fewest do hold every match, and each gets the scalar overlap
+    and ``Boundary.admits``.  A missing panel element or an endpoint
+    beyond the float range raises what the scalar rule raises on its
+    first failing pair.
     """
     specimens = _canonical(specimens)
     ids = [s.id for s in specimens]
@@ -106,26 +189,11 @@ def match_graph(
     around: list[list[int]] = [[] for _ in range(n)]
     if n < 2:
         return ids, around
-    for i, s in enumerate(specimens):
-        if any(e not in s.series for e in criterion.elements):
-            # pairs run (0, 1), (0, 2), ...: the first to fail holds 0 and i
-            match_specimens(specimens[0], specimens[max(i, 1)], criterion)
-    panel = []
-    for element in criterion.elements:
-        bias = criterion.bias_for(element)
-        series = [s.series[element] for s in specimens]
-        first_lo, first_hi = zip(*(series_interval(s, criterion.k, bias) for s in series))
-        lo, hi = zip(*(series_interval(s, criterion.k) for s in series))
-        hull_lo, hull_hi = list(map(min, first_lo, lo)), list(map(max, first_hi, hi))
-        order = sorted(range(n), key=hull_lo.__getitem__)
-        starts = [hull_lo[i] for i in order]
-        # the sweep from order[p] meets the hulls of order[p + 1 : stops[p]]
-        stops = [bisect_right(starts, hull_hi[i]) for i in order]
-        panel.append((sum(stops) - n * (n + 1) // 2, order, stops, (first_lo, first_hi, lo, hi)))
-    (_, order, stops, swept), *others = sorted(panel, key=lambda column: column[0])
+    sweeps = sorted(_hull_sweeps(specimens, criterion), key=lambda sweep: sweep[0])
+    (_, order, stops, swept), *others = sweeps
     # candidates' hulls meet on the swept element, so test the others first;
     # max and min are written out, as a builtin call per test shows in time
-    checks = [column[3] for column in others] + [swept]
+    checks = [sweep[3] for sweep in others] + [swept]
     admits = criterion.boundary.admits
     for p, i in enumerate(order):
         for j in order[p + 1 : stops[p]]:

@@ -181,18 +181,18 @@ def test_criterion_07_decay_factor():
 
 
 def test_criterion_08a_special_function_fixtures():
-    """t / chi-squared / F tail functions within 1e-9 of the reference
+    """t / chi-squared / F tail functions within 1e-10 of the reference
     distribution functions' complements at 20 points each."""
     assert len(REFERENCE["t_cdf"]) == 20
     assert len(REFERENCE["chi2_cdf"]) == 20
     assert len(REFERENCE["f_cdf"]) == 20
     for t, df, expected in REFERENCE["t_cdf"]:
         tail = min(expected, 1.0 - expected)
-        assert 0.5 * sp.t_two_sided_p(t, df) == pytest.approx(tail, abs=1e-9)
+        assert 0.5 * sp.t_two_sided_p(t, df) == pytest.approx(tail, abs=1e-10)
     for x, df, expected in REFERENCE["chi2_cdf"]:
-        assert sp.chi2_sf(x, df) == pytest.approx(1.0 - expected, abs=1e-9)
+        assert sp.chi2_sf(x, df) == pytest.approx(1.0 - expected, abs=1e-10)
     for x, d1, d2, expected in REFERENCE["f_cdf"]:
-        assert sp.f_sf(x, d1, d2) == pytest.approx(1.0 - expected, abs=1e-9)
+        assert sp.f_sf(x, d1, d2) == pytest.approx(1.0 - expected, abs=1e-10)
 
 
 def test_criterion_08b_manova_vs_permutation_oracle():

@@ -2068,6 +2068,16 @@ REFUSALS = {
          "--groups-observed", "2", "--prior-odds", "x"),
         "cannot parse prior odds 'x'",
     ),
+    # a list item that is not a number is named with its flag
+    "box_not_an_integer": (
+        ("evidence", "--box", "6,1.5", "--draws-t", "2", "--draws-not-t", "3",
+         "--groups-observed", "2"),
+        "--box: '1.5' is not an integer",
+    ),
+    "selfabs_energy_not_a_number": (
+        ("naa", "selfabs", "--dimension-mm", "1", "--energies", "511, abc"),
+        "--energies: 'abc' is not a number",
+    ),
     "distfit_not_a_number": (("distfit", "--input", "{d}/values.txt"),
                              "{d}/values.txt:3: not a number: 'x'"),
     "selfabs_blank_energies": (("naa", "selfabs", "--dimension-mm", "0.4", "--energies", ","),

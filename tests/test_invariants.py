@@ -17,7 +17,7 @@ from strategies import populations
 from cabl.cli import main
 from cabl.grouping import MODES, group
 from cabl.ingest import CSV_HEADER, parse_csv
-from cabl.matching import match_pairs
+from cabl.matching import match_table
 from cabl.model import Boundary, ElementSeries, series_interval
 
 
@@ -26,9 +26,21 @@ def graph_edges(result):
     return {(a, b) for a, near in result.adjacency.items() for b in near if a < b}
 
 
+def table_rows(specimens, criterion):
+    """``match_table``'s pairs as ``(a, b, overlaps)`` rows, in canonical order."""
+    ids, masks, bounds = match_table(specimens, criterion)
+    pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1 :]]
+    ends = iter(bounds)
+    return [
+        (a, b, tuple((next(ends), next(ends)) if mask >> e & 1 else None
+                     for e in range(len(criterion.elements))))
+        for (a, b), mask in zip(pairs, masks)
+    ]
+
+
 def pair_edges(specimens, criterion):
     """``match``'s matched pairs as (a, b) id pairs, a < b."""
-    return {(a, b) for a, b, overlaps in match_pairs(specimens, criterion) if None not in overlaps}
+    return {(a, b) for a, b, overlaps in table_rows(specimens, criterion) if None not in overlaps}
 
 
 def renamed(pairs, rename):
@@ -54,9 +66,9 @@ def test_power_of_two_scaling(case, j):
     expected = [
         (a, b, tuple(None if o is None else (math.ldexp(o[0], j), math.ldexp(o[1], j))
                      for o in overlaps))
-        for a, b, overlaps in match_pairs(specimens, criterion)
+        for a, b, overlaps in table_rows(specimens, criterion)
     ]
-    assert list(match_pairs(scaled, criterion)) == expected
+    assert table_rows(scaled, criterion) == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -132,7 +144,7 @@ def test_csv_row_order_does_not_decide(case, rng):
     first, second = (parse_csv("\n".join([header, *r])) for r in (rows, shuffled))
     for mode in MODES:
         assert group(second, criterion, mode) == group(first, criterion, mode)
-    assert list(match_pairs(second, criterion)) == list(match_pairs(first, criterion))
+    assert table_rows(second, criterion) == table_rows(first, criterion)
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from strategies import populations, spread_populations
@@ -31,7 +32,8 @@ from cabl.cli import (
 )
 from cabl.errors import CablError
 from cabl.ingest import CSV_HEADER
-from cabl.matching import match_pairs, match_specimens
+from cabl.matching import match_specimens, match_table
+from cabl.model import BiasCorrection, Element, ElementSeries, Kind, MatchCriterion, Specimen
 
 
 def oracle_pairs(specimens, criterion):
@@ -182,25 +184,94 @@ class TestMatchAgainstTheDictTree:
         refused = (2, "", f"error: {message}\n")
         assert actual(argv) == expected(argv) == {"json": refused, "text": refused}
 
+    @pytest.mark.parametrize(
+        "rows, flags, message",
+        [
+            # b overflows on Sb before c's missing Ag is met
+            (
+                ["a,Sb,100.0,1.0", "a,Ag,10.0,1.0", "b,Sb,1e308,1e308", "b,Ag,10.0,1.0",
+                 "c,Sb,100.0,1.0"],
+                [],
+                "k=4.0 and se=1e+308 put an interval endpoint beyond the float range",
+            ),
+            # b overflows on Sb and c on Ag, the panel's first element: the
+            # pair (a, b) fails first
+            (
+                ["a,Sb,100.0,1.0", "a,Ag,10.0,1.0", "b,Sb,1e308,1e308", "b,Ag,10.0,1.0",
+                 "c,Sb,100.0,1.0", "c,Ag,1e308,5e307"],
+                [],
+                "k=4.0 and se=1e+308 put an interval endpoint beyond the float range",
+            ),
+            # corrected, b overflows on Sb and c on Ag: every pair (a, x)
+            # holds, and of the pairs (b, x), met next, (b, c) fails first
+            (
+                ["a,Sb,100.0,1.0", "a,Ag,10.0,1.0", "b,Sb,1.6e308,1.0", "b,Ag,10.0,1.0",
+                 "c,Sb,100.0,1.0", "c,Ag,1.6e308,2.0", "d,Sb,100.0,1.0", "d,Ag,10.0,1.0"],
+                ["--bias", "Sb=0.2,Ag=0.2"],
+                "k=4.0 and se=1.0 put an interval endpoint beyond the float range",
+            ),
+            # b lacks Sb and c lacks Ag: the pair (a, b) fails first
+            (
+                ["a,Sb,100.0,1.0", "a,Ag,10.0,1.0", "b,Ag,10.0,1.0", "c,Sb,100.0,1.0"],
+                [],
+                "specimen 'b' has no Sb series",
+            ),
+        ],
+    )
+    def test_match_and_group_refuse_the_first_failing_pair_alike(
+        self, tmp_path, rows, flags, message
+    ):
+        rows = [f"{sid},bullet,,,{rest},poisson_single" for sid, rest in
+                (row.split(",", 1) for row in rows)]
+        path = write_csv(tmp_path / "in.csv", rows)
+        refused = (2, "", f"error: {message}\n")
+        argv = ["match", "--input", path, *flags]
+        assert actual(argv) == expected(argv)
+        for command in ("match", "group"):
+            assert actual([command, "--input", path, *flags]) == {"json": refused, "text": refused}
+
+    def test_a_last_specimen_is_never_corrected(self, tmp_path):
+        # c's corrected interval would overflow, but c, last in id order, is
+        # never the corrected side: match and group both decide every pair
+        rows = [f"{sid},bullet,,,Sb,{mean},1.0,poisson_single"
+                for sid, mean in (("a", 100.0), ("b", 120.0), ("c", 1.5e308))]
+        path = write_csv(tmp_path / "in.csv", rows)
+        flags = ["--elements", "Sb", "--bias", "Sb=0.2"]
+        argv = ["match", "--input", path, *flags]
+        assert actual(argv) == expected(argv)
+        assert actual(argv)["json"][0] == 0
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["group", "--input", path, *flags, "--format", "json"]) == 0
+        assert json.loads(out.getvalue())["groups"] == [["a", "b"], ["c"]]
+
+    def test_zeros_of_either_sign_print_as_the_oracle(self):
+        # a's corrected lower end underflows to -0.0, and b's and c's are
+        # 0.0: the pairs (a, b) and (a, c) overlap from -0.0, (b, c) from 0.0
+        tiny = {"a": (5e-324, 1e-323), "b": (5e-324, 5e-324), "c": (5e-324, 5e-324)}
+        specimens = [Specimen(sid, Kind.BULLET, series={Element.SB: ElementSeries(*x)})
+                     for sid, x in tiny.items()]
+        criterion = MatchCriterion(
+            k=1.0, elements=(Element.SB,), bias={Element.SB: BiasCorrection(-0.6, -0.6)}
+        )
+        pairs = oracle_pairs(specimens, criterion)
+        starts = [repr(pair["per_element"]["Sb"]["overlap"][0]) for pair in pairs]
+        assert starts == ["-0.0", "-0.0", "0.0"]
+        check_against_oracle(specimens, criterion, "guinn4")
+
 
 class TestColumnsAgainstTheRows:
-    """``_MatchRows`` holds ``match_pairs``' rows as columns: each pair's
-    ids, a bit an overlapping element and the overlaps' bounds, and,
-    written in either format, they are the dict tree."""
+    """``_MatchRows`` holds ``match_table``'s table (the ids, a bit an
+    overlapping element for each pair and the overlaps' bounds; see
+    ``test_matching.TestMatchTable``), and, written in either format, it
+    is the dict tree."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(populations(), spread_populations()), st.one_of(st.none(), st.integers(0, 2)))
     def test_columns_give_back_the_rows_and_the_oracle(self, case, keep):
         specimens, criterion = case
         specimens = specimens[:keep]
-        rows = _MatchRows(match_pairs(specimens, criterion), criterion)
-        expected = list(match_pairs(specimens, criterion))
-        assert rows.ids_a == [a for a, _, _ in expected]
-        assert rows.ids_b == [b for _, b, _ in expected]
-        held = [[o is not None for o in overlaps] for _, _, overlaps in expected]
-        assert list(rows.masks) == [sum(bit << i for i, bit in enumerate(h)) for h in held]
-        bounds = [x for _, _, overlaps in expected for o in overlaps if o is not None for x in o]
-        assert list(rows.bounds) == bounds
+        rows = _MatchRows(match_table(specimens, criterion), criterion)
         pairs = oracle_pairs(specimens, criterion)
         head = {"command": "match", "criterion": _criterion_dict(criterion)}
         payload = {**head, "pairs": rows, "pairs_total": len(rows), "pairs_matched": rows.matched}

@@ -1,12 +1,14 @@
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from strategies import populations, spread_populations
 
 from cabl.errors import DomainError, IncompletePanelError
 from cabl.ingest import fixture
-from cabl.matching import match_specimens
+import cabl.matching
+from cabl.matching import match_specimens, match_table
 from cabl.model import (
     BiasCorrection,
     Boundary,
@@ -255,6 +257,79 @@ class TestMatchSpecimens:
         )
         ((lo, hi),) = match_specimens(a, b, criterion).overlaps
         assert (repr(lo), repr(hi)) == ("-0.0", "5e-324")
+
+
+def scalar_table(specimens, criterion):
+    """``match_specimens`` over every canonical pair, as ``match_table``'s
+    masks and bounds, with the bounds' text, as -0.0 and 0.0 are equal."""
+    ordered = sorted(specimens, key=lambda s: s.id)
+    masks, bounds = [], []
+    for i, a in enumerate(ordered):
+        for b in ordered[i + 1 :]:
+            overlaps = match_specimens(a, b, criterion).overlaps
+            masks.append(sum(1 << e for e, o in enumerate(overlaps) if o is not None))
+            bounds += [repr(x) for o in overlaps if o is not None for x in o]
+    return [s.id for s in ordered], masks, bounds
+
+
+def table(specimens, criterion):
+    ids, masks, bounds = match_table(specimens, criterion)
+    return ids, list(masks), list(map(repr, bounds))
+
+
+class TestMatchTable:
+    """``match_table`` is ``match_specimens`` on every pair, though it runs
+    it only where two specimens' interval hulls meet."""
+
+    # panels of one to seven elements, with and without a bias table, either
+    # boundary; small integer means and errors make zero-se series and
+    # exactly touching intervals common
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(populations(), spread_populations()))
+    def test_table_is_the_scalar_rule_on_every_pair(self, case):
+        specimens, criterion = case
+        assert table(specimens, criterion) == scalar_table(specimens, criterion)
+
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    @pytest.mark.parametrize("bias", [None, SB_BIAS, BiasCorrection(-0.1, 0.1)])
+    def test_touching_and_zero_se_intervals(self, boundary, bias):
+        # k=1: [9, 11], [11, 13] and [13, 13] touch end to end, and
+        # a zero-se series touches itself
+        specimens = [
+            Specimen(sid, Kind.FRAGMENT, series={Element.SB: series(mean, se)})
+            for sid, mean, se in (("a", 10.0, 1.0), ("b", 12.0, 1.0), ("c", 13.0, 0.0),
+                                  ("d", 13.0, 0.0), ("e", 50.0, 0.0))
+        ]
+        criterion = MatchCriterion(
+            k=1.0,
+            elements=(Element.SB,),
+            bias=None if bias is None else {Element.SB: bias},
+            boundary=boundary,
+        )
+        assert table(specimens, criterion) == scalar_table(specimens, criterion)
+
+    def test_scalar_rule_runs_only_where_hulls_meet(self, monkeypatch):
+        calls = []
+
+        def counted(a, b, criterion):
+            calls.append((a.id, b.id))
+            return match_specimens(a, b, criterion)
+
+        monkeypatch.setattr(cabl.matching, "match_specimens", counted)
+        # the Ag hulls of a and b meet, and the Sb hulls of b and c
+        means = {"a": (10.0, 100.0), "b": (11.0, 500.0), "c": (90.0, 501.0)}
+        specimens = [
+            Specimen(sid, Kind.FRAGMENT, series={Element.AG: series(ag, 0.5),
+                                                 Element.SB: series(sb, 0.5)})
+            for sid, (ag, sb) in means.items()
+        ]
+        criterion = MatchCriterion(k=1.0, elements=(Element.AG, Element.SB))
+        ids, masks, bounds = match_table(specimens, criterion)
+        # (a, b) overlaps on Ag alone, (b, c) on Sb alone, (a, c) on neither
+        assert calls == [("a", "b"), ("b", "c")]
+        assert (ids, list(masks), list(bounds)) == (
+            ["a", "b", "c"], [1, 0, 2], [10.5, 10.5, 500.5, 500.5]
+        )
 
 
 @pytest.mark.parametrize("k", [float("inf"), float("-inf"), float("nan")])

@@ -21,7 +21,7 @@ from cabl.cli import (
     render_json,
 )
 from cabl.ingest import CSV_HEADER
-from cabl.matching import match_pairs
+from cabl.matching import match_table
 
 
 def oracle(value) -> str:
@@ -211,18 +211,19 @@ def test_match_render_holds_about_one_copy_of_the_report(dense_match):
 
 
 def test_match_rows_hold_no_object_a_pair(dense_match):
-    # two id references, a verdict byte and the overlapping bounds come to
-    # about 24 bytes a pair; a tuple a row, with its overlaps, takes about 160
+    # a verdict byte and the overlapping bounds come to about 7.3 bytes a
+    # pair; two id references a pair would add 16, and a tuple a row, with
+    # its overlaps, about 150
     args = build_parser().parse_args(dense_match[0])
     dataset, criterion = _load_dataset(args), _build_criterion(args)
     tracemalloc.start()
     try:
-        rows = _MatchRows(match_pairs(dataset, criterion), criterion)
+        rows = _MatchRows(match_table(dataset, criterion), criterion)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     assert len(rows) == 19_900
-    assert held < 48 * len(rows), held / len(rows)
+    assert held < 8 * len(rows), held / len(rows)
 
 
 def _main_stdout(capsys, argv: list[str]) -> str:

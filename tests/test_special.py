@@ -25,17 +25,17 @@ class TestReferenceFixtures:
         assert len(REFERENCE["t_cdf"]) == 20
         for t, df, expected in REFERENCE["t_cdf"]:
             tail = min(expected, 1.0 - expected)
-            assert 0.5 * sp.t_two_sided_p(t, df) == pytest.approx(tail, abs=1e-9)
+            assert 0.5 * sp.t_two_sided_p(t, df) == pytest.approx(tail, abs=1e-10)
 
     def test_chi2_cdf_20_points(self):
         assert len(REFERENCE["chi2_cdf"]) == 20
         for x, df, expected in REFERENCE["chi2_cdf"]:
-            assert sp.chi2_sf(x, df) == pytest.approx(1.0 - expected, abs=1e-9)
+            assert sp.chi2_sf(x, df) == pytest.approx(1.0 - expected, abs=1e-10)
 
     def test_f_cdf_20_points(self):
         assert len(REFERENCE["f_cdf"]) == 20
         for x, d1, d2, expected in REFERENCE["f_cdf"]:
-            assert sp.f_sf(x, d1, d2) == pytest.approx(1.0 - expected, abs=1e-9)
+            assert sp.f_sf(x, d1, d2) == pytest.approx(1.0 - expected, abs=1e-10)
 
     def test_regularized_incomplete_gamma(self):
         for a, x, expected in REFERENCE["gammainc_p"]:
