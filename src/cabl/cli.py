@@ -252,9 +252,12 @@ def _load_dataset(args: argparse.Namespace) -> Dataset:
         raise ValueError("give either --fixture or --input, not both")
     if args.fixture:
         return fixture(args.fixture)
-    if args.input:
-        return parse_csv(_read_text(args.input), provenance=args.input)
-    raise ValueError("an input is required: --fixture NAME or --input PATH")
+    if not args.input:
+        raise ValueError("an input is required: --fixture NAME or --input PATH")
+    dataset = parse_csv(_read_text(args.input), provenance=args.input)
+    if not len(dataset):
+        raise ValueError("dataset has no specimens")
+    return dataset
 
 
 def _dataset_decisions(dataset: Dataset) -> dict:
@@ -460,8 +463,6 @@ def _match_text(p: dict) -> Iterable[str]:
 def _grouped(args: argparse.Namespace, mode: str) -> tuple:
     """The dataset, criterion and ``group`` result that ``group`` and ``report`` share."""
     dataset = _load_dataset(args)
-    if not len(dataset):
-        raise ValueError("dataset has no specimens")
     criterion = _build_criterion(args)
     from .grouping import group
 
@@ -566,6 +567,8 @@ def _hetero_ttest(args: argparse.Namespace, dataset: Dataset) -> dict:
     from .stats.ttest import TwoSampleInput, pooled_t_test
 
     element = Element(args.element)
+    if args.ids is not None and args.locations is not None:
+        raise ValueError("give --locations a,b or --ids id1,id2, not both")
     if args.ids:
         tokens = _split(args.ids)
         if len(tokens) != 2:
@@ -659,6 +662,14 @@ def _hetero_manova(args: argparse.Namespace) -> dict:
 
 
 def cmd_hetero(args: argparse.Namespace) -> dict:
+    # a flag the chosen test does not read is refused, not dropped
+    if args.manova:
+        test, unread = "--manova", ("fixture", "element", "locations", "ids")
+    else:
+        test, unread = "the t-test", ("responses",)
+    for name in unread:
+        if getattr(args, name) is not None:
+            raise ValueError(f"--{name} is not read by {test}")
     if args.manova:
         payload = _hetero_manova(args)
     else:

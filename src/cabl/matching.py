@@ -11,16 +11,20 @@ intervals, so asking whether any correction in range overlaps is exact.
 :func:`match_specimens` reports one pair as a :class:`MatchResult`, the
 tuple of its overlaps in panel order; the bias range behind each is the
 criterion's (``criterion.bias_for``), not the pair's.  The two all-pairs
-engines build each element's interval hulls once per specimen, in
-``_hull_sweeps``: a specimen's hull spans the intervals it takes as a
-first and as a second side, so two specimens' intervals can meet only
-where their hulls do.  :func:`match_table` reports every pair, for
-``match``: it runs ``match_specimens`` on each pair whose hulls meet on
-some panel element, and gives every other pair no overlap, which is
-exact, as each interval lies inside its hull.  :func:`match_graph`
-builds ``group``'s match graph, each specimen's sorted neighbour list,
-from the pairs whose hulls meet on the element where fewest do, with
-the same ``series_interval`` endpoints and ``Boundary.admits`` test.
+engines start from one table, ``_table``: it sorts the specimens, refuses
+duplicate ids, and builds every specimen's interval as a first and as a
+second side (one interval where the element has no bias range), so an
+interval that cannot be built is refused wherever its specimen's id
+sorts.  A specimen's hull spans its two intervals, so two specimens'
+intervals can meet only where their hulls do.  :func:`match_table`
+reports every pair, for ``match``: bit 7 of a pair's verdict byte marks
+it a candidate where the hulls meet on some panel element, it runs
+``match_specimens`` on each candidate, and every other pair has no
+overlap, which is exact, as each interval lies inside its hull.
+:func:`match_graph` builds ``group``'s match graph, each specimen's
+sorted neighbour list, from the pairs whose hulls meet on the element
+where fewest do, with the same ``series_interval`` endpoints and
+``Boundary.admits`` test.
 """
 
 from __future__ import annotations
@@ -77,34 +81,36 @@ def match_specimens(a: Specimen, b: Specimen, criterion: MatchCriterion) -> Matc
     return MatchResult(tuple(overlaps))
 
 
-def _canonical(specimens: Iterable[Specimen]) -> list[Specimen]:
-    """Specimens sorted by id: of each pair ``i < j``, ``i`` is the corrected side."""
-    return sorted(specimens, key=lambda s: s.id)
+def _table(specimens: Iterable[Specimen], criterion: MatchCriterion) -> tuple:
+    """``(ids, specimens, sweeps)``: the specimens in canonical order, their
+    unique ids, and for two or more, each panel element's ``(order, stops,
+    columns)``.
 
-
-def _hull_sweeps(specimens: list[Specimen], criterion: MatchCriterion) -> list[tuple]:
-    """Each panel element's ``(meeting, order, stops, columns)``, for two or
-    more specimens in canonical order.
-
-    ``columns`` are ``(first_lo, first_hi, lo, hi)``, each specimen's
-    interval as the first (corrected) side and as the second side, from
-    the ``series_interval`` calls ``match_specimens`` makes.  The first
-    specimen is never a second side nor the last a first, so those two
-    intervals are not built and each column holds the other one there.
-    A specimen's hull spans its two intervals; with the hulls sorted by
-    their lower end, the one at ``order[p]`` meets those at
-    ``order[p + 1 : stops[p]]`` and no other above it, and ``meeting``
-    counts the pairs whose hulls meet.  Where an interval cannot be
-    built, a missing panel element or an endpoint beyond the float range,
-    this raises what ``match_specimens`` raises on the first failing pair.
+    ``columns`` are ``(first_lo, first_hi, lo, hi)``, every specimen's
+    interval as the first (corrected) side and as the second, from the
+    ``series_interval`` calls ``match_specimens`` makes; without a bias
+    range for the element, the plain interval serves both.  With the
+    hulls of each specimen's two intervals sorted by their lower end, the
+    one at ``order[p]`` meets those at ``order[p + 1 : stops[p]]`` and no
+    other above it.  An interval that cannot be built, for a missing
+    panel element or an endpoint beyond the float range, raises what
+    ``match_specimens`` raises on the first failing pair, or its own
+    error where no pair fails (as for the last specimen's corrected one).
     """
+    specimens = sorted(specimens, key=lambda s: s.id)
+    ids = [s.id for s in specimens]
+    if len(set(ids)) != len(ids):
+        raise ValueError("specimen ids must be unique")
     k, n = criterion.k, len(specimens)
     sweeps = []
-    for element in criterion.elements:
+    for element in criterion.elements if n > 1 else ():
+        bias = criterion.bias_for(element)
         try:
             series = [s.series[element] for s in specimens]
-            firsts = [series_interval(x, k, criterion.bias_for(element)) for x in series[:-1]]
-            seconds = [series_interval(x, k) for x in series[1:]]
+            lo, hi = zip(*[series_interval(x, k) for x in series])
+            first_lo, first_hi = (lo, hi) if bias is None else zip(
+                *[series_interval(x, k, bias) for x in series]
+            )
         except (KeyError, DomainError):
             # the scalar rule meets every specimen in the pairs (0, j), and
             # each later first side in (i, i + 1): run it there to its error
@@ -112,14 +118,12 @@ def _hull_sweeps(specimens: list[Specimen], criterion: MatchCriterion) -> list[t
             for a, b in chain(zip(repeat(first), specimens[1:]), zip(specimens[1:], specimens[2:])):
                 match_specimens(a, b, criterion)
             raise
-        columns = (*zip(*firsts, seconds[-1]), *zip(firsts[0], *seconds))
-        first_lo, first_hi, lo, hi = columns
         hull_lo, hull_hi = list(map(min, first_lo, lo)), list(map(max, first_hi, hi))
         order = sorted(range(n), key=hull_lo.__getitem__)
         starts = [hull_lo[i] for i in order]
         stops = [bisect_right(starts, hull_hi[i]) for i in order]
-        sweeps.append((sum(stops) - n * (n + 1) // 2, order, stops, columns))
-    return sweeps
+        sweeps.append((order, stops, (first_lo, first_hi, lo, hi)))
+    return ids, specimens, sweeps
 
 
 def match_table(
@@ -127,34 +131,32 @@ def match_table(
 ) -> tuple[list[str], bytearray, array]:
     """Every pair's verdict: ``(ids, masks, bounds)``.
 
-    ``ids`` are the specimens' ids in canonical order, and ``masks`` holds
-    one byte a pair ``i < j`` of them, row by row: (0, 1), (0, 2), ...,
-    (1, 2), ....  Bit ``e`` of a byte is set when panel element ``e``
-    overlaps (a panel has at most seven elements), and ``bounds`` holds
-    the ``lo, hi`` of every overlap, in pair and panel order.  They are
-    what ``match_specimens`` gives on each pair.  It runs on each pair
-    whose hulls meet on some panel element; every other pair keeps byte
-    0, as each interval lies inside its specimen's hull.  A missing panel
-    element or an endpoint beyond the float range raises what the scalar
-    rule raises on its first failing pair.
+    ``ids`` are the specimens' ids in canonical order, and must be
+    unique.  ``masks`` holds one byte a pair ``i < j`` of them, row by
+    row: (0, 1), (0, 2), ..., (1, 2), ....  Bit ``e`` of a byte is set
+    when panel element ``e`` overlaps (a panel has at most seven
+    elements), and ``bounds`` holds the ``lo, hi`` of every overlap, in
+    pair and panel order.  They are what ``match_specimens`` gives on
+    each pair.  Bit 7 first marks each pair whose hulls (see ``_table``)
+    meet on some panel element, and ``match_specimens`` runs on those
+    alone; every other pair keeps byte 0, as each interval lies inside
+    its specimen's hull.  An interval that cannot be built, for a missing
+    panel element or an endpoint beyond the float range, is refused as
+    ``_table`` says.
     """
-    specimens = _canonical(specimens)
-    ids = [s.id for s in specimens]
-    n = len(specimens)
+    ids, specimens, sweeps = _table(specimens, criterion)
+    n = len(ids)
     masks, bounds = bytearray(n * (n - 1) // 2), array("d")
-    if n < 2:
-        return ids, masks, bounds
     # the pair (i, j), i < j, is byte row[i] + j
     row = [i * (2 * n - i - 3) // 2 - 1 for i in range(n)]
-    flagged = bytearray(len(masks))
-    for _, order, stops, _ in _hull_sweeps(specimens, criterion):
+    for order, stops, _ in sweeps:
         for p, i in enumerate(order):
             for j in order[p + 1 : stops[p]]:
-                flagged[row[i] + j if i < j else row[j] + i] = 1
+                masks[row[i] + j if i < j else row[j] + i] = 0x80
     add_bounds = bounds.extend
     for i, a in enumerate(specimens[:-1]):
         start, end = row[i] + i + 1, row[i] + n
-        at = flagged.find(1, start, end)
+        at = masks.find(0x80, start, end)
         while at >= 0:
             result = match_specimens(a, specimens[at - row[i]], criterion)
             mask = 0
@@ -163,7 +165,7 @@ def match_table(
                     mask |= 1 << bit
                     add_bounds(overlap)
             masks[at] = mask
-            at = flagged.find(1, at + 1, end)
+            at = masks.find(0x80, at + 1, end)
     return ids, masks, bounds
 
 
@@ -174,26 +176,21 @@ def match_graph(
 
     Ids must be unique.  Index ``i`` names ``ids[i]`` and ids are in
     canonical order, so specimen ``i`` is the first (corrected) side of
-    each pair ``i < j``.  A matching pair's hulls (see ``_hull_sweeps``)
-    meet on every element, so the pairs whose hulls meet on the element
-    where fewest do hold every match, and each gets the scalar overlap
-    and ``Boundary.admits``.  A missing panel element or an endpoint
-    beyond the float range raises what the scalar rule raises on its
-    first failing pair.
+    each pair ``i < j``.  A matching pair's hulls (see ``_table``) meet on
+    every element, so the pairs whose hulls meet on the element where
+    fewest do hold every match, and each gets the scalar overlap and
+    ``Boundary.admits``.  An interval that cannot be built is refused as
+    ``_table`` says.
     """
-    specimens = _canonical(specimens)
-    ids = [s.id for s in specimens]
-    if len(set(ids)) != len(ids):
-        raise ValueError("specimen ids must be unique within a grouping run")
-    n = len(specimens)
-    around: list[list[int]] = [[] for _ in range(n)]
-    if n < 2:
+    ids, _, sweeps = _table(specimens, criterion)
+    around: list[list[int]] = [[] for _ in ids]
+    if not sweeps:
         return ids, around
-    sweeps = sorted(_hull_sweeps(specimens, criterion), key=lambda sweep: sweep[0])
-    (_, order, stops, swept), *others = sweeps
+    sweeps.sort(key=lambda sweep: sum(sweep[1]))
+    (order, stops, swept), *others = sweeps
     # candidates' hulls meet on the swept element, so test the others first;
     # max and min are written out, as a builtin call per test shows in time
-    checks = [sweep[3] for sweep in others] + [swept]
+    checks = [sweep[2] for sweep in others] + [swept]
     admits = criterion.boundary.admits
     for p, i in enumerate(order):
         for j in order[p + 1 : stops[p]]:

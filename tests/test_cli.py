@@ -104,12 +104,15 @@ class TestGroupCommand:
         assert payload["mode"] == "maximal_cliques"
         assert ["CE 567", "CE 843", "CE 840"] in payload["nontransitive_triples"]
 
-    def test_empty_dataset_exits_2(self, capsys, tmp_path):
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("command", ["match", "group", "report"])
+    def test_empty_dataset_exits_2(self, capsys, tmp_path, command, fmt):
+        # a CSV of its header alone holds no specimens
         empty = tmp_path / "empty.csv"
         empty.write_text(HEADER + "\n")
-        code, _, err = run(capsys, "group", "--input", str(empty))
-        assert code == 2
-        assert "no specimens" in err
+        assert run(capsys, command, "--input", str(empty), "--format", fmt) == (
+            2, "", "error: dataset has no specimens\n"
+        )
 
     def test_text_output(self, capsys):
         code, out, _ = run(capsys, "group", "--fixture", "table1", "--criterion", "guinn4")
@@ -2042,6 +2045,28 @@ REFUSALS = {
         ("hetero", "--fixture", "table2", "--element", "Cu", "--ids",
          "bullet-1-outer,bullet-1-middle"),
         "specimen 'bullet-1-outer' has no Cu series",
+    ),
+    # a flag the chosen test does not read is refused
+    **{
+        f"manova_reads_no_{flag[2:]}": (
+            ("hetero", "--manova", "--input", "{d}/unequal.csv", "--responses", "Ag,As",
+             flag, value),
+            f"{flag} is not read by --manova",
+        )
+        for flag, value in (("--fixture", "table2"), ("--element", "Sb"), ("--ids", "x,y"),
+                            ("--locations", "outer,middle"))
+    },
+    "hetero_empty_dataset": (("hetero", "--input", "{d}/a.csv", "--element", "Ag", "--ids", "a,b"),
+                             "dataset has no specimens"),
+    "ttest_reads_no_responses": (
+        ("hetero", "--fixture", "table2", "--element", "Ag", "--locations", "outer,middle",
+         "--responses", "Ag"),
+        "--responses is not read by the t-test",
+    ),
+    "ttest_ids_and_locations": (
+        ("hetero", "--fixture", "table2", "--element", "Ag", "--locations", "outer,middle",
+         "--ids", "bullet-1-outer,bullet-1-middle"),
+        "give --locations a,b or --ids id1,id2, not both",
     ),
     "manova_no_input": (("hetero", "--manova", "--responses", "Ag,As"),
                         "--manova needs --input with raw replicate rows"),

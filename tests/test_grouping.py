@@ -286,7 +286,7 @@ def outcome(fn, *args):
         return ("IncompletePanelError", exc.specimen_id, exc.element)
 
 
-class TestArrayEngineAgainstScalarRule:
+class TestGroupAgainstScalarRule:
     @settings(max_examples=150, deadline=None)
     @given(populations(), st.integers(0, 40))
     def test_group_matches_brute_force(self, case, witnesses):

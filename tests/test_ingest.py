@@ -52,27 +52,33 @@ def csv_text(*rows):
 
 # small integers make tied replicate values common
 _values = st.one_of(st.integers(1, 9).map(float), st.floats(0.01, 1000.0))
+_ids = st.lists(st.text("abxyz", min_size=1, max_size=3), min_size=2, max_size=6, unique=True)
+_kinds = st.sampled_from(list(Kind))
+_lots = st.sampled_from(["", "L1", "L2"])
+_locations = st.lists(st.sampled_from(list(Location)), min_size=1, max_size=2, unique=True)
+_elements = st.lists(st.sampled_from(list(Element)), min_size=1, max_size=3, unique=True)
+_bases = st.sampled_from(list(Basis))
+_sigmas = st.floats(0.0, 50.0)
+_replicates = st.lists(_values, min_size=2, max_size=4)
 
 
 @st.composite
 def measurement_rows(draw):
     """Fault-free CSV data rows of several specimens over several lots:
     single-count series and replicate groups, each group at one location
-    drawn from one or two per specimen."""
+    drawn from one or two per specimen.  The strategies are built once,
+    above, as building them anew for each draw took most of the time."""
     rows = []
-    for sid in draw(st.lists(st.text("abxyz", min_size=1, max_size=3), min_size=2, max_size=6,
-                             unique=True)):
-        head = f"{sid},{draw(st.sampled_from(list(Kind)))},{draw(st.sampled_from(['', 'L1', 'L2']))}"
-        locations = draw(st.lists(st.sampled_from(list(Location)), min_size=1, max_size=2,
-                                  unique=True))
-        for element in draw(st.lists(st.sampled_from(list(Element)), min_size=1, max_size=3,
-                                     unique=True)):
+    for sid in draw(_ids):
+        head = f"{sid},{draw(_kinds)},{draw(_lots)}"
+        locations = draw(_locations)
+        for element in draw(_elements):
             location = draw(st.sampled_from(locations))
-            if draw(st.sampled_from(list(Basis))) is Basis.POISSON_SINGLE:
-                sigma = draw(st.floats(0.0, 50.0))
+            if draw(_bases) is Basis.POISSON_SINGLE:
+                sigma = draw(_sigmas)
                 rows.append(f"{head},{location},{element},{draw(_values)!r},{sigma!r},poisson_single")
                 continue
-            for value in draw(st.lists(_values, min_size=2, max_size=4)):
+            for value in draw(_replicates):
                 rows.append(f"{head},{location},{element},{value!r},,replicate_member")
     return rows
 

@@ -97,7 +97,7 @@ def expected(argv):
     """Each format's ``(exit code, stdout, stderr)``, from the oracle."""
     try:
         payload = oracle_payload(argv)
-    except CablError as exc:
+    except (CablError, ValueError) as exc:  # an empty dataset is a ValueError
         refused = (2, "", f"error: {exc}\n")
         return {"json": refused, "text": refused}
     text = "".join(f"{line}\n" for line in oracle_text(payload))
@@ -230,20 +230,19 @@ class TestMatchAgainstTheDictTree:
         for command in ("match", "group"):
             assert actual([command, "--input", path, *flags]) == {"json": refused, "text": refused}
 
-    def test_a_last_specimen_is_never_corrected(self, tmp_path):
-        # c's corrected interval would overflow, but c, last in id order, is
-        # never the corrected side: match and group both decide every pair
-        rows = [f"{sid},bullet,,,Sb,{mean},1.0,poisson_single"
-                for sid, mean in (("a", 100.0), ("b", 120.0), ("c", 1.5e308))]
+    @pytest.mark.parametrize("sid", ["0c", "ab", "c"], ids=["first", "middle", "last"])
+    def test_overflow_refused_wherever_it_sorts(self, tmp_path, sid):
+        # the specimen's corrected interval overflows though its plain one
+        # does not; it is refused whether or not a pair takes it as the
+        # corrected side, as the last specimen by id never is
+        rows = [f"{name},bullet,,,Sb,{mean},1.0,poisson_single"
+                for name, mean in (("a", 100.0), ("b", 120.0), (sid, 1.5e308))]
         path = write_csv(tmp_path / "in.csv", rows)
-        flags = ["--elements", "Sb", "--bias", "Sb=0.2"]
-        argv = ["match", "--input", path, *flags]
-        assert actual(argv) == expected(argv)
-        assert actual(argv)["json"][0] == 0
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            assert main(["group", "--input", path, *flags, "--format", "json"]) == 0
-        assert json.loads(out.getvalue())["groups"] == [["a", "b"], ["c"]]
+        message = "k=4.0 and se=1.0 put an interval endpoint beyond the float range"
+        refused = (2, "", f"error: {message}\n")
+        for command in ("match", "group"):
+            argv = [command, "--input", path, "--elements", "Sb", "--bias", "Sb=0.2"]
+            assert actual(argv) == {"json": refused, "text": refused}
 
     def test_zeros_of_either_sign_print_as_the_oracle(self):
         # a's corrected lower end underflows to -0.0, and b's and c's are

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from strategies import populations, spread_populations
 
 from cabl.errors import DomainError, IncompletePanelError
+from cabl.grouping import group
 from cabl.ingest import fixture
 import cabl.matching
 from cabl.matching import match_specimens, match_table
@@ -330,6 +331,17 @@ class TestMatchTable:
         assert (ids, list(masks), list(bounds)) == (
             ["a", "b", "c"], [1, 0, 2], [10.5, 10.5, 500.5, 500.5]
         )
+
+    def test_duplicate_ids_are_refused_as_group_refuses_them(self):
+        twins = [Specimen("a", Kind.FRAGMENT, series={Element.SB: series(mean, 1.0)})
+                 for mean in (10.0, 50.0)]
+        criterion = MatchCriterion(k=1.0, elements=(Element.SB,))
+        messages = set()
+        for engine in (match_table, group):
+            with pytest.raises(ValueError) as refused:
+                engine(twins, criterion)
+            messages.add(str(refused.value))
+        assert messages == {"specimen ids must be unique"}
 
 
 @pytest.mark.parametrize("k", [float("inf"), float("-inf"), float("nan")])
