@@ -32,12 +32,17 @@ the table for the parts of one ``{"a", "b", "matched", "per_element"}``
 dict a pair, all of them text shared across the report, so the
 n(n-1)/2 pairs never exist as a tree of dicts or as a tuple each.
 
-Each command imports its own modules inside its function, naming the
-module that defines each function, so a job loads only the code of the
-command it runs.  At the top this module imports only ``errors``, and
-``model`` and ``ingest`` (which loads ``uncertainty``), whose names give
-``build_parser`` its choices.  Every command, ``hetero --manova``
-included, runs on the standard library alone.
+Each command, and each option helper, imports its own modules inside
+its function, naming the module that defines each function, so a job
+loads only the code of the command it runs.  At the top this module
+imports only ``argparse``, ``errors`` and the standard library every
+job uses; JSON strings are quoted by ``_json``'s C escaper, the one
+``json.dumps`` uses, so no job loads the ``json`` package.
+``build_parser(argv)`` registers every command but adds arguments only
+to the one ``argv`` names, so a job builds its own options alone (and
+the choices of ``--fixture`` and ``--criterion`` load ``ingest`` and
+``model`` only for the commands that take them).  Every command,
+``hetero --manova`` included, runs on the standard library alone.
 """
 
 from __future__ import annotations
@@ -45,30 +50,16 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from _json import encode_basestring_ascii as _quote
 from itertools import islice
-from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from .errors import CablError, DegreesOfFreedomError, DomainError
-from .ingest import (
-    FIXTURE_NAMES,
-    Dataset,
-    fixture,
-    parse_attenuation_csv,
-    parse_csv,
-    parse_rows,
-)
-from .model import (
-    Basis,
-    BiasCorrection,
-    Boundary,
-    Element,
-    Location,
-    MatchCriterion,
-    PRESET_NAMES,
-    criterion_preset,
-)
+
+if TYPE_CHECKING:
+    from .ingest import Dataset
+    from .model import BiasCorrection, Element, MatchCriterion
 
 _BOUNDARY_NOTE = "closed boundary counts exactly touching intervals as a match"
 _TABLE3_NOTE = (
@@ -195,6 +186,8 @@ def _bias_table(text: str) -> dict[Element, BiasCorrection]:
     and Ag [0.055, 0.055].  Each element takes one or two numbers, once,
     ``BiasCorrection`` refuses one that is not finite, and a table must
     name an element: an empty one would read as no table at all."""
+    from .model import BiasCorrection, Element
+
     table = {}
     for item in _split(text):
         symbol, sep, values = item.partition("=")
@@ -225,6 +218,8 @@ def _read_text(path: str) -> str:
 
 def _build_criterion(args: argparse.Namespace) -> MatchCriterion:
     """The ``--criterion`` preset (``guinn4`` unless named), each value a flag gives replaced."""
+    from .model import Boundary, Element, criterion_preset
+
     # a flag given empty, as --elements , or --bias "", is read and refused
     given = {
         "k": args.k,
@@ -248,6 +243,8 @@ def _criterion_dict(criterion: MatchCriterion) -> dict:
 
 
 def _load_dataset(args: argparse.Namespace) -> Dataset:
+    from .ingest import fixture, parse_csv
+
     if args.fixture and args.input:
         raise ValueError("give either --fixture or --input, not both")
     if args.fixture:
@@ -278,11 +275,15 @@ class _Once(argparse.Action):
 
 
 def _add_input_options(parser: argparse.ArgumentParser) -> None:
+    from .ingest import FIXTURE_NAMES
+
     parser.add_argument("--fixture", action=_Once, choices=FIXTURE_NAMES, help="embedded table")
     parser.add_argument("--input", action=_Once, help="measurement CSV path")
 
 
 def _add_criterion_options(parser: argparse.ArgumentParser) -> None:
+    from .model import PRESET_NAMES
+
     parser.add_argument("--criterion", choices=PRESET_NAMES, help="criterion preset")
     parser.add_argument("--k", type=float, help="standard-error multiplier")
     parser.add_argument("--elements", help="element panel, e.g. Sb,Ag")
@@ -552,6 +553,8 @@ def _evidence_text(p: dict) -> Iterable[str]:
 
 
 def _pick_by_location(dataset: Dataset, element: Element, token: str):
+    from .model import Location
+
     location = Location(token)
     hits = [s for s in dataset if s.location is location and element in s.series]
     if not hits:
@@ -564,6 +567,7 @@ def _pick_by_location(dataset: Dataset, element: Element, token: str):
 
 
 def _hetero_ttest(args: argparse.Namespace, dataset: Dataset) -> dict:
+    from .model import Element
     from .stats.ttest import TwoSampleInput, pooled_t_test
 
     element = Element(args.element)
@@ -614,6 +618,9 @@ def _hetero_ttest(args: argparse.Namespace, dataset: Dataset) -> dict:
 
 
 def _hetero_manova(args: argparse.Namespace) -> dict:
+    from .ingest import parse_rows
+    from .model import Basis, Element, Location
+
     if not args.input:
         raise ValueError("--manova needs --input with raw replicate rows")
     if not args.responses:
@@ -774,7 +781,12 @@ def _schedule_from(args: argparse.Namespace, prefix: str = ""):
 
 
 def cmd_naa(args: argparse.Namespace) -> dict:
-    from .uncertainty import comparator_concentration, decay_factor, self_absorption_loss
+    from .uncertainty import (
+        DEFAULT_ATTENUATION,
+        comparator_concentration,
+        decay_factor,
+        self_absorption_loss,
+    )
 
     if args.naa_command == "decay":
         schedule = _schedule_from(args)
@@ -810,9 +822,11 @@ def cmd_naa(args: argparse.Namespace) -> dict:
                 "standard-to-sample mass ratio; shared flux cancels"
             },
         }
-    from .uncertainty import DEFAULT_ATTENUATION
+    entries = DEFAULT_ATTENUATION
+    if args.table:
+        from .ingest import parse_attenuation_csv
 
-    entries = parse_attenuation_csv(_read_text(args.table)) if args.table else DEFAULT_ATTENUATION
+        entries = parse_attenuation_csv(_read_text(args.table))
     if args.energies not in (None, "all"):
         wanted = set(_numbers(args.energies, "--energies", float))
         entries = tuple(e for e in entries if e.energy_kev in wanted)
@@ -915,55 +929,52 @@ def _report_text(p: dict) -> Iterable[str]:
 # ------------------------------------------------------------------ main
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cabl",
-        description="Comparative bullet lead analysis: matching, grouping, "
-        "evidence and measurement reduction.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _match_arguments(parser: argparse.ArgumentParser) -> None:
+    _add_input_options(parser)
+    _add_criterion_options(parser)
+    _add_common_options(parser)
+    parser.set_defaults(func=cmd_match, text=_match_text)
 
-    p_match = sub.add_parser("match", help="pairwise indistinguishability decisions")
-    _add_input_options(p_match)
-    _add_criterion_options(p_match)
-    _add_common_options(p_match)
-    p_match.set_defaults(func=cmd_match, text=_match_text)
 
-    p_group = sub.add_parser("group", help="compositional grouping")
-    _add_input_options(p_group)
-    _add_criterion_options(p_group)
-    p_group.add_argument("--mode", choices=("cc", "clique"), default="cc")
-    _add_witness_option(p_group)
-    _add_common_options(p_group)
-    p_group.set_defaults(func=cmd_group, text=_group_text)
+def _group_arguments(parser: argparse.ArgumentParser) -> None:
+    _add_input_options(parser)
+    _add_criterion_options(parser)
+    parser.add_argument("--mode", choices=("cc", "clique"), default="cc")
+    _add_witness_option(parser)
+    _add_common_options(parser)
+    parser.set_defaults(func=cmd_group, text=_group_text)
 
-    p_ev = sub.add_parser("evidence", help="hypergeometric likelihood ratio")
-    p_ev.add_argument("--box", required=True, help="group sizes, e.g. 6,4")
-    p_ev.add_argument("--draws-t", type=int, required=True, help="bullets under T")
-    p_ev.add_argument("--draws-not-t", type=int, required=True, help="bullets under not-T")
-    p_ev.add_argument("--groups-observed", type=int, required=True)
-    p_ev.add_argument("--prior-odds", help="prior odds, e.g. 1.0 or 2/3")
-    _add_common_options(p_ev)
-    p_ev.set_defaults(func=cmd_evidence, text=_evidence_text)
 
-    p_het = sub.add_parser("hetero", help="heterogeneity tests")
-    _add_input_options(p_het)
-    p_het.add_argument("--element", help="element for the pooled t-test")
-    p_het.add_argument("--locations", help="two locations, e.g. outer,middle")
-    p_het.add_argument("--ids", help="two specimen ids")
-    p_het.add_argument("--manova", action="store_true", help="two-way MANOVA on raw rows")
-    p_het.add_argument("--responses", help="MANOVA response elements, e.g. Ag,As")
-    _add_common_options(p_het)
-    p_het.set_defaults(func=cmd_hetero, text=_hetero_text)
+def _evidence_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--box", required=True, help="group sizes, e.g. 6,4")
+    parser.add_argument("--draws-t", type=int, required=True, help="bullets under T")
+    parser.add_argument("--draws-not-t", type=int, required=True, help="bullets under not-T")
+    parser.add_argument("--groups-observed", type=int, required=True)
+    parser.add_argument("--prior-odds", help="prior odds, e.g. 1.0 or 2/3")
+    _add_common_options(parser)
+    parser.set_defaults(func=cmd_evidence, text=_evidence_text)
 
-    p_fit = sub.add_parser("distfit", help="distribution fitting and ranking")
-    p_fit.add_argument("--input", action=_Once, required=True, help="file with one value per line")
-    p_fit.add_argument("--families", help="'all' or a comma list")
-    _add_common_options(p_fit)
-    p_fit.set_defaults(func=cmd_distfit, text=_distfit_text)
 
-    p_naa = sub.add_parser("naa", help="activation-analysis reduction")
-    naa_sub = p_naa.add_subparsers(dest="naa_command", required=True)
+def _hetero_arguments(parser: argparse.ArgumentParser) -> None:
+    _add_input_options(parser)
+    parser.add_argument("--element", help="element for the pooled t-test")
+    parser.add_argument("--locations", help="two locations, e.g. outer,middle")
+    parser.add_argument("--ids", help="two specimen ids")
+    parser.add_argument("--manova", action="store_true", help="two-way MANOVA on raw rows")
+    parser.add_argument("--responses", help="MANOVA response elements, e.g. Ag,As")
+    _add_common_options(parser)
+    parser.set_defaults(func=cmd_hetero, text=_hetero_text)
+
+
+def _distfit_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--input", action=_Once, required=True, help="file with one value per line")
+    parser.add_argument("--families", help="'all' or a comma list")
+    _add_common_options(parser)
+    parser.set_defaults(func=cmd_distfit, text=_distfit_text)
+
+
+def _naa_arguments(parser: argparse.ArgumentParser) -> None:
+    naa_sub = parser.add_subparsers(dest="naa_command", required=True)
     p_decay = naa_sub.add_parser("decay", help="activate-decay-count factor")
     for flag in ("--half-life", "--ti", "--td", "--tc"):
         p_decay.add_argument(flag, required=True)
@@ -986,15 +997,51 @@ def build_parser() -> argparse.ArgumentParser:
     p_self.add_argument("--table", help="attenuation CSV (energy_kev,mu_linear_per_cm)")
     _add_common_options(p_self)
     p_self.set_defaults(text=_selfabs_text)
-    p_naa.set_defaults(func=cmd_naa)
+    parser.set_defaults(func=cmd_naa)
 
-    p_rep = sub.add_parser("report", help="full pipeline report")
-    _add_input_options(p_rep)
-    _add_criterion_options(p_rep)
-    _add_witness_option(p_rep)
-    _add_common_options(p_rep)
-    p_rep.set_defaults(func=cmd_report, text=_report_text)
 
+def _report_arguments(parser: argparse.ArgumentParser) -> None:
+    _add_input_options(parser)
+    _add_criterion_options(parser)
+    _add_witness_option(parser)
+    _add_common_options(parser)
+    parser.set_defaults(func=cmd_report, text=_report_text)
+
+
+# command -> (its help, the function that adds its arguments)
+_COMMANDS = {
+    "match": ("pairwise indistinguishability decisions", _match_arguments),
+    "group": ("compositional grouping", _group_arguments),
+    "evidence": ("hypergeometric likelihood ratio", _evidence_arguments),
+    "hetero": ("heterogeneity tests", _hetero_arguments),
+    "distfit": ("distribution fitting and ranking", _distfit_arguments),
+    "naa": ("activation-analysis reduction", _naa_arguments),
+    "report": ("full pipeline report", _report_arguments),
+}
+
+
+def build_parser(argv: Optional[Sequence[str]] = None) -> argparse.ArgumentParser:
+    """The ``cabl`` parser, for parsing ``argv`` (every command when None).
+
+    Every command is registered with its help, but only the one ``argv``
+    names gets its arguments: its first item that is a command's name,
+    since argparse runs the command its first positional item names and
+    no top-level option takes a value.  Where ``argv`` names no command,
+    every command gets them.  So a job builds only its own command's
+    options, and the parser's usage, help and errors for ``argv`` are
+    those of the full parser.
+    """
+    parser = argparse.ArgumentParser(
+        prog="cabl",
+        description="Comparative bullet lead analysis: matching, grouping, "
+        "evidence and measurement reduction.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    named = next((arg for arg in argv or () if arg in _COMMANDS), None)
+    for name, (help_text, add_arguments) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        if named in (None, name):
+            add_arguments(command)
     return parser
 
 
@@ -1003,7 +1050,9 @@ _LINES = 1 << 8  # lines per write of a text report
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

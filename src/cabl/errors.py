@@ -1,6 +1,10 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and :func:`checked`,
+the decorator of every value type that checks its fields."""
 
 from __future__ import annotations
+
+import functools
+from types import MappingProxyType
 
 
 class CablError(Exception):
@@ -51,3 +55,29 @@ class DesignError(CablError):
 
 class FitError(CablError):
     """Distribution fitting or goodness-of-fit could not proceed."""
+
+
+def checked(cls):
+    """Make every value of the named tuple ``cls`` pass ``cls._checked``.
+
+    ``_checked(self)`` raises on bad fields, or returns the normalised
+    fields, or ``None`` when the fields stand as given.  The wrapped
+    ``__new__`` keeps the fields' signature and defaults; ``_make``,
+    hence ``_replace``, calls the constructor, and so do copying and
+    unpickling, which pass a read-only table on as a plain dict.
+    """
+    make, width = cls.__new__, len(cls._fields)
+
+    @functools.wraps(make)
+    def __new__(cls, *args, **kwargs):
+        whole = len(args) == width and not kwargs  # every field in order: no default to fill
+        self = tuple.__new__(cls, args) if whole else make(cls, *args, **kwargs)
+        fields = self._checked()
+        return self if fields is None else tuple.__new__(cls, fields)
+
+    cls.__new__ = __new__
+    cls._make = classmethod(lambda cls, iterable: cls(*iterable))
+    cls.__getnewargs__ = lambda self: tuple(
+        dict(f) if isinstance(f, MappingProxyType) else f for f in self
+    )
+    return cls

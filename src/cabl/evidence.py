@@ -21,8 +21,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .errors import DomainError
-from .model import checked
+from .errors import DomainError, checked
 
 
 @checked

@@ -15,12 +15,13 @@ engines start from one table, ``_table``: it sorts the specimens, refuses
 duplicate ids, and builds every specimen's interval as a first and as a
 second side (one interval where the element has no bias range), so an
 interval that cannot be built is refused wherever its specimen's id
-sorts.  A specimen's hull spans its two intervals, so two specimens'
-intervals can meet only where their hulls do.  :func:`match_table`
-reports every pair, for ``match``: bit 7 of a pair's verdict byte marks
-it a candidate where the hulls meet on some panel element, it runs
-``match_specimens`` on each candidate, and every other pair has no
-overlap, which is exact, as each interval lies inside its hull.
+sorts, and a lone specimen's too.  A specimen's hull spans its two
+intervals, so two specimens' intervals can meet only where their hulls
+do.  :func:`match_table` reports every pair, for ``match``: bit 7 of a
+pair's verdict byte marks it a candidate where the hulls meet on some
+panel element, it runs ``match_specimens`` on each candidate, and every
+other pair has no overlap, which is exact, as each interval lies inside
+its hull.
 :func:`match_graph` builds ``group``'s match graph, each specimen's
 sorted neighbour list, from the pairs whose hulls meet on the element
 where fewest do, with the same ``series_interval`` endpoints and
@@ -83,7 +84,7 @@ def match_specimens(a: Specimen, b: Specimen, criterion: MatchCriterion) -> Matc
 
 def _table(specimens: Iterable[Specimen], criterion: MatchCriterion) -> tuple:
     """``(ids, specimens, sweeps)``: the specimens in canonical order, their
-    unique ids, and for two or more, each panel element's ``(order, stops,
+    unique ids, and for one or more, each panel element's ``(order, stops,
     columns)``.
 
     ``columns`` are ``(first_lo, first_hi, lo, hi)``, every specimen's
@@ -94,8 +95,9 @@ def _table(specimens: Iterable[Specimen], criterion: MatchCriterion) -> tuple:
     one at ``order[p]`` meets those at ``order[p + 1 : stops[p]]`` and no
     other above it.  An interval that cannot be built, for a missing
     panel element or an endpoint beyond the float range, raises what
-    ``match_specimens`` raises on the first failing pair, or its own
-    error where no pair fails (as for the last specimen's corrected one).
+    ``match_specimens`` raises on the first failing pair (a lone
+    specimen's pair has it on both sides), or its own error where no
+    pair fails (as for the last specimen's corrected one).
     """
     specimens = sorted(specimens, key=lambda s: s.id)
     ids = [s.id for s in specimens]
@@ -103,7 +105,7 @@ def _table(specimens: Iterable[Specimen], criterion: MatchCriterion) -> tuple:
         raise ValueError("specimen ids must be unique")
     k, n = criterion.k, len(specimens)
     sweeps = []
-    for element in criterion.elements if n > 1 else ():
+    for element in criterion.elements if n else ():
         bias = criterion.bias_for(element)
         try:
             series = [s.series[element] for s in specimens]
@@ -113,9 +115,11 @@ def _table(specimens: Iterable[Specimen], criterion: MatchCriterion) -> tuple:
             )
         except (KeyError, DomainError):
             # the scalar rule meets every specimen in the pairs (0, j), and
-            # each later first side in (i, i + 1): run it there to its error
+            # each later first side in (i, i + 1): run it there to its error;
+            # a lone specimen meets it as both sides of its pair with itself
             first = specimens[0]
-            for a, b in chain(zip(repeat(first), specimens[1:]), zip(specimens[1:], specimens[2:])):
+            pairs = chain(zip(repeat(first), specimens[1:]), zip(specimens[1:], specimens[2:]))
+            for a, b in pairs if n > 1 else [(first, first)]:
                 match_specimens(a, b, criterion)
             raise
         hull_lo, hull_hi = list(map(min, first_lo, lo)), list(map(max, first_hi, hi))

@@ -3,47 +3,21 @@
 Concentrations are plain ppm throughout; there is no unit-conversion
 layer.  Every type here is an immutable value object, safe to share
 between threads: one ``typing.NamedTuple`` class.  A type with checks
-is decorated with :func:`checked` and defines ``_checked``, which runs
-on every value built, whether by the constructor, ``_make``,
-``_replace``, copying or unpickling.
+is decorated with :func:`checked` (defined in ``errors``, so modules
+with checked types of their own need not load this one) and defines
+``_checked``, which runs on every value built, whether by the
+constructor, ``_make``, ``_replace``, copying or unpickling.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import operator
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional
 
-from .errors import DomainError
-
-
-def checked(cls):
-    """Make every value of the named tuple ``cls`` pass ``cls._checked``.
-
-    ``_checked(self)`` raises on bad fields, or returns the normalised
-    fields, or ``None`` when the fields stand as given.  The wrapped
-    ``__new__`` keeps the fields' signature and defaults; ``_make``,
-    hence ``_replace``, calls the constructor, and so do copying and
-    unpickling, which pass a read-only table on as a plain dict.
-    """
-    make, width = cls.__new__, len(cls._fields)
-
-    @functools.wraps(make)
-    def __new__(cls, *args, **kwargs):
-        whole = len(args) == width and not kwargs  # every field in order: no default to fill
-        self = tuple.__new__(cls, args) if whole else make(cls, *args, **kwargs)
-        fields = self._checked()
-        return self if fields is None else tuple.__new__(cls, fields)
-
-    cls.__new__ = __new__
-    cls._make = classmethod(lambda cls, iterable: cls(*iterable))
-    cls.__getnewargs__ = lambda self: tuple(
-        dict(f) if isinstance(f, MappingProxyType) else f for f in self
-    )
-    return cls
+from .errors import DomainError, checked
 
 
 class _Token(enum.Enum):

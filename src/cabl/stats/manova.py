@@ -32,8 +32,7 @@ import math
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
-from ..errors import DesignError
-from ..model import checked
+from ..errors import DesignError, checked
 from .special import f_sf
 
 Matrix = list[list[Fraction]]

@@ -5,8 +5,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Optional
 
-from ..errors import DomainError
-from ..model import checked
+from ..errors import DomainError, checked
 from .special import t_two_sided_p
 
 

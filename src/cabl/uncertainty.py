@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence
 
-from .errors import DomainError
-from .model import ElementSeries, checked
+from .errors import DomainError, checked
+from .model import ElementSeries
 
 
 def _require_finite(**values: float) -> None:

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cabl
+import cabl.cli
 import cabl.stats
 from cabl.cli import main, render_json
 from cabl.ingest import CSV_HEADER
@@ -113,6 +114,28 @@ class TestGroupCommand:
         assert run(capsys, command, "--input", str(empty), "--format", fmt) == (
             2, "", "error: dataset has no specimens\n"
         )
+
+    # case -> (the lone specimen's rows, flags, the refusal)
+    LONE_CASES = {
+        "no_ag": (["Sb,100,1"], [], "specimen 'a' has no Ag series"),
+        "overflow": (["Sb,1.5e308,1"], ["--elements", "Sb", "--bias", "Sb=0.2"],
+                     "k=4.0 and se=1.0 put an interval endpoint beyond the float range"),
+    }
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("command", ["match", "group", "report"])
+    @pytest.mark.parametrize("case", sorted(LONE_CASES))
+    def test_lone_specimen_is_refused_as_beside_another(
+        self, capsys, tmp_path, case, command, fmt
+    ):
+        rows, flags, message = self.LONE_CASES[case]
+        lone = [f"a,bullet,,,{row},poisson_single" for row in rows]
+        complete = [f"b,bullet,,,{row},poisson_single" for row in ("Sb,100,1", "Ag,10,1")]
+        for name, lines in (("lone", lone), ("beside", lone + complete)):
+            path = tmp_path / f"{name}.csv"
+            path.write_text("\n".join([HEADER, *lines]) + "\n")
+            argv = (command, "--input", str(path), *flags, "--format", fmt)
+            assert run(capsys, *argv) == (2, "", f"error: {message}\n"), name
 
     def test_text_output(self, capsys):
         code, out, _ = run(capsys, "group", "--fixture", "table1", "--criterion", "guinn4")
@@ -1416,6 +1439,59 @@ class TestExitCodes:
         assert code == 0
 
 
+class TestOneCommandParser:
+    """``main`` builds only the named command's arguments (``build_parser(argv)``),
+    and gives what the full parser, ``build_parser()``, gives."""
+
+    # each command's and naa subcommand's help, and the top level's
+    HELPS = [
+        [*command, "--help"] for command in (
+            ["match"], ["group"], ["evidence"], ["hetero"], ["distfit"], ["naa"],
+            ["naa", "decay"], ["naa", "conc"], ["naa", "selfabs"], ["report"], [],
+        )
+    ]
+    # a refusal of each, a missing required option or a bad choice; no
+    # command, an unknown command, and an unknown option before a command
+    REFUSALS = [
+        ["match", "--fixture", "table1", "--criterion", "guinn5"],
+        ["group", "--fixture", "table1", "--criterion", "guinn5"],
+        ["evidence", "--box", "6,4", "--draws-t", "2", "--draws-not-t", "3"],
+        ["hetero", "--fixture", "table4", "--element", "Ag"],
+        ["distfit", "--families", "all"],
+        ["naa"],
+        ["naa", "decay", "--half-life", "24s", "--ti", "60", "--td", "30"],
+        ["naa", "conc", "--sample-counts", "5000", "--half-life", "24s"],
+        ["naa", "selfabs", "--energies", "all"],
+        ["report", "--fixture", "table1", "--criterion", "guinn5"],
+        [],
+        ["bogus", "--help"],
+        ["--json", "match", "--fixture", "table1"],
+    ]
+
+    @pytest.mark.parametrize(
+        "argv, code", [(argv, 0) for argv in HELPS] + [(argv, 2) for argv in REFUSALS],
+        ids=lambda value: " ".join(value) if isinstance(value, list) else None,
+    )
+    def test_gives_what_the_full_parser_gives(self, capsys, monkeypatch, argv, code):
+        one_command = run(capsys, *argv)
+        assert one_command[0] == code
+        full = cabl.cli.build_parser
+        monkeypatch.setattr(cabl.cli, "build_parser", lambda argv=None: full())
+        assert run(capsys, *argv) == one_command
+
+    def test_builds_only_the_named_command(self):
+        def has_arguments(argv):
+            # the subparsers action is the last the top level adds; a parser
+            # without arguments holds its -h action alone
+            commands = cabl.cli.build_parser(argv)._actions[-1].choices
+            return {name: len(parser._actions) > 1 for name, parser in commands.items()}
+
+        named = has_arguments(["--format", "json", "evidence", "match"])
+        assert named == {name: name == "evidence" for name in cabl.cli._COMMANDS}
+        for argv in (None, [], ["bogus"]):
+            assert all(has_arguments(argv).values())
+
+
 # Commands that must run without numpy; the last exits 2 on a bad header.
 NO_NUMPY_CASES = {
     "naa-decay": ["naa", "decay", "--half-life", "24s", "--ti", "60", "--td", "30", "--tc", "180"],
@@ -1447,35 +1523,41 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
-# The cabl modules a job leaves loaded, as the last line of stderr: exit
-# code, sorted module names, and whether dataclasses was imported
+# What a job leaves loaded, as the last line of stderr: exit code, the
+# sorted cabl modules, and which of the watched stdlib modules are loaded.
+# The probe itself imports no module but sys, so it loads none of them.
 _LOADED = """
-import json, sys
+import sys
 from cabl.cli import main
 code = main(sys.argv[1:])
 cabl = sorted(m for m in sys.modules if m.split(".")[0] == "cabl")
-print(json.dumps([code, cabl, "dataclasses" in sys.modules]), file=sys.stderr)
+watched = [m for m in ("csv", "dataclasses", "json", "json.decoder", "json.scanner")
+           if m in sys.modules]
+print(repr([code, cabl, watched]), file=sys.stderr)
 """
 
-_CLI_MODULES = ["cabl", "cabl.cli", "cabl.errors", "cabl.ingest", "cabl.model", "cabl.uncertainty"]
+_CLI_MODULES = ["cabl", "cabl.cli", "cabl.errors"]
+_INGEST = ["cabl.ingest", "cabl.model", "cabl.uncertainty"]
 _STATS = ["cabl.stats", "cabl.stats.special"]
 _GROUPING = ["cabl.grouping", "cabl.matching"]
 # case -> the modules its command loads beyond those of `import cabl.cli`
 LOADS = {
-    "naa-decay": [],
-    "naa-conc": [],
-    "naa-selfabs": [],
+    "naa-decay": ["cabl.model", "cabl.uncertainty"],
+    "naa-conc": ["cabl.model", "cabl.uncertainty"],
+    "naa-selfabs": ["cabl.model", "cabl.uncertainty"],
     "evidence": ["cabl.evidence"],
     "distfit": [*_STATS, "cabl.stats.fitting"],
-    "hetero-ttest": [*_STATS, "cabl.stats.ttest"],
-    "hetero-manova": [*_STATS, "cabl.stats.manova"],
-    "match": ["cabl.matching"],
-    "group": _GROUPING,
-    "group-clique": _GROUPING,
-    "group-nrc2": _GROUPING,
-    "report": _GROUPING,
-    "group-bad-input": [],
+    "hetero-ttest": [*_INGEST, *_STATS, "cabl.stats.ttest"],
+    "hetero-manova": [*_INGEST, *_STATS, "cabl.stats.manova"],
+    "match": [*_INGEST, "cabl.matching"],
+    "group": [*_INGEST, *_GROUPING],
+    "group-clique": [*_INGEST, *_GROUPING],
+    "group-nrc2": [*_INGEST, *_GROUPING],
+    "report": [*_INGEST, *_GROUPING],
+    "group-bad-input": _INGEST,
 }
+# the cases that read no CSV, and so load no csv module
+_NO_CSV = {"evidence", "distfit", "naa-decay", "naa-conc", "naa-selfabs"}
 
 
 def _write_inputs(folder: Path) -> None:
@@ -1518,10 +1600,20 @@ class TestImportContract:
         _write_inputs(tmp_path)
         # -S keeps the environment's .pth files, and what they import, out
         probe = _python(_LOADED, *NO_NUMPY_CASES[case], cwd=tmp_path, flags=["-S"])
-        code, loaded, dataclasses = json.loads(probe.stderr.splitlines()[-1])
+        code, loaded, watched = ast.literal_eval(probe.stderr.splitlines()[-1])
         assert code == (2 if case == "group-bad-input" else 0), probe.stderr
         assert loaded == sorted(_CLI_MODULES + LOADS[case])
-        assert not dataclasses
+        # no json package (the writer quotes with _json's escaper) and no dataclasses
+        assert watched == ([] if case in _NO_CSV else ["csv"])
+
+    def test_import_loads_only_the_parser(self, tmp_path):
+        probe = _python(
+            "import sys, cabl.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('cabl', 'csv', 'json')))",
+            cwd=tmp_path,
+            flags=["-S"],
+        )
+        assert ast.literal_eval(probe.stdout) == _CLI_MODULES, probe.stderr
 
     def test_source_names_no_dataclasses(self):
         for path in sorted(Path(cabl.__file__).parent.rglob("*.py")):

@@ -526,9 +526,16 @@ class TestIncompletePanels:
             match_specimens(full[0], lacking, GUINN4)
         assert (caught.value.specimen_id, caught.value.element) == ("d", "Ag")
 
-    def test_single_incomplete_specimen_still_groups(self):
+    def test_single_incomplete_specimen_is_refused(self):
+        # refused as it is beside a complete specimen, though it has no pair
         lone = specimen("solo", (100.0, 1.0))
-        result = group([lone], GUINN4)
+        for specimens in ([lone], [lone, specimen("z", (100.0, 1.0), (10.0, 0.5))]):
+            with pytest.raises(IncompletePanelError) as caught:
+                group(specimens, GUINN4)
+            assert (caught.value.specimen_id, caught.value.element) == ("solo", "Ag")
+
+    def test_single_complete_specimen_groups_alone(self):
+        result = group([specimen("solo", (100.0, 1.0), (10.0, 0.5))], GUINN4)
         assert result.groups == (("solo",),)
         assert result.nontransitive_triples == ()
         assert result.nontransitive_total == 0

@@ -39,6 +39,10 @@ from cabl.model import BiasCorrection, Element, ElementSeries, Kind, MatchCriter
 def oracle_pairs(specimens, criterion):
     """One nested dict a pair, in canonical order."""
     specimens = sorted(specimens, key=lambda s: s.id)
+    if len(specimens) == 1:
+        # a lone specimen is refused as it is beside another: an incomplete
+        # panel or an interval beyond the float range
+        match_specimens(specimens[0], specimens[0], criterion)
     pairs = []
     for i, a in enumerate(specimens):
         for b in specimens[i + 1 :]:

@@ -78,6 +78,12 @@ def _nest(value, keys: list[str]):
     return value
 
 
+def test_quotes_with_the_escaper_of_json_dumps():
+    # imported from _json, so no job loads the json package; json.encoder
+    # re-exports the same C function, and json.dumps quotes with it
+    assert cabl.cli._quote is json.encoder.encode_basestring_ascii
+
+
 @settings(max_examples=150, deadline=None)
 @given(_VALUES)
 def test_matches_json_dumps(value):
