@@ -11,9 +11,30 @@ import importlib
 
 __version__ = "0.1.0"
 
-# Public names by defining module.  Each name loads its module on first
-# use (PEP 562), so importing the package loads no submodule.  None of
-# them needs a package outside the standard library.
+
+def _lazy_exports(package: str, exports: dict[str, tuple[str, ...]]) -> tuple:
+    """``__all__``, ``__getattr__`` and ``__dir__`` of ``package``, whose
+    public names are listed in ``exports`` by defining module.
+
+    Each name loads its module on first use (PEP 562), so importing the
+    package loads no submodule.
+    """
+    module_of = {name: module for module, names in exports.items() for name in names}
+    names = list(module_of)
+
+    def __getattr__(name: str):
+        if name not in module_of:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        return getattr(importlib.import_module(f".{module_of[name]}", package), name)
+
+    def __dir__() -> list[str]:
+        return names
+
+    return names, __getattr__, __dir__
+
+
+# Public names by defining module.  None of them needs a package outside
+# the standard library.
 _EXPORTS = {
     "errors": (
         "CablError",
@@ -34,7 +55,7 @@ _EXPORTS = {
         "posterior_odds",
     ),
     "grouping": ("GroupingResult", "MatchRate", "group", "within_box_match_rate"),
-    "ingest": ("Dataset", "fixture", "parse_csv"),
+    "ingest": ("Dataset", "fixture", "parse_csv", "replicate_summary"),
     "matching": ("MatchResult", "match_specimens"),
     "model": (
         "DEFAULT_BIAS",
@@ -56,21 +77,9 @@ _EXPORTS = {
         "DecaySchedule",
         "comparator_concentration",
         "decay_factor",
-        "replicate_summary",
         "self_absorption_loss",
     ),
 }
 
-_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
-
-__all__ = [*_MODULE_OF, "__version__"]
-
-
-def __getattr__(name: str):
-    if name not in _MODULE_OF:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
-
-
-def __dir__() -> list[str]:
-    return __all__
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
+__all__.append("__version__")

@@ -264,6 +264,18 @@ def _dataset_decisions(dataset: Dataset) -> dict:
     return notes
 
 
+def _report_head(command: str, dataset: Dataset, criterion: MatchCriterion, **notes: str) -> dict:
+    """The keys ``match``, ``group`` and ``report`` share: the command, the
+    dataset's provenance, the criterion and the ``decisions`` block, which
+    holds the boundary note, ``notes`` and the dataset's own notes."""
+    return {
+        "command": command,
+        "dataset": dataset.provenance,
+        "criterion": _criterion_dict(criterion),
+        "decisions": {"boundary_note": _BOUNDARY_NOTE, **notes, **_dataset_decisions(dataset)},
+    }
+
+
 class _Once(argparse.Action):
     """Store an option's value, and refuse it a second time: the run reads
     one source, so a repeated ``--fixture`` or ``--input`` would be dropped."""
@@ -434,17 +446,10 @@ def cmd_match(args: argparse.Namespace) -> dict:
     criterion = _build_criterion(args)
     pairs = _MatchRows(match_table(dataset, criterion), criterion)
     return {
-        "command": "match",
-        "dataset": dataset.provenance,
-        "criterion": _criterion_dict(criterion),
+        **_report_head("match", dataset, criterion, bias_note=_BIAS_SIDE_NOTE),
         "pairs": pairs,
         "pairs_total": len(pairs),
         "pairs_matched": pairs.matched,
-        "decisions": {
-            "boundary_note": _BOUNDARY_NOTE,
-            "bias_note": _BIAS_SIDE_NOTE,
-            **_dataset_decisions(dataset),
-        },
     }
 
 
@@ -474,15 +479,10 @@ def cmd_group(args: argparse.Namespace) -> dict:
     mode = {"cc": "connected_components", "clique": "maximal_cliques"}[args.mode]
     dataset, criterion, result = _grouped(args, mode)
     return {
-        "command": "group",
-        "dataset": dataset.provenance,
-        "criterion": _criterion_dict(criterion),
+        **_report_head(
+            "group", dataset, criterion, grouping_note="groups ordered by smallest member id"
+        ),
         **result.as_dict(),
-        "decisions": {
-            "boundary_note": _BOUNDARY_NOTE,
-            "grouping_note": "groups ordered by smallest member id",
-            **_dataset_decisions(dataset),
-        },
     }
 
 
@@ -888,20 +888,13 @@ def cmd_report(args: argparse.Namespace) -> dict:
         for s in dataset
     ]
     return {
-        "command": "report",
-        "dataset": dataset.provenance,
-        "criterion": _criterion_dict(criterion),
+        **_report_head("report", dataset, criterion, bias_note=_BIAS_SIDE_NOTE),
         "specimens": specimens,
         "grouping": result.as_dict(),
         "within_lot": {
             "pairs_total": rate.pairs_total,
             "pairs_matched": rate.pairs_matched,
             "rate": rate.rate,
-        },
-        "decisions": {
-            "boundary_note": _BOUNDARY_NOTE,
-            "bias_note": _BIAS_SIDE_NOTE,
-            **_dataset_decisions(dataset),
         },
     }
 

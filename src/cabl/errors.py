@@ -1,9 +1,11 @@
-"""Exception hierarchy shared across the package, and :func:`checked`,
-the decorator of every value type that checks its fields."""
+"""Exception hierarchy shared across the package, :func:`checked`, the
+decorator of every value type that checks its fields, and
+:func:`require_finite`, the finiteness check those types share."""
 
 from __future__ import annotations
 
 import functools
+import math
 from types import MappingProxyType
 
 
@@ -55,6 +57,13 @@ class DesignError(CablError):
 
 class FitError(CablError):
     """Distribution fitting or goodness-of-fit could not proceed."""
+
+
+def require_finite(**values: float) -> None:
+    """Refuse each named value that is not finite with ``DomainError``."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
 
 
 def checked(cls):

@@ -6,12 +6,14 @@ CSV schema (UTF-8, comma separated, header required)::
 
 ``basis`` is ``poisson_single`` (row carries its own sigma) or
 ``replicate_member`` (sigma empty; rows sharing specimen, element and
-location are aggregated into one series whose standard error comes from
-replication).  ``location`` is outer/middle/inner/unlabeled.
+location are aggregated by ``replicate_summary`` into one series whose
+standard error comes from replication).  ``location`` is
+outer/middle/inner/unlabeled.
 ``parse_rows`` returns the rows as ``RawRow`` named tuples;
 ``parse_csv`` groups them by specimen id and builds each specimen from
 its own rows, in order of first appearance.  The attenuation table of
-``naa selfabs --table`` has the header ``energy_kev,mu_linear_per_cm``.
+``naa selfabs --table`` has the header ``energy_kev,mu_linear_per_cm``
+and gives each energy once.
 
 Three embedded fixtures transcribe the published measurement tables:
 
@@ -33,11 +35,11 @@ from __future__ import annotations
 import csv
 import io
 import math
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import ConflictError, DomainError, ParseError, UnknownSpecimenError
 from .model import Basis, Element, ElementSeries, Kind, Location, Specimen
-from .uncertainty import AttenuationEntry, replicate_summary
+from .uncertainty import AttenuationEntry
 
 CSV_HEADER = [
     "specimen_id",
@@ -254,14 +256,41 @@ def _specimen(sid: str, rows: list[RawRow]) -> Specimen:
     return Specimen(sid, rows[0].kind, rows[0].lot, series, location)
 
 
+def replicate_summary(values: Sequence[float]) -> ElementSeries:
+    """Summarize n >= 2 replicate measurements as an element series.
+
+    ``se`` is the sample standard deviation divided by ``sqrt(n)``;
+    ``df`` is ``n - 1``.  A mean <= 0 is refused as the series refuses
+    it, and a mean or spread beyond the float range with ``DomainError``.
+    """
+    n = len(values)
+    if n < 2:
+        raise ValueError(f"need at least 2 replicates, got {n}")
+    mean = sum(values) / n
+    try:
+        var = sum((v - mean) ** 2 for v in values) / (n - 1)
+    except OverflowError:  # the series refuses the infinite se
+        var = math.inf
+    return ElementSeries(mean, math.sqrt(var / n), n - 1, n)
+
+
 def parse_attenuation_csv(text: str) -> tuple[AttenuationEntry, ...]:
-    """Parse an attenuation table: ``energy_kev,mu_linear_per_cm``."""
+    """Parse an attenuation table: ``energy_kev,mu_linear_per_cm``.
+
+    An energy given on two lines is a ``ConflictError`` naming both: a
+    report keyed by energy would show one of them and drop the other.
+    """
     entries = []
+    lines: dict[float, int] = {}  # energy -> the line that gives it
     for line, (energy, mu) in _table_rows(text, ATTENUATION_HEADER):
         try:
-            entries.append(AttenuationEntry(float(energy), float(mu)))
+            entry = AttenuationEntry(float(energy), float(mu))
         except (ValueError, DomainError) as exc:
             raise ParseError(str(exc), line=line) from exc
+        first = lines.setdefault(entry.energy_kev, line)
+        if first != line:
+            raise ConflictError(f"lines {first} and {line} both give energy {entry.energy_kev:g} keV")
+        entries.append(entry)
     return tuple(entries)
 
 

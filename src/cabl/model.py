@@ -17,7 +17,7 @@ import operator
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional
 
-from .errors import DomainError, checked
+from .errors import DomainError, checked, require_finite
 
 
 class _Token(enum.Enum):
@@ -137,9 +137,8 @@ def series_interval(
     hull of the intervals corrected by ``c_lo`` and by ``c_hi``.  An
     endpoint beyond the float range raises ``DomainError``.
     """
-    if not math.isfinite(k):
-        raise DomainError(f"k must be finite, got {k}")
-    if k <= 0:
+    if not 0.0 < k < math.inf:  # one comparison on the path every pair takes
+        require_finite(k=k)
         raise ValueError(f"k must be > 0, got {k}")
     half = k * s.se
     lo, hi = s.mean - half, s.mean + half
@@ -231,8 +230,7 @@ class MatchCriterion(NamedTuple):
 
     def _checked(self):
         k, elements, bias, boundary = self
-        if not math.isfinite(k):
-            raise DomainError(f"k must be finite, got {k}")
+        require_finite(k=k)
         if k <= 0:
             raise ValueError(f"k must be > 0, got {k}")
         if not elements:

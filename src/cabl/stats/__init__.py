@@ -1,9 +1,9 @@
 """Statistical engine: special functions, t-tests, MANOVA, fitting."""
 
-import importlib
+from .. import _lazy_exports
 
-# Public names by defining module.  Each name loads its module on first
-# use (PEP 562), so a job loads only the statistics it runs.
+# Public names by defining module, each loaded on first use, so a job
+# loads only the statistics it runs.
 _EXPORTS = {
     "fitting": (
         "FAMILIES",
@@ -19,16 +19,4 @@ _EXPORTS = {
     "ttest": ("TTestResult", "TwoSampleInput", "pooled_t_test"),
 }
 
-_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
-
-__all__ = list(_MODULE_OF)
-
-
-def __getattr__(name: str):
-    if name not in _MODULE_OF:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
-
-
-def __dir__() -> list[str]:
-    return __all__
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -32,7 +32,7 @@ import math
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
-from ..errors import DesignError, checked
+from ..errors import DesignError, DomainError, checked
 from .special import f_sf
 
 Matrix = list[list[Fraction]]
@@ -50,7 +50,7 @@ class FactorialObservation(NamedTuple):
         if not self.responses:
             raise ValueError("responses must be nonempty")
         if not all(map(math.isfinite, self.responses)):
-            raise ValueError(f"responses must be finite, got {self.responses}")
+            raise DomainError(f"responses must be finite, got {self.responses}")
 
 
 class EffectTest(NamedTuple):

@@ -17,28 +17,27 @@ _MAX_ITER = 500
 
 def gammainc_p(a: float, x: float) -> float:
     """Regularized lower incomplete gamma P(a, x)."""
-    if a <= 0:
-        raise ValueError(f"a must be > 0, got {a}")
-    if x < 0:
-        raise ValueError(f"x must be >= 0, got {x}")
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        return _gamma_series(a, x)
-    return 1.0 - _gamma_cont_fraction(a, x)
+    return _gammainc(a, x, upper=False)
 
 
 def gammainc_q(a: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x)."""
+    return _gammainc(a, x, upper=True)
+
+
+def _gammainc(a: float, x: float, upper: bool) -> float:
+    """P(a, x), or Q(a, x) when ``upper``.  The series gives P below
+    ``x = a + 1`` and the continued fraction gives Q above it; the other
+    tail is one minus that."""
     if a <= 0:
         raise ValueError(f"a must be > 0, got {a}")
     if x < 0:
         raise ValueError(f"x must be >= 0, got {x}")
     if x == 0.0:
-        return 1.0
-    if x < a + 1.0:
-        return 1.0 - _gamma_series(a, x)
-    return _gamma_cont_fraction(a, x)
+        return 1.0 if upper else 0.0
+    series = x < a + 1.0
+    tail = _gamma_series(a, x) if series else _gamma_cont_fraction(a, x)
+    return 1.0 - tail if series == upper else tail
 
 
 def _gamma_prefactor(a: float, x: float) -> float:
@@ -119,25 +118,18 @@ def _beta_cont_fraction(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, _MAX_ITER):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        even = m * (b - m) * x / ((qam + m2) * (a + m2))
+        odd = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        for aa in (even, odd):  # one modified Lentz step each
+            d = 1.0 + aa * d
+            if abs(d) < _FPMIN:
+                d = _FPMIN
+            c = 1.0 + aa / c
+            if abs(c) < _FPMIN:
+                c = _FPMIN
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _EPS:
             return h
     raise ArithmeticError(f"incomplete beta fraction failed for a={a}, b={b}, x={x}")

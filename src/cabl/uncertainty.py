@@ -1,8 +1,10 @@
-"""Measurement uncertainty and activation-analysis reduction.
+"""Activation-analysis reduction.
 
-Replicate summaries and the small amount of physics needed to reduce
-irradiate-decay-count measurements: decay factors, comparator-standard
-concentrations and gamma self-absorption losses.
+The small amount of physics needed to reduce irradiate-decay-count
+measurements: decay factors, comparator-standard concentrations and
+gamma self-absorption losses.  It needs no specimen model, so an ``naa``
+command loads this module alone; replicate measurements are summarised
+where they are read, in ``ingest``.
 
 All functions are pure and safe for concurrent use.
 """
@@ -10,34 +12,9 @@ All functions are pure and safe for concurrent use.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
-from .errors import DomainError, checked
-from .model import ElementSeries
-
-
-def _require_finite(**values: float) -> None:
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value}")
-
-
-def replicate_summary(values: Sequence[float]) -> ElementSeries:
-    """Summarize n >= 2 replicate measurements as an element series.
-
-    ``se`` is the sample standard deviation divided by ``sqrt(n)``;
-    ``df`` is ``n - 1``.  A mean <= 0 is refused as the series refuses
-    it, and a mean or spread beyond the float range with ``DomainError``.
-    """
-    n = len(values)
-    if n < 2:
-        raise ValueError(f"need at least 2 replicates, got {n}")
-    mean = sum(values) / n
-    try:
-        var = sum((v - mean) ** 2 for v in values) / (n - 1)
-    except OverflowError:  # the series refuses the infinite se
-        var = math.inf
-    return ElementSeries(mean, math.sqrt(var / n), n - 1, n)
+from .errors import DomainError, checked, require_finite
 
 
 @checked
@@ -55,7 +32,7 @@ class DecaySchedule(NamedTuple):
 
     def _checked(self):
         fields = self._asdict()
-        _require_finite(**fields)
+        require_finite(**fields)
         for name, value in fields.items():
             if value <= 0:
                 raise ValueError(f"{name} must be > 0")
@@ -98,7 +75,7 @@ def comparator_concentration(
     sample.  A decay factor, standard rate or gram mass that underflows
     to 0, or a result that overflows, is refused with ``DomainError``.
     """
-    _require_finite(
+    require_finite(
         sample_counts=sample_counts,
         sample_mass_mg=sample_mass_mg,
         std_counts=std_counts,
@@ -123,7 +100,7 @@ def comparator_concentration(
         if value == 0.0:
             raise DomainError(f"{name} underflows to 0")
     ppm = (std_mass_ug / sample_mass_g) * (sample_rate / std_rate)
-    _require_finite(concentration_ppm=ppm)
+    require_finite(concentration_ppm=ppm)
     return ppm
 
 
@@ -135,7 +112,7 @@ class AttenuationEntry(NamedTuple):
     mu_linear_per_cm: float
 
     def _checked(self):
-        _require_finite(**self._asdict())
+        require_finite(**self._asdict())
         if self.energy_kev <= 0:
             raise ValueError("energy must be > 0")
         if self.mu_linear_per_cm <= 0:
@@ -162,7 +139,7 @@ def self_absorption_loss(mean_max_dimension_mm: float, entry: AttenuationEntry) 
     (midpoint-emission approximation): ``1 - exp(-mu * L/2)``.  Strictly
     increasing in the dimension, tending to 0 as ``mu -> 0``.
     """
-    _require_finite(dimension_mm=mean_max_dimension_mm)
+    require_finite(dimension_mm=mean_max_dimension_mm)
     if mean_max_dimension_mm <= 0:
         raise ValueError("dimension must be > 0")
     path_cm = (mean_max_dimension_mm / 10.0) / 2.0

@@ -1422,6 +1422,9 @@ class TestExitCodes:
                         "line 2: could not convert string to float: 'true'"),
         "string_energy": ("energy_kev,mu_linear_per_cm\n657 keV,1.271831\n",
                           "line 2: could not convert string to float: '657 keV'"),
+        # a report keyed by energy would show one of the two losses
+        "repeated_energy": ("energy_kev,mu_linear_per_cm\n511,1.7\n511,2.5\n",
+                            "lines 2 and 3 both give energy 511 keV"),
     }
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -1542,9 +1545,9 @@ _STATS = ["cabl.stats", "cabl.stats.special"]
 _GROUPING = ["cabl.grouping", "cabl.matching"]
 # case -> the modules its command loads beyond those of `import cabl.cli`
 LOADS = {
-    "naa-decay": ["cabl.model", "cabl.uncertainty"],
-    "naa-conc": ["cabl.model", "cabl.uncertainty"],
-    "naa-selfabs": ["cabl.model", "cabl.uncertainty"],
+    "naa-decay": ["cabl.uncertainty"],
+    "naa-conc": ["cabl.uncertainty"],
+    "naa-selfabs": ["cabl.uncertainty"],
     "evidence": ["cabl.evidence"],
     "distfit": [*_STATS, "cabl.stats.fitting"],
     "hetero-ttest": [*_INGEST, *_STATS, "cabl.stats.ttest"],

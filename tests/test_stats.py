@@ -16,7 +16,7 @@ from cabl.stats import (
     pooled_t_test,
 )
 from cabl.stats.manova import _gauss_jordan
-from cabl.uncertainty import replicate_summary
+from cabl.ingest import replicate_summary
 
 
 class TestPooledTTest:
@@ -273,7 +273,7 @@ class TestManova:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_response_refused(self, bad):
-        with pytest.raises(ValueError, match="responses must be finite"):
+        with pytest.raises(DomainError, match="responses must be finite"):
             FactorialObservation("b0", "outer", (1.0, bad))
 
     def test_response_length_must_agree(self):

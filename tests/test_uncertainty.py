@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cabl.errors import DomainError, ParseError
-from cabl.ingest import parse_attenuation_csv
+from cabl.errors import ConflictError, DomainError, ParseError
+from cabl.ingest import parse_attenuation_csv, replicate_summary
 from cabl.model import ElementSeries
 from cabl.uncertainty import (
     DEFAULT_ATTENUATION,
@@ -13,7 +13,6 @@ from cabl.uncertainty import (
     DecaySchedule,
     comparator_concentration,
     decay_factor,
-    replicate_summary,
     self_absorption_loss,
 )
 
@@ -197,3 +196,7 @@ class TestAttenuationCsv:
     def test_bad_value_reports_line(self):
         with pytest.raises(ParseError, match="line 3"):
             parse_attenuation_csv("energy_kev,mu_linear_per_cm\n657,1.27\n559,zero\n")
+
+    def test_repeated_energy_is_a_conflict(self):
+        with pytest.raises(ConflictError, match="lines 2 and 4 both give energy 657 keV"):
+            parse_attenuation_csv("energy_kev,mu_linear_per_cm\n657,1.27\n559,1.5\n657.0,1.3\n")
