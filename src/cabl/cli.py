@@ -41,13 +41,23 @@ job uses; JSON strings are quoted by ``_json``'s C escaper, the one
 ``build_parser(argv)`` registers every command but adds arguments only
 to the one ``argv`` names, so a job builds its own options alone (and
 the choices of ``--fixture`` and ``--criterion`` load ``ingest`` and
-``model`` only for the commands that take them).  Every command,
-``hetero --manova`` included, runs on the standard library alone.
+``model`` only for the commands that take them); ``naa`` builds only
+the arguments of the subcommand ``argv`` names, by the same rule.
+Every command, ``hetero --manova`` included, runs on the standard
+library alone.
+
+A job on the paper's tables does well under a millisecond of
+arithmetic, less than the full garbage collections the interpreter runs
+over every object as it exits.  So ``main()`` with no ``argv`` (the
+process's own command line) freezes the heap with ``gc.freeze()`` once
+the report is written, and those collections skip it; ``main(argv)``
+with an explicit list never freezes.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
 from _json import encode_basestring_ascii as _quote
@@ -966,31 +976,36 @@ def _distfit_arguments(parser: argparse.ArgumentParser) -> None:
     parser.set_defaults(func=cmd_distfit, text=_distfit_text)
 
 
-def _naa_arguments(parser: argparse.ArgumentParser) -> None:
-    naa_sub = parser.add_subparsers(dest="naa_command", required=True)
-    p_decay = naa_sub.add_parser("decay", help="activate-decay-count factor")
+def _naa_decay_arguments(parser: argparse.ArgumentParser) -> None:
     for flag in ("--half-life", "--ti", "--td", "--tc"):
-        p_decay.add_argument(flag, required=True)
-    _add_common_options(p_decay)
-    p_decay.set_defaults(text=lambda p: [f"decay factor = {p['decay_factor_s']:.4f} s"])
-    p_conc = naa_sub.add_parser("conc", help="comparator-standard concentration")
-    p_conc.add_argument("--sample-counts", type=float, required=True)
-    p_conc.add_argument("--sample-mass-mg", type=float, required=True)
-    p_conc.add_argument("--std-counts", type=float, required=True)
-    p_conc.add_argument("--std-mass-ug", type=float, required=True)
+        parser.add_argument(flag, required=True)
+    _add_common_options(parser)
+    parser.set_defaults(
+        func=cmd_naa, text=lambda p: [f"decay factor = {p['decay_factor_s']:.4f} s"]
+    )
+
+
+def _naa_conc_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--sample-counts", type=float, required=True)
+    parser.add_argument("--sample-mass-mg", type=float, required=True)
+    parser.add_argument("--std-counts", type=float, required=True)
+    parser.add_argument("--std-mass-ug", type=float, required=True)
     for flag in ("--half-life", "--ti", "--td", "--tc"):
-        p_conc.add_argument(flag, required=True)
+        parser.add_argument(flag, required=True)
     for flag in ("--std-half-life", "--std-ti", "--std-td", "--std-tc"):
-        p_conc.add_argument(flag, help="standard's schedule; defaults to the sample's")
-    _add_common_options(p_conc)
-    p_conc.set_defaults(text=lambda p: [f"concentration = {p['concentration_ppm']:.6g} ppm"])
-    p_self = naa_sub.add_parser("selfabs", help="gamma self-absorption loss")
-    p_self.add_argument("--dimension-mm", type=float, required=True)
-    p_self.add_argument("--energies", help="'all' or comma list of keV in the table")
-    p_self.add_argument("--table", help="attenuation CSV (energy_kev,mu_linear_per_cm)")
-    _add_common_options(p_self)
-    p_self.set_defaults(text=_selfabs_text)
-    parser.set_defaults(func=cmd_naa)
+        parser.add_argument(flag, help="standard's schedule; defaults to the sample's")
+    _add_common_options(parser)
+    parser.set_defaults(
+        func=cmd_naa, text=lambda p: [f"concentration = {p['concentration_ppm']:.6g} ppm"]
+    )
+
+
+def _naa_selfabs_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--dimension-mm", type=float, required=True)
+    parser.add_argument("--energies", help="'all' or comma list of keV in the table")
+    parser.add_argument("--table", help="attenuation CSV (energy_kev,mu_linear_per_cm)")
+    _add_common_options(parser)
+    parser.set_defaults(func=cmd_naa, text=_selfabs_text)
 
 
 def _report_arguments(parser: argparse.ArgumentParser) -> None:
@@ -1001,14 +1016,19 @@ def _report_arguments(parser: argparse.ArgumentParser) -> None:
     parser.set_defaults(func=cmd_report, text=_report_text)
 
 
-# command -> (its help, the function that adds its arguments)
+# command -> (its help, the function that adds its arguments, or the
+# table of its own subcommands)
 _COMMANDS = {
     "match": ("pairwise indistinguishability decisions", _match_arguments),
     "group": ("compositional grouping", _group_arguments),
     "evidence": ("hypergeometric likelihood ratio", _evidence_arguments),
     "hetero": ("heterogeneity tests", _hetero_arguments),
     "distfit": ("distribution fitting and ranking", _distfit_arguments),
-    "naa": ("activation-analysis reduction", _naa_arguments),
+    "naa": ("activation-analysis reduction", {
+        "decay": ("activate-decay-count factor", _naa_decay_arguments),
+        "conc": ("comparator-standard concentration", _naa_conc_arguments),
+        "selfabs": ("gamma self-absorption loss", _naa_selfabs_arguments),
+    }),
     "report": ("full pipeline report", _report_arguments),
 }
 
@@ -1016,26 +1036,42 @@ _COMMANDS = {
 def build_parser(argv: Optional[Sequence[str]] = None) -> argparse.ArgumentParser:
     """The ``cabl`` parser, for parsing ``argv`` (every command when None).
 
-    Every command is registered with its help, but only the one ``argv``
-    names gets its arguments: its first item that is a command's name,
-    since argparse runs the command its first positional item names and
-    no top-level option takes a value.  Where ``argv`` names no command,
-    every command gets them.  So a job builds only its own command's
-    options, and the parser's usage, help and errors for ``argv`` are
-    those of the full parser.
+    Every command, and every ``naa`` subcommand, is registered with its
+    help, but only the one ``argv`` names gets its arguments (see
+    ``_add_commands``).  So a job builds only its own command's options,
+    and the parser's usage, help and errors for ``argv`` are those of the
+    full parser.
     """
     parser = argparse.ArgumentParser(
         prog="cabl",
         description="Comparative bullet lead analysis: matching, grouping, "
         "evidence and measurement reduction.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    named = next((arg for arg in argv or () if arg in _COMMANDS), None)
-    for name, (help_text, add_arguments) in _COMMANDS.items():
-        command = sub.add_parser(name, help=help_text)
-        if named in (None, name):
-            add_arguments(command)
+    _add_commands(parser, "command", _COMMANDS, argv or ())
     return parser
+
+
+def _add_commands(
+    parser: argparse.ArgumentParser, dest: str, commands: dict, argv: Sequence[str]
+) -> None:
+    """Register ``commands`` on ``parser``; arguments go to the one ``argv`` names.
+
+    That is its first item that is one of their names, since argparse
+    runs the command its first positional item names and no option above
+    a command takes a value.  Where ``argv`` names none of them, every one
+    gets its arguments.  A command with a table of subcommands (``naa``)
+    gets them by the same rule, under ``dest`` ``<name>_command``.
+    """
+    sub = parser.add_subparsers(dest=dest, required=True)
+    named = next((arg for arg in argv if arg in commands), None)
+    for name, (help_text, arguments) in commands.items():
+        command = sub.add_parser(name, help=help_text)
+        if named not in (None, name):
+            continue
+        if isinstance(arguments, dict):
+            _add_commands(command, f"{name}_command", arguments, argv)
+        else:
+            arguments(command)
 
 
 _SLICE = 1 << 16  # characters per write of a JSON report to stdout
@@ -1043,8 +1079,21 @@ _LINES = 1 << 8  # lines per write of a text report
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run the command ``argv`` names (``sys.argv[1:]`` when None) and return its exit code.
+
+    Called with no ``argv``, as ``python -m cabl.cli`` and the ``cabl``
+    script call it, ``main`` runs the process's own command line and then
+    freezes the heap (``gc.freeze``), so the collections the interpreter
+    runs as it exits skip every object the job made; output, exit code,
+    final flush and ``atexit`` handlers are those of ``main(sys.argv[1:])``.
+    An explicit ``argv``, as tests and library callers pass, never
+    freezes, so their heap stays collectable.
+    """
     if argv is None:
-        argv = sys.argv[1:]
+        try:
+            return main(sys.argv[1:])
+        finally:
+            gc.freeze()
     parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)

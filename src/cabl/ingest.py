@@ -35,11 +35,13 @@ from __future__ import annotations
 import csv
 import io
 import math
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import ConflictError, DomainError, ParseError, UnknownSpecimenError
 from .model import Basis, Element, ElementSeries, Kind, Location, Specimen
-from .uncertainty import AttenuationEntry
+
+if TYPE_CHECKING:
+    from .uncertainty import AttenuationEntry
 
 CSV_HEADER = [
     "specimen_id",
@@ -280,6 +282,8 @@ def parse_attenuation_csv(text: str) -> tuple[AttenuationEntry, ...]:
     An energy given on two lines is a ``ConflictError`` naming both: a
     report keyed by energy would show one of them and drop the other.
     """
+    from .uncertainty import AttenuationEntry  # here, so measurement jobs never load it
+
     entries = []
     lines: dict[float, int] = {}  # energy -> the line that gives it
     for line, (energy, mu) in _table_rows(text, ATTENUATION_HEADER):

@@ -1464,6 +1464,8 @@ class TestOneCommandParser:
         ["naa"],
         ["naa", "decay", "--half-life", "24s", "--ti", "60", "--td", "30"],
         ["naa", "conc", "--sample-counts", "5000", "--half-life", "24s"],
+        ["naa", "conc"],
+        ["naa", "bogus"],
         ["naa", "selfabs", "--energies", "all"],
         ["report", "--fixture", "table1", "--criterion", "guinn5"],
         [],
@@ -1493,6 +1495,17 @@ class TestOneCommandParser:
         assert named == {name: name == "evidence" for name in cabl.cli._COMMANDS}
         for argv in (None, [], ["bogus"]):
             assert all(has_arguments(argv).values())
+
+    def test_builds_only_the_named_naa_subcommand(self):
+        def naa_has_arguments(argv):
+            naa = cabl.cli.build_parser(argv)._actions[-1].choices["naa"]
+            return {name: len(parser._actions) > 1
+                    for name, parser in naa._actions[-1].choices.items()}
+
+        named = naa_has_arguments(["naa", "conc", "--half-life", "decay"])
+        assert named == {"decay": False, "conc": True, "selfabs": False}
+        for argv in (None, ["naa"], ["naa", "--help"], ["naa", "bogus"]):
+            assert all(naa_has_arguments(argv).values())
 
 
 # Commands that must run without numpy; the last exits 2 on a bad header.
@@ -1540,7 +1553,7 @@ print(repr([code, cabl, watched]), file=sys.stderr)
 """
 
 _CLI_MODULES = ["cabl", "cabl.cli", "cabl.errors"]
-_INGEST = ["cabl.ingest", "cabl.model", "cabl.uncertainty"]
+_INGEST = ["cabl.ingest", "cabl.model"]
 _STATS = ["cabl.stats", "cabl.stats.special"]
 _GROUPING = ["cabl.grouping", "cabl.matching"]
 # case -> the modules its command loads beyond those of `import cabl.cli`
@@ -1572,19 +1585,90 @@ def _write_inputs(folder: Path) -> None:
     (folder / "bad.csv").write_text("id,element,value\nx,Sb,1\n")
 
 
-def _python(
-    code: str, *argv: str, cwd: Path, flags: Sequence[str] = ()
+def _spawn(
+    args: Sequence[str], cwd: Path, stdout=subprocess.PIPE, **env: str
 ) -> subprocess.CompletedProcess:
+    """Run the interpreter on ``args``, with the source tree on its path and ``env`` set."""
     src = str(Path(cabl.__file__).parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, *flags, "-c", code, *argv],
+        [sys.executable, *args],
         cwd=cwd,
-        env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=path, **env),
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         timeout=60,
     )
+
+
+def _python(
+    code: str, *argv: str, cwd: Path, flags: Sequence[str] = ()
+) -> subprocess.CompletedProcess:
+    return _spawn([*flags, "-c", code, *argv], cwd)
+
+
+# Whether a job froze the heap, as the last line of stderr: exit code,
+# the freeze count before the call and whether one is frozen after it.
+_FREEZES = """
+import gc, sys
+from cabl.cli import main
+before = gc.get_freeze_count()
+{call}
+print(repr([code, before, gc.get_freeze_count() > 0]), file=sys.stderr)
+"""
+
+# main with an explicit argv, which never freezes, to hold `python -m cabl.cli` to
+_EXPLICIT = "import sys\nfrom cabl.cli import main\nsys.exit(main(sys.argv[1:]))"
+
+
+class TestExitPath:
+    """``main()`` freezes the heap after the process's own command line;
+    ``main(argv)`` never does, and the frozen exit gives the same exit
+    code, stdout and stderr."""
+
+    @pytest.mark.parametrize("call, frozen", [
+        ("sys.argv = ['cabl', 'group', '--fixture', 'table1']\ncode = main()", True),
+        ("code = main(['group', '--fixture', 'table1'])", False),
+    ], ids=["main()", "main(argv)"])
+    def test_only_the_process_command_line_freezes(self, tmp_path, call, frozen):
+        probe = _python(_FREEZES.format(call=call), cwd=tmp_path)
+        assert probe.stdout.startswith("2 group(s)"), probe.stderr
+        assert ast.literal_eval(probe.stderr.splitlines()[-1]) == [0, 0, frozen]
+
+    # case -> (argv, exit code, the start of stdout, the start of stderr)
+    CASES = {
+        "success": (["group", "--fixture", "table1", "--format", "json"], 0, "{", ""),
+        "bad-input": (["group", "--input", "bad.csv"], 2, "", "error: header must be "),
+        "help": (["--help"], 0, "usage: cabl ", ""),
+    }
+
+    # PYTHONUNBUFFERED set to "" leaves stdout buffered, as it is by default
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_module_run_exits_as_main_with_argv(self, tmp_path, case, unbuffered):
+        argv, code, out, err = self.CASES[case]
+        _write_inputs(tmp_path)
+        frozen = _spawn(["-m", "cabl.cli", *argv], tmp_path, PYTHONUNBUFFERED=unbuffered)
+        explicit = _spawn(["-c", _EXPLICIT, *argv], tmp_path, PYTHONUNBUFFERED=unbuffered)
+        outcome = (frozen.returncode, frozen.stdout, frozen.stderr)
+        assert outcome == (explicit.returncode, explicit.stdout, explicit.stderr)
+        assert frozen.returncode == code, frozen.stderr
+        assert frozen.stdout.startswith(out) and bool(frozen.stdout) == bool(out)
+        assert frozen.stderr.startswith(err) and bool(frozen.stderr) == bool(err)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_full_stdout_exits_as_main_with_argv(self, tmp_path, unbuffered):
+        argv = self.CASES["success"][0]
+        with open("/dev/full", "w") as full:
+            frozen = _spawn(["-m", "cabl.cli", *argv], tmp_path, full, PYTHONUNBUFFERED=unbuffered)
+            explicit = _spawn(["-c", _EXPLICIT, *argv], tmp_path, full, PYTHONUNBUFFERED=unbuffered)
+        assert (frozen.returncode, frozen.stderr) == (explicit.returncode, explicit.stderr)
+        if unbuffered:
+            # an unbuffered stdout fails inside main, which reports it
+            assert frozen.returncode == 2
+            assert frozen.stderr.startswith("error: [Errno 28]")
 
 
 class TestImportContract:
