@@ -1,11 +1,13 @@
 """Command-line surface: ingest -> match -> group -> evidence/stats -> report.
 
 Subcommands: match, group, evidence, hetero, distfit, naa, report.
-Every command accepts ``--format json|text``.  Each setting has one
-flag: ``match``, ``group`` and ``report`` take the criterion from
-``--criterion``, ``--k``, ``--elements``, ``--boundary`` and ``--bias``,
-and ``naa selfabs`` its attenuation table from ``--table``.  Exit codes:
-0 success, 1 internal failure, 2 usage/validation.
+Every command accepts ``--format json|text``, added once for all.  Each
+setting has one flag: ``match``, ``group`` and ``report`` take the
+criterion from ``--criterion``, ``--k``, ``--elements``, ``--boundary``
+and ``--bias``, and ``naa selfabs`` its attenuation table from
+``--table``.  The parser picks each command's function (``--manova``
+sets ``hetero``'s) and refuses ``--ids`` with ``--locations``.  Exit
+codes: 0 success, 1 internal failure, 2 usage/validation.
 
 Each command builds one payload dict.  ``--format json`` prints it as
 JSON; ``--format text`` renders the same payload through the command's
@@ -59,6 +61,7 @@ from __future__ import annotations
 import argparse
 import gc
 import math
+import os
 import sys
 from _json import encode_basestring_ascii as _quote
 from itertools import islice
@@ -332,10 +335,6 @@ def _add_witness_option(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_common_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("json", "text"), default="text")
-
-
 # ---------------------------------------------------------------- match
 
 
@@ -576,13 +575,17 @@ def _pick_by_location(dataset: Dataset, element: Element, token: str):
     return hits[0]
 
 
-def _hetero_ttest(args: argparse.Namespace, dataset: Dataset) -> dict:
+def cmd_ttest(args: argparse.Namespace) -> dict:
     from .model import Element
     from .stats.ttest import TwoSampleInput, pooled_t_test
 
+    # a flag only --manova reads is refused, not dropped
+    if args.responses is not None:
+        raise ValueError("--responses is not read by the t-test")
+    dataset = _load_dataset(args)
+    if not args.element:
+        raise ValueError("--element is required for the t-test")
     element = Element(args.element)
-    if args.ids is not None and args.locations is not None:
-        raise ValueError("give --locations a,b or --ids id1,id2, not both")
     if args.ids:
         tokens = _split(args.ids)
         if len(tokens) != 2:
@@ -615,6 +618,7 @@ def _hetero_ttest(args: argparse.Namespace, dataset: Dataset) -> dict:
     return {
         "command": "hetero",
         "test": "pooled_t_test",
+        "dataset": dataset.provenance,
         "element": element.value,
         "samples": [
             {"id": side.label, "mean_ppm": side.mean, "se_ppm": side.se, "n": side.n}
@@ -623,14 +627,21 @@ def _hetero_ttest(args: argparse.Namespace, dataset: Dataset) -> dict:
         "t": result.t,
         "df": result.df,
         "p_two_sided": result.p_two_sided,
-        "decisions": {"se_to_sd": "sample sd recovered as se * sqrt(n)"},
+        "decisions": {
+            "se_to_sd": "sample sd recovered as se * sqrt(n)",
+            **_dataset_decisions(dataset),
+        },
     }
 
 
-def _hetero_manova(args: argparse.Namespace) -> dict:
+def cmd_manova(args: argparse.Namespace) -> dict:
     from .ingest import parse_rows
     from .model import Basis, Element, Location
 
+    # a flag only the t-test reads is refused, not dropped
+    for name in ("fixture", "element", "locations", "ids"):
+        if getattr(args, name) is not None:
+            raise ValueError(f"--{name} is not read by --manova")
     if not args.input:
         raise ValueError("--manova needs --input with raw replicate rows")
     if not args.responses:
@@ -676,27 +687,6 @@ def _hetero_manova(args: argparse.Namespace) -> dict:
             "unlabeled rows are excluded",
         },
     }
-
-
-def cmd_hetero(args: argparse.Namespace) -> dict:
-    # a flag the chosen test does not read is refused, not dropped
-    if args.manova:
-        test, unread = "--manova", ("fixture", "element", "locations", "ids")
-    else:
-        test, unread = "the t-test", ("responses",)
-    for name in unread:
-        if getattr(args, name) is not None:
-            raise ValueError(f"--{name} is not read by {test}")
-    if args.manova:
-        payload = _hetero_manova(args)
-    else:
-        dataset = _load_dataset(args)
-        if not args.element:
-            raise ValueError("--element is required for the t-test")
-        payload = _hetero_ttest(args, dataset)
-        payload["dataset"] = dataset.provenance
-        payload["decisions"].update(_dataset_decisions(dataset))
-    return payload
 
 
 def _hetero_text(p: dict) -> Iterable[str]:
@@ -779,7 +769,7 @@ def _schedule_from(args: argparse.Namespace, prefix: str = ""):
 
     def pick(name: str) -> str:
         # argparse requires the sample's flags; each --std-* one falls back to them
-        value = getattr(args, prefix + name, None)
+        value = getattr(args, prefix + name)
         return getattr(args, name) if value is None else value
 
     return DecaySchedule(
@@ -790,48 +780,47 @@ def _schedule_from(args: argparse.Namespace, prefix: str = ""):
     )
 
 
-def cmd_naa(args: argparse.Namespace) -> dict:
-    from .uncertainty import (
-        DEFAULT_ATTENUATION,
-        comparator_concentration,
-        decay_factor,
-        self_absorption_loss,
-    )
+def cmd_naa_decay(args: argparse.Namespace) -> dict:
+    from .uncertainty import decay_factor
 
-    if args.naa_command == "decay":
-        schedule = _schedule_from(args)
-        return {
-            "command": "naa decay",
-            "schedule": {
-                "half_life_s": schedule.half_life,
-                "t_irradiate_s": schedule.t_irradiate,
-                "t_decay_s": schedule.t_decay,
-                "t_count_s": schedule.t_count,
-            },
-            "decay_factor_s": decay_factor(schedule),
-            "decisions": {
-                "formula": "(1-exp(-lam*Ti)) * exp(-lam*Td) * (1-exp(-lam*Tc)) / lam"
-            },
-        }
-    if args.naa_command == "conc":
-        sample_schedule = _schedule_from(args)
-        std_schedule = _schedule_from(args, prefix="std_")
-        ppm = comparator_concentration(
-            sample_counts=args.sample_counts,
-            sample_mass_mg=args.sample_mass_mg,
-            std_counts=args.std_counts,
-            std_mass_ug=args.std_mass_ug,
-            sample_schedule=sample_schedule,
-            std_schedule=std_schedule,
-        )
-        return {
-            "command": "naa conc",
-            "concentration_ppm": ppm,
-            "decisions": {
-                "comparator_note": "decay-factor normalized count ratio times the "
-                "standard-to-sample mass ratio; shared flux cancels"
-            },
-        }
+    schedule = _schedule_from(args)
+    return {
+        "command": "naa decay",
+        "schedule": {
+            "half_life_s": schedule.half_life,
+            "t_irradiate_s": schedule.t_irradiate,
+            "t_decay_s": schedule.t_decay,
+            "t_count_s": schedule.t_count,
+        },
+        "decay_factor_s": decay_factor(schedule),
+        "decisions": {"formula": "(1-exp(-lam*Ti)) * exp(-lam*Td) * (1-exp(-lam*Tc)) / lam"},
+    }
+
+
+def cmd_naa_conc(args: argparse.Namespace) -> dict:
+    from .uncertainty import comparator_concentration
+
+    ppm = comparator_concentration(
+        sample_counts=args.sample_counts,
+        sample_mass_mg=args.sample_mass_mg,
+        std_counts=args.std_counts,
+        std_mass_ug=args.std_mass_ug,
+        sample_schedule=_schedule_from(args),
+        std_schedule=_schedule_from(args, prefix="std_"),
+    )
+    return {
+        "command": "naa conc",
+        "concentration_ppm": ppm,
+        "decisions": {
+            "comparator_note": "decay-factor normalized count ratio times the "
+            "standard-to-sample mass ratio; shared flux cancels"
+        },
+    }
+
+
+def cmd_naa_selfabs(args: argparse.Namespace) -> dict:
+    from .uncertainty import DEFAULT_ATTENUATION, self_absorption_loss
+
     entries = DEFAULT_ATTENUATION
     if args.table:
         from .ingest import parse_attenuation_csv
@@ -935,7 +924,6 @@ def _report_text(p: dict) -> Iterable[str]:
 def _match_arguments(parser: argparse.ArgumentParser) -> None:
     _add_input_options(parser)
     _add_criterion_options(parser)
-    _add_common_options(parser)
     parser.set_defaults(func=cmd_match, text=_match_text)
 
 
@@ -944,7 +932,6 @@ def _group_arguments(parser: argparse.ArgumentParser) -> None:
     _add_criterion_options(parser)
     parser.add_argument("--mode", choices=("cc", "clique"), default="cc")
     _add_witness_option(parser)
-    _add_common_options(parser)
     parser.set_defaults(func=cmd_group, text=_group_text)
 
 
@@ -954,34 +941,34 @@ def _evidence_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--draws-not-t", type=int, required=True, help="bullets under not-T")
     parser.add_argument("--groups-observed", type=int, required=True)
     parser.add_argument("--prior-odds", help="prior odds, e.g. 1.0 or 2/3")
-    _add_common_options(parser)
     parser.set_defaults(func=cmd_evidence, text=_evidence_text)
 
 
 def _hetero_arguments(parser: argparse.ArgumentParser) -> None:
     _add_input_options(parser)
     parser.add_argument("--element", help="element for the pooled t-test")
-    parser.add_argument("--locations", help="two locations, e.g. outer,middle")
-    parser.add_argument("--ids", help="two specimen ids")
-    parser.add_argument("--manova", action="store_true", help="two-way MANOVA on raw rows")
+    sides = parser.add_mutually_exclusive_group()
+    sides.add_argument("--locations", help="two locations, e.g. outer,middle")
+    sides.add_argument("--ids", help="two specimen ids")
+    parser.add_argument(
+        "--manova", dest="func", action="store_const", const=cmd_manova,
+        help="two-way MANOVA on raw rows",
+    )
     parser.add_argument("--responses", help="MANOVA response elements, e.g. Ag,As")
-    _add_common_options(parser)
-    parser.set_defaults(func=cmd_hetero, text=_hetero_text)
+    parser.set_defaults(func=cmd_ttest, text=_hetero_text)
 
 
 def _distfit_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--input", action=_Once, required=True, help="file with one value per line")
     parser.add_argument("--families", help="'all' or a comma list")
-    _add_common_options(parser)
     parser.set_defaults(func=cmd_distfit, text=_distfit_text)
 
 
 def _naa_decay_arguments(parser: argparse.ArgumentParser) -> None:
     for flag in ("--half-life", "--ti", "--td", "--tc"):
         parser.add_argument(flag, required=True)
-    _add_common_options(parser)
     parser.set_defaults(
-        func=cmd_naa, text=lambda p: [f"decay factor = {p['decay_factor_s']:.4f} s"]
+        func=cmd_naa_decay, text=lambda p: [f"decay factor = {p['decay_factor_s']:.4f} s"]
     )
 
 
@@ -994,9 +981,8 @@ def _naa_conc_arguments(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(flag, required=True)
     for flag in ("--std-half-life", "--std-ti", "--std-td", "--std-tc"):
         parser.add_argument(flag, help="standard's schedule; defaults to the sample's")
-    _add_common_options(parser)
     parser.set_defaults(
-        func=cmd_naa, text=lambda p: [f"concentration = {p['concentration_ppm']:.6g} ppm"]
+        func=cmd_naa_conc, text=lambda p: [f"concentration = {p['concentration_ppm']:.6g} ppm"]
     )
 
 
@@ -1004,15 +990,13 @@ def _naa_selfabs_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dimension-mm", type=float, required=True)
     parser.add_argument("--energies", help="'all' or comma list of keV in the table")
     parser.add_argument("--table", help="attenuation CSV (energy_kev,mu_linear_per_cm)")
-    _add_common_options(parser)
-    parser.set_defaults(func=cmd_naa, text=_selfabs_text)
+    parser.set_defaults(func=cmd_naa_selfabs, text=_selfabs_text)
 
 
 def _report_arguments(parser: argparse.ArgumentParser) -> None:
     _add_input_options(parser)
     _add_criterion_options(parser)
     _add_witness_option(parser)
-    _add_common_options(parser)
     parser.set_defaults(func=cmd_report, text=_report_text)
 
 
@@ -1072,6 +1056,7 @@ def _add_commands(
             _add_commands(command, f"{name}_command", arguments, argv)
         else:
             arguments(command)
+            command.add_argument("--format", choices=("json", "text"), default="text")
 
 
 _SLICE = 1 << 16  # characters per write of a JSON report to stdout
@@ -1087,7 +1072,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     runs as it exits skip every object the job made; output, exit code,
     final flush and ``atexit`` handlers are those of ``main(sys.argv[1:])``.
     An explicit ``argv``, as tests and library callers pass, never
-    freezes, so their heap stays collectable.
+    freezes, so their heap stays collectable.  Stdout is flushed before
+    ``main`` returns, so a report it cannot write (a full disk, a closed
+    pipe) exits 2 with its error however stdout is buffered.
     """
     if argv is None:
         try:
@@ -1112,6 +1099,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             lines = iter(args.text(payload))  # naa's renderers return lists
             while batch := "".join([f"{line}\n" for line in islice(lines, _LINES)]):
                 sys.stdout.write(batch)
+        try:
+            sys.stdout.flush()
+        except OSError:
+            # what is left in the buffer would fail again as the interpreter
+            # exits; the null device takes it, as in the signal module's docs
+            if sys.stdout is sys.__stdout__:
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
+            raise
         return 0
     except (CablError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1496,6 +1496,23 @@ class TestOneCommandParser:
         for argv in (None, [], ["bogus"]):
             assert all(has_arguments(argv).values())
 
+    # each command that runs, naa's subcommands in naa's place
+    LEAVES = [
+        [name, *sub]
+        for name, (_, arguments) in cabl.cli._COMMANDS.items()
+        for sub in ([[s] for s in arguments] if isinstance(arguments, dict) else [[]])
+    ]
+
+    @pytest.mark.parametrize("command", LEAVES, ids=" ".join)
+    def test_every_command_takes_format_once(self, capsys, command):
+        code, out, err = run(capsys, *command, "--format", "xml")
+        assert (code, out) == (2, "")
+        usage, _, error = err.partition(f"\ncabl {' '.join(command)}: error: ")
+        assert error.startswith("argument --format: invalid choice: 'xml'")
+        # --format ends the usage, after the command's own arguments
+        assert usage.count("--format") == 1
+        assert usage.endswith(" [--format {json,text}]")
+
     def test_builds_only_the_named_naa_subcommand(self):
         def naa_has_arguments(argv):
             naa = cabl.cli.build_parser(argv)._actions[-1].choices["naa"]
@@ -1665,10 +1682,9 @@ class TestExitPath:
             frozen = _spawn(["-m", "cabl.cli", *argv], tmp_path, full, PYTHONUNBUFFERED=unbuffered)
             explicit = _spawn(["-c", _EXPLICIT, *argv], tmp_path, full, PYTHONUNBUFFERED=unbuffered)
         assert (frozen.returncode, frozen.stderr) == (explicit.returncode, explicit.stderr)
-        if unbuffered:
-            # an unbuffered stdout fails inside main, which reports it
-            assert frozen.returncode == 2
-            assert frozen.stderr.startswith("error: [Errno 28]")
+        # main writes, or flushes a buffered stdout, inside its try, and reports the failure
+        assert frozen.returncode == 2
+        assert frozen.stderr.startswith("error: [Errno 28]")
 
 
 class TestImportContract:
@@ -2242,11 +2258,6 @@ REFUSALS = {
          "--responses", "Ag"),
         "--responses is not read by the t-test",
     ),
-    "ttest_ids_and_locations": (
-        ("hetero", "--fixture", "table2", "--element", "Ag", "--locations", "outer,middle",
-         "--ids", "bullet-1-outer,bullet-1-middle"),
-        "give --locations a,b or --ids id1,id2, not both",
-    ),
     "manova_no_input": (("hetero", "--manova", "--responses", "Ag,As"),
                         "--manova needs --input with raw replicate rows"),
     "manova_no_responses": (("hetero", "--manova", "--input", "{d}/unequal.csv"),
@@ -2360,6 +2371,24 @@ class TestRefusals:
         argv = [arg.replace("{d}", str(tmp_path)) for arg in argv]
         code, out, err = run(capsys, *argv, "--format", fmt)
         assert (code, out, err) == (2, "", f"error: {message.replace('{d}', str(tmp_path))}\n")
+
+    # case -> (argv; the error the parser gives after its usage)
+    PARSER_REFUSALS = {
+        "ttest_ids_and_locations": (
+            ("hetero", "--fixture", "table2", "--element", "Ag", "--locations", "outer,middle",
+             "--ids", "bullet-1-outer,bullet-1-middle"),
+            "argument --ids: not allowed with argument --locations",
+        ),
+    }
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("case", sorted(PARSER_REFUSALS))
+    def test_parser_exits_2(self, capsys, case, fmt):
+        argv, message = self.PARSER_REFUSALS[case]
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"usage: cabl {argv[0]} ")
+        assert err.endswith(f"\ncabl {argv[0]}: error: {message}\n")
 
 
 _CONC = ("naa", "conc", "--std-counts", "4000", "--std-mass-ug", "2",
