@@ -249,9 +249,7 @@ def _criterion_dict(criterion: MatchCriterion) -> dict:
         "k": criterion.k,
         "elements": [e.value for e in criterion.elements],
         "boundary": criterion.boundary.value,
-        "bias": None
-        if criterion.bias is None
-        else {e.value: (c.c_lo, c.c_hi) for e, c in criterion.bias.items()},
+        "bias": None if criterion.bias is None else {e.value: c for e, c in criterion.bias.items()},
     }
 
 
@@ -359,8 +357,7 @@ class _MatchRows:
     def __init__(self, table: tuple, criterion: MatchCriterion) -> None:
         self.ids, self.masks, self.bounds = table
         self.symbols = tuple(e.value for e in criterion.elements)
-        bias = [criterion.bias_for(e) for e in criterion.elements]
-        self.bias_used = tuple(None if c is None else (c.c_lo, c.c_hi) for c in bias)
+        self.bias_used = tuple(map(criterion.bias_for, criterion.elements))
         self.matched = self.masks.count((1 << len(self.symbols)) - 1)
 
     def __len__(self) -> int:
@@ -430,22 +427,21 @@ class _MatchRows:
     def lines(self) -> Iterator[str]:
         """The text report's line for each pair."""
         full = (1 << len(self.symbols)) - 1
-        # each verdict's text, by mask, built at its first pair
-        verdicts: dict[int, str] = {}
+        # each verdict's text, indexed by mask
+        verdicts = [
+            f"{'match   ' if mask == full else 'no match'} ("
+            + "; ".join(
+                f"{symbol} {'ok' if mask >> e & 1 else 'fails'}"
+                for e, symbol in enumerate(self.symbols)
+            )
+            + ")"
+            for mask in range(full + 1)
+        ]
         padded = [f"{sid:<16}" for sid in self.ids]
         masks = iter(self.masks)
         for i, a in enumerate(padded):
             for b, mask in zip(padded[i + 1 :], masks):
-                verdict = verdicts.get(mask)
-                if verdict is None:
-                    detail = "; ".join(
-                        f"{symbol} {'ok' if mask >> e & 1 else 'fails'}"
-                        for e, symbol in enumerate(self.symbols)
-                    )
-                    verdict = verdicts[mask] = (
-                        f"{'match   ' if mask == full else 'no match'} ({detail})"
-                    )
-                yield f"  {a} vs {b} {verdict}"
+                yield f"  {a} vs {b} {verdicts[mask]}"
 
 
 def cmd_match(args: argparse.Namespace) -> dict:
@@ -624,9 +620,7 @@ def cmd_ttest(args: argparse.Namespace) -> dict:
             {"id": side.label, "mean_ppm": side.mean, "se_ppm": side.se, "n": side.n}
             for side in sides
         ],
-        "t": result.t,
-        "df": result.df,
-        "p_two_sided": result.p_two_sided,
+        **result._asdict(),
         "decisions": {
             "se_to_sd": "sample sd recovered as se * sqrt(n)",
             **_dataset_decisions(dataset),
@@ -644,12 +638,10 @@ def cmd_manova(args: argparse.Namespace) -> dict:
             raise ValueError(f"--{name} is not read by --manova")
     if not args.input:
         raise ValueError("--manova needs --input with raw replicate rows")
-    if not args.responses:
-        raise ValueError("--manova needs --responses, e.g. Ag,As")
     # a repeated element is one response, as repeated --families are one family
-    elements = tuple(dict.fromkeys(map(Element, _split(args.responses))))
+    elements = tuple(dict.fromkeys(map(Element, _split(args.responses or ""))))
     if not elements:
-        raise ValueError("--responses must name at least one element")
+        raise ValueError("--manova needs --responses, e.g. Ag,As")
     rows = parse_rows(_read_text(args.input))
     cells: dict[tuple[str, str], dict[Element, list[float]]] = {}
     for row in rows:
@@ -733,9 +725,6 @@ def cmd_distfit(args: argparse.Namespace) -> dict:
         families = tuple(dict.fromkeys(_split(args.families)))
         if not families:
             raise ValueError("--families must name at least one family")
-        unknown = [f for f in families if f not in FAMILIES]
-        if unknown:
-            raise ValueError(f"unknown families {unknown}; have {', '.join(FAMILIES)}")
     return {
         "command": "distfit",
         "input": args.input,
@@ -786,12 +775,7 @@ def cmd_naa_decay(args: argparse.Namespace) -> dict:
     schedule = _schedule_from(args)
     return {
         "command": "naa decay",
-        "schedule": {
-            "half_life_s": schedule.half_life,
-            "t_irradiate_s": schedule.t_irradiate,
-            "t_decay_s": schedule.t_decay,
-            "t_count_s": schedule.t_count,
-        },
+        "schedule": {f"{name}_s": value for name, value in schedule._asdict().items()},
         "decay_factor_s": decay_factor(schedule),
         "decisions": {"formula": "(1-exp(-lam*Ti)) * exp(-lam*Td) * (1-exp(-lam*Tc)) / lam"},
     }
@@ -890,11 +874,7 @@ def cmd_report(args: argparse.Namespace) -> dict:
         **_report_head("report", dataset, criterion, bias_note=_BIAS_SIDE_NOTE),
         "specimens": specimens,
         "grouping": result.as_dict(),
-        "within_lot": {
-            "pairs_total": rate.pairs_total,
-            "pairs_matched": rate.pairs_matched,
-            "rate": rate.rate,
-        },
+        "within_lot": {**rate._asdict(), "rate": rate.rate},
     }
 
 

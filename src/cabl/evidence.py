@@ -105,8 +105,7 @@ class EvidenceResult(NamedTuple):
 
     def as_dict(self) -> dict:
         out = {}
-        for name in ("p_given_t", "p_given_not_t", "likelihood_ratio", "posterior_odds"):
-            value = getattr(self, name)
+        for name, value in self._asdict().items():
             if value is not None:
                 try:
                     out[name] = float(value)

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from typing import Sequence
 
@@ -422,10 +423,16 @@ class TestDistfitCommand:
         assert reports[1] == reports[0]
 
     def test_unknown_family_exits_2(self, capsys, tmp_path):
+        from cabl.stats.fitting import FAMILIES
+
         path = tmp_path / "vals.csv"
         path.write_text("\n".join(str(float(i + 1)) for i in range(10)) + "\n")
-        code, _, err = run(capsys, "distfit", "--input", str(path), "--families", "cauchy")
-        assert code == 2
+        message = f"error: unknown family 'cauchy' (have: {', '.join(FAMILIES)})\n"
+        # a known family before the unknown one is not reported either
+        for families in ("cauchy", "normal,cauchy"):
+            for fmt in ("text", "json"):
+                argv = ("distfit", "--input", str(path), "--families", families, "--format", fmt)
+                assert run(capsys, *argv) == (2, "", message), (families, fmt)
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_duplicate_families_rank_once(self, capsys, tmp_path, fmt):
@@ -517,14 +524,43 @@ class TestNaaCommand:
         )
         assert payload["decay_factor_s"] == pytest.approx(11.918185218927765, abs=1e-9)
 
+    # the README's conc example; its sample and standard share one schedule
+    README_CONC = (
+        "naa", "conc", "--sample-counts", "5000", "--sample-mass-mg", "20",
+        "--std-counts", "5000", "--std-mass-ug", "2",
+        "--half-life", "24s", "--ti", "60", "--td", "30", "--tc", "180",
+    )
+
     def test_comparator_concentration(self, capsys):
-        payload, _ = run_json(
-            capsys,
-            "naa", "conc", "--sample-counts", "5000", "--sample-mass-mg", "20",
-            "--std-counts", "5000", "--std-mass-ug", "2",
-            "--half-life", "24s", "--ti", "60", "--td", "30", "--tc", "180",
-        )
+        payload, _ = run_json(capsys, *self.README_CONC)
         assert payload["concentration_ppm"] == pytest.approx(100.0, rel=1e-12)
+
+    def test_standard_counted_at_its_own_decay_time(self, capsys):
+        from cabl.uncertainty import DecaySchedule, comparator_concentration
+
+        argv = (*self.README_CONC, "--std-td", "90")
+        payload, _ = run_json(capsys, *argv)
+        assert payload["concentration_ppm"] == comparator_concentration(
+            5000, 20, 5000, 2, DecaySchedule(24, 60, 30, 180), DecaySchedule(24, 60, 90, 180)
+        ) == 17.67766952966369
+        assert run(capsys, *argv) == (0, "concentration = 17.6777 ppm\n", "")
+
+    @pytest.mark.parametrize(
+        "flag, field",
+        [("--std-half-life", "half_life"), ("--std-ti", "t_irradiate"),
+         ("--std-td", "t_decay"), ("--std-tc", "t_count")],
+    )
+    def test_each_std_flag_sets_its_own_field(self, capsys, flag, field):
+        from cabl.uncertainty import DecaySchedule, comparator_concentration
+
+        # 45 s is none of the sample's durations, so a flag read into
+        # another field, or not read at all, gives another concentration
+        sample = DecaySchedule(24, 60, 30, 180)
+        standard = sample._replace(**{field: 45})
+        expected = comparator_concentration(5000, 20, 5000, 2, sample, standard)
+        assert expected != pytest.approx(100.0)
+        payload, _ = run_json(capsys, *self.README_CONC, flag, "45s")
+        assert payload["concentration_ppm"] == expected
 
     def test_selfabs_three_energies(self, capsys):
         payload, _ = run_json(
@@ -2264,7 +2300,7 @@ REFUSALS = {
                             "--manova needs --responses, e.g. Ag,As"),
     "manova_blank_responses": (
         ("hetero", "--manova", "--input", "{d}/unequal.csv", "--responses", ","),
-        "--responses must name at least one element",
+        "--manova needs --responses, e.g. Ag,As",
     ),
     "manova_unequal_counts": (
         ("hetero", "--manova", "--input", "{d}/unequal.csv", "--responses", "Ag,As"),
@@ -2274,6 +2310,8 @@ REFUSALS = {
         ("naa", "decay", "--half-life", "abc", "--ti", "60", "--td", "30", "--tc", "180"),
         "cannot parse duration 'abc'",
     ),
+    "std_ti_not_a_number": ((*TestNaaCommand.README_CONC, "--std-ti", "abc"),
+                            "cannot parse duration 'abc'"),
     "half_life_negative": (
         ("naa", "decay", "--half-life", "-5", "--ti", "60", "--td", "30", "--tc", "180"),
         "duration must be > 0, got -5.0",
@@ -2347,6 +2385,88 @@ def test_criterion_flag_text_exits_0_or_2_alike_in_both_formats(flags, flag, fre
             assert codes[fmt] in (0, 2), (command, fmt, argv)
             assert codes[fmt] == 0 or out.getvalue() == "", (command, fmt, argv)
         assert codes["json"] == codes["text"], (command, argv)
+
+
+_VALUE = st.floats(0.5, 700.0).map(repr)
+# a value or sigma that the schema reads but arithmetic may not survive
+_EXTREME = st.sampled_from(["5e-324", "2.2e-308", "1e300", "1.7976931348623157e308"])
+# what may replace one cell: a blank, an unknown token, any float's text,
+# a zero, a non-finite or unreadable number, a NUL byte
+_BAD_CELL = st.one_of(
+    st.sampled_from(
+        ["", "Pb", "rim", "rock", "guess", "0", "nan", "-inf", "inf", "-1", "x", "a\0b"]
+    ),
+    st.floats().map(repr),
+)
+
+
+@st.composite
+def _measurement_csvs(draw) -> str:
+    """A measurement CSV of one to four specimens (a lone one is common),
+    each with its own kind, lot and location.  A ``poisson_single``
+    specimen has one row an element; a ``replicate_member`` one has two
+    or three rows an element at its location or, in a third of the files,
+    at two locations, which ``hetero --manova`` reads and the other
+    commands refuse.  Then in about half the files a value is made
+    subnormal or huge, or a cell or two replaced by bad text, and
+    sometimes a UTF-8 byte-order mark leads."""
+    rows = []
+    two_places = draw(st.sampled_from([False, False, True]))
+    for sid in draw(st.lists(st.sampled_from("abcd"), min_size=1, max_size=4, unique=True)):
+        kind = draw(st.sampled_from(["bullet", "fragment", "bullet_section"]))
+        lot = draw(st.sampled_from(["6003", "", "L2"]))
+        location = draw(st.sampled_from(["outer", "inner", "middle", ""]))
+        # one specimen in seven lacks Sb, which the criteria's panel needs
+        elements = draw(st.sampled_from([("Sb", "Ag"), ("Ag", "As", "Sb")] * 3 + [("Ag", "As")]))
+        if draw(st.booleans()):
+            for element in elements:
+                sigma = draw(st.one_of(st.just("0.0"), _VALUE, _EXTREME))
+                rows.append([sid, kind, lot, location, element, draw(_VALUE), sigma,
+                             "poisson_single"])
+            continue
+        for place in ("outer", "inner") if two_places else (location,):
+            count = draw(st.integers(2, 3))
+            rows += [[sid, kind, lot, place, element, draw(_VALUE), "", "replicate_member"]
+                     for element in elements for _ in range(count)]
+    row = st.integers(0, len(rows) - 1)
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1]))):
+        rows[draw(row)][5] = draw(_EXTREME)
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        rows[draw(row)][draw(st.integers(0, 7))] = draw(_BAD_CELL)
+    mark = draw(st.sampled_from(["", "\ufeff"]))
+    return mark + "\n".join([HEADER, *map(",".join, rows)]) + "\n"
+
+
+_CSV_COMMANDS = (
+    ("match",),
+    *(("group", "--mode", mode, "--criterion", criterion)
+      for mode in ("cc", "clique") for criterion in ("guinn4", "nrc2")),
+    ("report",),
+    ("hetero", "--element", "Ag", "--locations", "outer,inner"),
+    ("hetero", "--element", "Ag", "--ids", "a,b"),
+    ("hetero", "--manova", "--responses", "Ag,Sb"),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_measurement_csvs())
+def test_measurement_csv_exits_0_or_2_alike_in_both_formats(text):
+    """Any measurement CSV gives every command that reads one exit 0 or 2,
+    never an internal error; exit 2 writes nothing to stdout, and JSON and
+    text exit alike with the same error."""
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder, "in.csv")
+        path.write_text(text, encoding="utf-8")
+        for command in _CSV_COMMANDS:
+            results = {}
+            for fmt in ("json", "text"):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main([*command, "--input", str(path), "--format", fmt])
+                assert code in (0, 2), (command, fmt, err.getvalue())
+                assert code == 0 or out.getvalue() == "", (command, fmt)
+                results[fmt] = code, err.getvalue()
+            assert results["json"] == results["text"], command
 
 
 class TestRefusals:
