@@ -15,8 +15,11 @@ text renderer, so both formats report the same values and refuse the
 same inputs (a t-test between two zero-spread samples with different
 means, for one, exits 2 in both).  Reports carry a ``decisions`` block
 echoing the conventions behind the numbers (boundary handling, bias
-ranges, table semantics), and all output is deterministic for fixed
-inputs.  JSON comes from ``render_json``, this module's own writer,
+ranges, table semantics).  Sums of floats are exactly rounded
+(``math.fsum``) and squares are ``x * x``, so one machine prints the
+same bytes on Python 3.10 to 3.13; ``log``, ``exp``, ``lgamma``,
+``erfc`` and non-integer powers come from its libm.  JSON comes from
+``render_json``, this module's own writer,
 byte-identical to ``json.dumps(indent=2, sort_keys=True)``: it appends
 the text of every value, bracket and separator to one flat list of parts
 and joins that once, and it joins a list of strings in one C pass, with
@@ -833,7 +836,7 @@ def cmd_naa_selfabs(args: argparse.Namespace) -> dict:
         "command": "naa selfabs",
         "dimension_mm": args.dimension_mm,
         "losses": {f"{kev:g}": loss for kev, loss in sorted(losses.items())},
-        "average_loss": sum(losses.values()) / len(losses),
+        "average_loss": math.fsum(losses.values()) / len(losses),
         "decisions": {
             "path_note": "effective absorption path is half the mean maximum dimension",
             "table_note": "default table: Hubbell & Seltzer lead mass attenuation "

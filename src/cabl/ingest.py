@@ -197,8 +197,8 @@ def parse_csv(text: str, provenance: str = "<csv>") -> Dataset:
     in row order, before any specimen is built; after that the first
     specimen in file order with a fault is the one reported.  Replicate
     members sharing (specimen, element, location) aggregate into one
-    series; aggregation is order independent.  Duplicate single-count
-    rows for one (specimen, element) raise a conflict.
+    series by ``replicate_summary``, the same in any row order.
+    Duplicate single-count rows for one (specimen, element) conflict.
     """
     by_id: dict[str, list[RawRow]] = {}
     for row in parse_rows(text):
@@ -246,9 +246,8 @@ def _specimen(sid: str, rows: list[RawRow]) -> Specimen:
             raise ConflictError(
                 f"specimen {sid!r} {element.value} has replicate groups at several locations"
             )
-        # canonical summation order makes aggregation exactly row-order independent
         try:
-            series[element] = replicate_summary(sorted(values))
+            series[element] = replicate_summary(values)
         except DomainError as exc:
             raise DomainError(f"specimen {sid!r} {element.value}: {exc}") from None
     locations = {row.location for row in rows}
@@ -262,17 +261,20 @@ def replicate_summary(values: Sequence[float]) -> ElementSeries:
     """Summarize n >= 2 replicate measurements as an element series.
 
     ``se`` is the sample standard deviation divided by ``sqrt(n)``;
-    ``df`` is ``n - 1``.  A mean <= 0 is refused as the series refuses
-    it, and a mean or spread beyond the float range with ``DomainError``.
+    ``df`` is ``n - 1``.  Sums are exactly rounded and squares are
+    ``x * x``, so any order of the values gives the same series on every
+    Python.  A mean <= 0 is refused as the series refuses it, and a mean
+    or spread beyond the float range with ``DomainError``.
     """
     n = len(values)
     if n < 2:
         raise ValueError(f"need at least 2 replicates, got {n}")
-    mean = sum(values) / n
+    mean = var = math.inf
     try:
-        var = sum((v - mean) ** 2 for v in values) / (n - 1)
-    except OverflowError:  # the series refuses the infinite se
-        var = math.inf
+        mean = math.fsum(values) / n
+        var = math.fsum((v - mean) * (v - mean) for v in values) / (n - 1)
+    except OverflowError:  # the series refuses the infinite mean or se
+        pass
     return ElementSeries(mean, math.sqrt(var / n), n - 1, n)
 
 

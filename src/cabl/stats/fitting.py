@@ -92,12 +92,12 @@ def _root(f: Callable[[float], float], lo: float, hi: float, what: str) -> float
 
 
 def _fit_exponential(x: Sequence[float]) -> dict:
-    return {"rate": len(x) / sum(x)}
+    return {"rate": len(x) / math.fsum(x)}
 
 
 def _fit_normal(x: Sequence[float]) -> dict:
-    mu = sum(x) / len(x)
-    sigma = math.sqrt(sum((v - mu) ** 2 for v in x) / len(x))
+    mu = math.fsum(x) / len(x)
+    sigma = math.sqrt(math.fsum((v - mu) * (v - mu) for v in x) / len(x))
     return {"mu": mu, "sigma": sigma}
 
 
@@ -106,8 +106,8 @@ def _fit_lognormal(x: Sequence[float]) -> dict:
 
 
 def _fit_gamma(x: Sequence[float]) -> dict:
-    mean = sum(x) / len(x)
-    mean_log = sum(math.log(v) for v in x) / len(x)
+    mean = math.fsum(x) / len(x)
+    mean_log = math.fsum(math.log(v) for v in x) / len(x)
     s = math.log(mean) - mean_log
     if s <= 0:
         raise FitError("gamma likelihood equation degenerate (no spread in logs)")
@@ -116,7 +116,7 @@ def _fit_gamma(x: Sequence[float]) -> dict:
         return math.log(shape) - digamma(shape) - s
 
     # f decreases from +inf to 0 as shape grows; standard starting guess
-    guess = (3.0 - s + math.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
+    guess = (3.0 - s + math.sqrt((s - 3.0) * (s - 3.0) + 24.0 * s)) / (12.0 * s)
     shape = _root(lambda k: -f(k), guess / 8.0, guess * 8.0, "gamma")
     return {"shape": shape, "scale": mean / shape}
 
@@ -126,39 +126,41 @@ def _fit_weibull(x: Sequence[float]) -> dict:
     top = max(x)
     scaled = [v / top for v in x]
     logs = [math.log(v) for v in x]
-    mean_log = sum(logs) / n
+    mean_log = math.fsum(logs) / n
 
     def f(k: float) -> float:
         wk = [u**k for u in scaled]
-        num = sum(w * lg for w, lg in zip(wk, logs))
-        den = sum(wk)
+        num = math.fsum(w * lg for w, lg in zip(wk, logs))
+        den = math.fsum(wk)
         return num / den - 1.0 / k - mean_log
 
     shape = _root(f, 1.0, 2.0, "weibull")
-    scale = top * (sum(u**shape for u in scaled) / n) ** (1.0 / shape)
+    scale = top * (math.fsum(u**shape for u in scaled) / n) ** (1.0 / shape)
     return {"shape": shape, "scale": scale}
 
 
 def _fit_gumbel(x: Sequence[float]) -> dict:
     n = len(x)
-    mean = sum(x) / n
+    mean = math.fsum(x) / n
     low = min(x)
-    sd = math.sqrt(sum((v - mean) ** 2 for v in x) / (n - 1))
+    sd = math.sqrt(math.fsum((v - mean) * (v - mean) for v in x) / (n - 1))
+    if sd == math.inf:  # the squared deviations overflow; no bracket would hold
+        raise FitError(f"gumbel fit overflows: sd = {sd}")
     start = sd * math.sqrt(6.0) / math.pi
 
     def f(beta: float) -> float:
         weights = [math.exp(-(v - low) / beta) for v in x]
-        weighted = sum(v * w for v, w in zip(x, weights)) / sum(weights)
+        weighted = math.fsum(v * w for v, w in zip(x, weights)) / math.fsum(weights)
         return beta - mean + weighted
 
     scale = _root(f, start / 8.0, start * 8.0, "gumbel")
-    total = sum(math.exp(-(v - low) / scale) for v in x)
+    total = math.fsum(math.exp(-(v - low) / scale) for v in x)
     loc = low - scale * (math.log(total) - math.log(n))
     return {"loc": loc, "scale": scale}
 
 
 def _fit_chi_squared(x: Sequence[float]) -> dict:
-    mean_log = sum(math.log(v) for v in x) / len(x)
+    mean_log = math.fsum(math.log(v) for v in x) / len(x)
 
     def f(df: float) -> float:
         return digamma(df / 2.0) + math.log(2.0) - mean_log
@@ -257,8 +259,8 @@ def _cdf_triangular(p: Mapping[str, float], x: float) -> float:
     if x >= b:
         return 1.0
     if x <= c:
-        return (x - a) ** 2 / ((b - a) * (c - a))
-    return 1.0 - (b - x) ** 2 / ((b - a) * (b - c))
+        return (x - a) * (x - a) / ((b - a) * (c - a))
+    return 1.0 - (b - x) * (b - x) / ((b - a) * (b - c))
 
 
 def _cdf_chi_squared(p: Mapping[str, float], x: float) -> float:
@@ -304,7 +306,10 @@ def fit_distribution(data: Sequence[float], family: str) -> FittedDistribution:
         raise FitError(f"{family} requires strictly positive data")
     if rules.spread and min(data) == max(data):
         raise FitError(f"{family} requires data with spread; all values are equal")
-    params = rules.fit(data)
+    try:
+        params = rules.fit(data)
+    except OverflowError as exc:  # math.fsum, exp or a power beyond the float range
+        raise FitError(f"{family} fit overflows: {exc}") from None
     for name, value in params.items():
         if not math.isfinite(value):
             raise FitError(f"{family} fit overflows: {name} = {value}")
@@ -324,10 +329,12 @@ def chi2_gof(data: Sequence[float], fitted: FittedDistribution) -> GofResult:
     counts = [0] * bins
     for v in data:
         u = fitted.cdf(v)
+        if u != u:  # nan, as inf / inf in the triangular CDF
+            raise FitError(f"{fitted.family} goodness of fit overflows: the CDF is nan at {v!r}")
         u = min(max(u, 0.0), 1.0)
         counts[min(int(u * bins), bins - 1)] += 1
     expected = n / bins
-    stat = sum((c - expected) ** 2 / expected for c in counts)
+    stat = math.fsum((c - expected) * (c - expected) / expected for c in counts)
     return GofResult(stat=stat, df=df, p=chi2_sf(stat, df))
 
 

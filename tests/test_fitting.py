@@ -129,14 +129,24 @@ class TestFitters:
         assert ranked_families(entries)
 
     def test_overflowing_parameter_rejected(self):
-        # the sum of these finite values overflows, so the normal mean is inf
+        # the sum of these finite values overflows, so neither the normal
+        # mean nor the exponential rate can be formed
         data = [1.0e308 + i * 0.1e308 for i in range(8)]
-        with pytest.raises(FitError, match="normal fit overflows: mu = inf"):
+        with pytest.raises(FitError, match="^normal fit overflows: intermediate overflow in fsum$"):
             fit_distribution(data, "normal")
-        failures = {e.family: e.error for e in rank_families(data) if isinstance(e, FitFailure)}
-        assert failures["normal"] == "normal fit overflows: mu = inf"
-        assert failures["exponential"] == "exponential fit degenerates: rate = 0.0 is not > 0"
-        assert failures["triangular"].startswith("numeric overflow or underflow in the triangular")
+        entries = rank_families(data)
+        failures = {e.family: e.error for e in entries if isinstance(e, FitFailure)}
+        assert failures["normal"] == "normal fit overflows: intermediate overflow in fsum"
+        assert failures["exponential"] == "exponential fit overflows: intermediate overflow in fsum"
+        assert failures["triangular"].startswith("triangular goodness of fit overflows")
+        assert set(ranked_families(entries)) == {"lognormal", "weibull"}
+
+    @pytest.mark.parametrize("family", ["normal", "gumbel"])
+    def test_overflowing_spread_is_a_fit_error(self, family):
+        # the squared deviations of +-1e308 overflow, in the fit itself
+        data = [-1e308, 1e308, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+        with pytest.raises(FitError, match=f"^{family} fit overflows: s(igma|d) = inf$"):
+            fit_distribution(data, family)
 
     def test_positive_support_families_reject_nonpositive(self):
         data = [-1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]

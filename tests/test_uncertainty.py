@@ -1,7 +1,8 @@
 import math
+from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cabl.errors import ConflictError, DomainError, ParseError
@@ -56,6 +57,19 @@ class TestReplicateSummary:
     def test_refuses_what_the_series_refuses(self, values, error):
         with pytest.raises(error):
             replicate_summary(values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.floats(5e-324, 1e150), min_size=2, max_size=12).flatmap(
+            lambda values: st.tuples(st.just(values), st.permutations(values))
+        )
+    )
+    def test_any_order_gives_one_series_with_the_exact_mean(self, pair):
+        values, shuffled = pair
+        summary = replicate_summary(values)
+        assert replicate_summary(shuffled) == summary
+        # the exactly rounded sum, divided once
+        assert summary.mean == float(sum(map(Fraction, values))) / len(values)
 
     @given(
         values=st.lists(st.floats(1.0, 100.0), min_size=10, max_size=20),
